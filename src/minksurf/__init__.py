@@ -10,9 +10,9 @@ decomposition, verdicts), ``report`` + ``cli`` (grids and I/O).
 
 from .jets import (SUPPORTED_ORDERS, DivisionByZeroValue, DomainError, Jet,
                    JetError, OrderExceeded, UnsupportedOrder, fd_partial,
-                   jet_combine, jet_elementary, jet_variable, partial)
+                   jet_variable, partial)
 from .linalg import (AmbientVector, Bivector, CausalClass, DegeneratePlane,
-                     NullPivot, bivector_inner, causal_character,
+                     bivector_inner, causal_character,
                      dual_unit_normal_bivector, hodge_dual, minkowski_inner,
                      orthonormal_normal_frame, wedge)
 from .expr import (ArityError, ParseError, UnknownIdentifier,
@@ -41,9 +41,9 @@ __version__ = "0.1.0"
 __all__ = [
     "SUPPORTED_ORDERS", "DivisionByZeroValue", "DomainError", "Jet",
     "JetError", "OrderExceeded", "UnsupportedOrder", "fd_partial",
-    "jet_combine", "jet_elementary", "jet_variable", "partial",
+    "jet_variable", "partial",
     "AmbientVector", "Bivector", "CausalClass", "DegeneratePlane",
-    "NullPivot", "bivector_inner", "causal_character",
+    "bivector_inner", "causal_character",
     "dual_unit_normal_bivector", "hodge_dual", "minkowski_inner",
     "orthonormal_normal_frame", "wedge",
     "ArityError", "ParseError", "UnknownIdentifier", "parse_expression",

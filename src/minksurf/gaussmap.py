@@ -270,8 +270,6 @@ class PointRecord:
     f_estimate: float = 0.0
     lemma42: Optional[float] = None
     labels: tuple[str, ...] = ()
-    pivots: tuple[int, int] = (-1, -1)
-    frame_flipped: bool = False
 
 
 def evaluate_point(spec: SurfaceSpec, u: float, v: float, order: int = 3,
@@ -334,9 +332,7 @@ def evaluate_point(spec: SurfaceSpec, u: float, v: float, order: int = 3,
         residual_harmonic=rharm,
         f_estimate=f_est,
         lemma42=lem,
-        labels=tuple(sorted(pg.classify())),
-        pivots=pg.frame.pivots,
-        frame_flipped=pg.frame.flipped)
+        labels=tuple(sorted(pg.classify())))
 
 
 def evaluate_grid(spec: SurfaceSpec, grid: tuple[int, int] = (7, 7),
@@ -511,13 +507,6 @@ class _TheoremEntry:
     side_b: Callable
 
 
-_SIX_TYPE_B = _and(_check_flat, _check_fnb,
-                   _or(lambda recs, tau, rel: SideResult(
-                           "maximal (max |H|)",
-                           max(r.H_norm_euclid for r in recs) <= tau,
-                           max(r.H_norm_euclid for r in recs)),
-                       _and(_check_lightlike_H, _check_parallel)))
-
 THEOREMS: dict[str, _TheoremEntry] = {
     "T3.4": _TheoremEntry(
         "maximal: harmonic Gauss map iff flat with flat normal bundle",
@@ -531,7 +520,13 @@ THEOREMS: dict[str, _TheoremEntry] = {
         "harmonic Gauss map iff flat, flat normal bundle, and either "
         "maximal or light-like parallel mean curvature (the checkable "
         "content of the six-type classification)",
-        _premise_any, _check_harmonic, _SIX_TYPE_B),
+        _premise_any, _check_harmonic,
+        _and(_check_flat, _check_fnb,
+             _or(lambda recs, tau, rel: SideResult(
+                     "maximal (max |H|)",
+                     max(r.H_norm_euclid for r in recs) <= tau,
+                     max(r.H_norm_euclid for r in recs)),
+                 _and(_check_lightlike_H, _check_parallel)))),
     "T3.9": _TheoremEntry(
         "in a de Sitter quadric: flat with light-like parallel mean "
         "curvature iff harmonic Gauss map",
@@ -544,11 +539,6 @@ THEOREMS: dict[str, _TheoremEntry] = {
         _premise_in_h3,
         _and(_check_flat, _check_lightlike_H, _check_parallel),
         _check_harmonic),
-    "T3.11": _TheoremEntry(
-        "harmonic Gauss map iff flat, flat normal bundle, and either "
-        "maximal or light-like parallel mean curvature (the checkable "
-        "content of the six-type classification)",
-        _premise_any, _check_harmonic, _SIX_TYPE_B),
     "T4.1": _TheoremEntry(
         "maximal: pointwise first-kind Gauss map iff flat normal bundle",
         _premise_maximal, _check_first_kind, _check_fnb),
@@ -569,6 +559,8 @@ THEOREMS: dict[str, _TheoremEntry] = {
         _premise_nonmaximal, _check_global_first_kind,
         _and(_check_parallel, _check_K_constant)),
 }
+# The catalog-facing id of the same six-type statement.
+THEOREMS["T3.11"] = THEOREMS["T3.7"]
 
 
 def theorem_ids() -> tuple[str, ...]:

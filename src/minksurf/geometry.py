@@ -9,7 +9,8 @@ residuals that measure how well the structural identities hold.
 
 Conventions, fixed once for the whole package:
   * ambient signature (-, +, +, +), first component time-like;
-  * normal frame ordered space-like first: <e3, e3> = +1, <e4, e4> = -1;
+  * normal frame ordered space-like first: <e3, e3> = +1, <e4, e4> = -1,
+    with e4 the unit normal part of the time axis;
   * e3 ^ e4 equals the dual unit normal bivector (the Gauss map value),
     which makes det[e1 e2 e3 e4] > 0;
   * the Laplacian is the geometer's one, Delta f = -div grad f on
@@ -68,22 +69,17 @@ class Tolerances:
 
     causal feeds the scale-aware causal classifier, residual is the
     absolute cutoff on identity residuals and pointwise predicates,
-    frame bounds frame orthonormality defects, constancy_rel is the
-    relative cutoff on grid constancy, degenerate is the Gram cutoff
-    below which a point is skipped as degenerate.
+    constancy_rel is the relative cutoff on grid constancy, degenerate
+    is the Gram cutoff below which a point is skipped as degenerate.
     """
 
     causal: float = 1e-9
     residual: float = 1e-8
-    frame: float = 1e-10
     constancy_rel: float = 1e-6
     degenerate: float = 1e-12
 
 
 DEFAULT_TOLERANCES = Tolerances()
-
-_JET_ADAPTER = (lambda s: s.value() if isinstance(s, Jet) else float(s), jt.sqrt)
-
 
 def _vec_deriv_u(v: AmbientVector) -> AmbientVector:
     return AmbientVector(*(c.deriv_u() for c in v.components()))
@@ -111,14 +107,14 @@ class Frame:
 
     e[0], e[1] span the tangent plane (epsilon +1 each), e[2] is the
     space-like normal, e[3] the time-like normal.  a[i], b[i] are the
-    coordinate coefficient jets with e_i = a_i x_u + b_i x_v.
+    coordinate coefficient jets with e_i = a_i x_u + b_i x_v, and
+    nu = e[2] ^ e[3] is the Gauss map value.
     """
 
     e: tuple[AmbientVector, AmbientVector, AmbientVector, AmbientVector]
     a: tuple[Jet, Jet]
     b: tuple[Jet, Jet]
-    pivots: tuple[int, int]
-    flipped: bool
+    nu: Bivector
 
 
 class PointGeometry:
@@ -203,9 +199,7 @@ class PointGeometry:
     @cached_property
     def nu_jets(self) -> Bivector:
         """The Gauss map value as a jet-valued unit bivector."""
-        self.require_spacelike()
-        return la.dual_unit_normal_bivector(
-            self.xu, self.xv, self.tol.degenerate, _adapter=_JET_ADAPTER)
+        return self.frame.nu
 
     @cached_property
     def nu(self) -> Bivector:
@@ -214,29 +208,18 @@ class PointGeometry:
     @cached_property
     def frame(self) -> Frame:
         self.require_spacelike()
-        e1, e2, e3, e4, pivots = la._normal_frame(
-            self.xu, self.xv, self.tol.degenerate, _JET_ADAPTER)
-
-        E, F, G = self.metric_jets
+        E, F, _ = self.metric_jets
         inv_E = jt.reciprocal(E)
         a1 = jt.sqrt(inv_E)
         b1 = Jet.constant(0.0, a1.order)
-        r = self.xv - self.xu.scaled(F * inv_E)
-        mu = jt.sqrt(la.minkowski_inner(r, r))
-        inv_mu = jt.reciprocal(mu)
+        # |x_v - (F/E) x_u|^2 = det g / E
+        inv_mu = jt.reciprocal(jt.sqrt(self.metric_det_jet * inv_E))
         a2 = -(F * inv_E) * inv_mu
         b2 = inv_mu
-
-        # Align the normal pair with the Gauss map: e3 ^ e4 must equal nu,
-        # not -nu, so Lemma-style decompositions hold without sign cases.
-        w = la.wedge(_vec_values(e3), _vec_values(e4))
-        nu_v = self.nu
-        flip = (la.bivector_euclid_norm(w - nu_v)
-                > la.bivector_euclid_norm(w + nu_v))
-        if flip:
-            e4 = -e4
-        return Frame(e=(e1, e2, e3, e4), a=(a1, a2), b=(b1, b2),
-                     pivots=pivots, flipped=flip)
+        e1 = self.xu.scaled(a1)
+        e2 = self.xu.scaled(a2) + self.xv.scaled(b2)
+        e3, e4, nu = la.normal_frame(e1, e2, jt.sqrt)
+        return Frame(e=(e1, e2, e3, e4), a=(a1, a2), b=(b1, b2), nu=nu)
 
     @cached_property
     def frame_values(self) -> tuple[AmbientVector, ...]:

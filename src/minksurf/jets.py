@@ -17,23 +17,17 @@ the main computation path.
 from __future__ import annotations
 
 import math
-from enum import Enum
 from functools import lru_cache
 from typing import Callable, Sequence, Union
 
 __all__ = [
     "Jet",
-    "Var",
-    "BinaryOp",
-    "Elementary",
     "JetError",
     "UnsupportedOrder",
     "OrderExceeded",
     "DomainError",
     "DivisionByZeroValue",
     "jet_variable",
-    "jet_combine",
-    "jet_elementary",
     "partial",
     "fd_partial",
     "SUPPORTED_ORDERS",
@@ -62,29 +56,6 @@ class DomainError(JetError):
 
 class DivisionByZeroValue(JetError):
     """Division by a jet whose value coefficient is exactly zero."""
-
-
-class Var(Enum):
-    U = "u"
-    V = "v"
-
-
-class BinaryOp(Enum):
-    ADD = "+"
-    SUB = "-"
-    MUL = "*"
-    DIV = "/"
-    POW_INT = "^"
-
-
-class Elementary(Enum):
-    SIN = "sin"
-    COS = "cos"
-    SINH = "sinh"
-    COSH = "cosh"
-    EXP = "exp"
-    SQRT = "sqrt"
-    LOG = "log"
 
 
 @lru_cache(maxsize=None)
@@ -134,14 +105,15 @@ class Jet:
         return cls(order, tuple(coeffs))
 
     @classmethod
-    def variable(cls, which: Union[Var, str], value: Scalar, order: int) -> "Jet":
+    def variable(cls, which: str, value: Scalar, order: int) -> "Jet":
         if order < 1:
             raise UnsupportedOrder("a variable jet needs order >= 1")
-        which = Var(which)  # accepts Var members and the strings "u"/"v"
+        if which not in ("u", "v"):
+            raise ValueError(f"unknown variable {which!r}; expected 'u' or 'v'")
         n = order + 1
         coeffs = [0.0] * (n * n)
         coeffs[0] = float(value)
-        if which is Var.U:
+        if which == "u":
             coeffs[n] = 1.0
         else:
             coeffs[1] = 1.0
@@ -371,45 +343,14 @@ def cosh(a: Jet) -> Jet:
     return _compose(series, a)
 
 
-_ELEMENTARY_TABLE: dict[Elementary, Callable[[Jet], Jet]] = {
-    Elementary.SIN: sin,
-    Elementary.COS: cos,
-    Elementary.SINH: sinh,
-    Elementary.COSH: cosh,
-    Elementary.EXP: exp,
-    Elementary.SQRT: sqrt,
-    Elementary.LOG: log,
-}
-
-
 # -- contract-level entry points --------------------------------------
 
 
-def jet_variable(which: Union[Var, str], value: Scalar, k: int) -> Jet:
+def jet_variable(which: str, value: Scalar, k: int) -> Jet:
     """A coordinate jet for u or v at the given base value, order k in {3, 4}."""
     if k not in SUPPORTED_ORDERS:
         raise UnsupportedOrder(f"order must be one of {SUPPORTED_ORDERS}, got {k}")
     return Jet.variable(which, value, k)
-
-
-def jet_combine(op: BinaryOp, a: Jet, b: Union[Jet, int]) -> Jet:
-    if op is BinaryOp.ADD:
-        return a + b
-    if op is BinaryOp.SUB:
-        return a - b
-    if op is BinaryOp.MUL:
-        return a * b
-    if op is BinaryOp.DIV:
-        return a / b
-    if op is BinaryOp.POW_INT:
-        if not isinstance(b, int):
-            raise TypeError("POW_INT exponent must be an integer")
-        return a**b
-    raise TypeError(f"unknown binary op {op!r}")  # pragma: no cover
-
-
-def jet_elementary(f: Elementary, a: Jet) -> Jet:
-    return _ELEMENTARY_TABLE[f](a)
 
 
 def partial(a: Jet, i: int, j: int) -> float:

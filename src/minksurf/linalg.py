@@ -9,9 +9,9 @@ the induced inner product is diagonal with signs (-1, -1, -1, +1, +1, +1).
 All functions are pure and all values immutable.  The vector and
 bivector containers are generic over their scalar type: components may
 be floats or jets, since both support the same arithmetic.  Operations
-that need comparisons or square roots (causal classification, frame
-construction) take floats, or accept an adapter so the geometry layer
-can run the identical construction on jets.
+that need comparisons (causal classification, the space-like check) take
+floats; the normal frame construction takes a square root function so
+the geometry layer runs the identical construction on jets.
 """
 
 from __future__ import annotations
@@ -19,20 +19,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
 
 __all__ = [
     "AmbientVector",
     "Bivector",
     "CausalClass",
     "DegeneratePlane",
-    "NullPivot",
     "BIVECTOR_SIGNS",
     "minkowski_inner",
     "wedge",
     "bivector_inner",
     "hodge_dual",
+    "contract",
     "dual_unit_normal_bivector",
+    "normal_frame",
     "orthonormal_normal_frame",
     "causal_character",
     "DEFAULT_CAUSAL_TOL",
@@ -47,15 +47,6 @@ BIVECTOR_SIGNS = (-1.0, -1.0, -1.0, 1.0, 1.0, 1.0)
 
 class DegeneratePlane(Exception):
     """The two tangent vectors do not span a space-like plane."""
-
-
-class NullPivot(Exception):
-    """Every Gram-Schmidt candidate projected to a (near-)null vector.
-
-    Unreachable for genuinely space-like tangent planes (the projection
-    of the time axis onto the normal plane always has squared length
-    <= -1); kept as a guard against degenerate inputs.
-    """
 
 
 class CausalClass(Enum):
@@ -191,32 +182,33 @@ def causal_character(v: AmbientVector, tol: float = DEFAULT_CAUSAL_TOL) -> Causa
 
 
 # -- normal plane constructions ----------------------------------------
-#
-# Both constructions below are written against a scalar adapter so the
-# identical code path serves floats (this module's public API) and jets
-# (the geometry layer).  value() extracts a float for decisions; sqrt()
-# stays in the scalar ring.
 
-_FLOAT_ADAPTER = (float, math.sqrt)
+def contract(x: AmbientVector, b: Bivector) -> AmbientVector:
+    """Interior product of a bivector with a vector.
 
-_BASIS = (
-    AmbientVector(1.0, 0.0, 0.0, 0.0),
-    AmbientVector(0.0, 1.0, 0.0, 0.0),
-    AmbientVector(0.0, 0.0, 1.0, 0.0),
-    AmbientVector(0.0, 0.0, 0.0, 1.0),
-)
+    Linear in b, with iota_x(a ^ c) = <x, a> c - <x, c> a.
+    """
+    return AmbientVector(
+        -(x.c1 * b.p12 + x.c2 * b.p13 + x.c3 * b.p14),
+        -(x.c0 * b.p12 + x.c2 * b.p23 + x.c3 * b.p24),
+        -(x.c0 * b.p13) + x.c1 * b.p23 - x.c3 * b.p34,
+        -(x.c0 * b.p14) + x.c1 * b.p24 + x.c2 * b.p34,
+    )
 
 
-def _gram_det(t1: AmbientVector, t2: AmbientVector):
+def _require_spacelike(t1: AmbientVector, t2: AmbientVector, tol: float):
+    # returns the tangent Gram determinant and g11
     g11 = minkowski_inner(t1, t1)
     g12 = minkowski_inner(t1, t2)
-    g22 = minkowski_inner(t2, t2)
-    return g11 * g22 - g12 * g12, g11
+    det = g11 * minkowski_inner(t2, t2) - g12 * g12
+    if det <= tol or g11 <= 0.0:
+        raise DegeneratePlane(
+            f"tangent Gram determinant {det!r} (g11={g11!r}) is not positive")
+    return det, g11
 
 
 def dual_unit_normal_bivector(t1: AmbientVector, t2: AmbientVector,
-                              tol: float = DEFAULT_CAUSAL_TOL,
-                              _adapter=_FLOAT_ADAPTER) -> Bivector:
+                              tol: float = DEFAULT_CAUSAL_TOL) -> Bivector:
     """Unit bivector of the normal plane of a space-like tangent plane.
 
     Computed gauge-free as the normalized star-dual of t1 ^ t2.  The
@@ -224,86 +216,39 @@ def dual_unit_normal_bivector(t1: AmbientVector, t2: AmbientVector,
     tangent plane, and is oriented so that the adapted frame
     (e1, e2, e3, e4) with e3 ^ e4 = nu has positive determinant.
     """
-    value, sqrt_fn = _adapter
-    det, g11 = _gram_det(t1, t2)
-    if value(det) <= tol or value(g11) <= 0.0:
-        raise DegeneratePlane(
-            f"tangent Gram determinant {value(det)!r} (g11={value(g11)!r}) "
-            "is not positive")
-    return hodge_dual(wedge(t1, t2)).scaled(1.0 / sqrt_fn(det))
+    det, _ = _require_spacelike(t1, t2, tol)
+    return hodge_dual(wedge(t1, t2)).scaled(1.0 / math.sqrt(det))
 
 
-def _project_out(v: AmbientVector, units: Sequence[tuple[AmbientVector, float]]):
-    # units: (unit vector, its squared sign eps in {+1.0, -1.0})
-    out = v
-    for e, eps in units:
-        coef = minkowski_inner(out, e)
-        out = out - e.scaled(coef if eps > 0 else -coef)
-    return out
+def normal_frame(e1: AmbientVector, e2: AmbientVector, sqrt=math.sqrt,
+                 ) -> tuple[AmbientVector, AmbientVector, Bivector]:
+    """(e3, e4, nu) for an orthonormal space-like tangent pair (e1, e2).
 
-
-def _normal_frame(t1: AmbientVector, t2: AmbientVector, tol: float, adapter):
-    value, sqrt_fn = adapter
-    det, g11 = _gram_det(t1, t2)
-    if value(det) <= tol or value(g11) <= 0.0:
-        raise DegeneratePlane(
-            f"tangent Gram determinant {value(det)!r} (g11={value(g11)!r}) "
-            "is not positive")
-    e1 = t1.scaled(1.0 / sqrt_fn(g11))
-    r = _project_out(t2, ((e1, 1.0),))
-    e2 = r.scaled(1.0 / sqrt_fn(minkowski_inner(r, r)))
-
-    tangent = ((e1, 1.0), (e2, 1.0))
-    projections = [_project_out(f, tangent) for f in _BASIS]
-    norms = [value(minkowski_inner(p, p)) for p in projections]
-
-    # First pivot: largest |<p, p>| among the projected basis vectors.
-    # The time axis projection has <p, p> <= -1, so a usable pivot always
-    # exists; ties resolve to the lowest index for reproducibility.
-    first = max(range(4), key=lambda a: (abs(norms[a]), -a))
-    q1 = minkowski_inner(projections[first], projections[first])
-    eps1 = 1.0 if norms[first] > 0 else -1.0
-    n1 = projections[first].scaled(1.0 / sqrt_fn(q1 if eps1 > 0 else -q1))
-
-    rest = []
-    for a in range(4):
-        if a == first:
-            continue
-        q = _project_out(projections[a], ((n1, eps1),))
-        rest.append((a, q, value(minkowski_inner(q, q))))
-    scale = 1.0 + max(abs(n) for _, _, n in rest)
-    usable = [(a, q, n) for a, q, n in rest if abs(n) > tol * scale]
-    if not usable:
-        raise NullPivot("no non-null second pivot in the normal plane")
-    a2, q2, n2raw = max(usable, key=lambda t: (abs(t[2]), -t[0]))
-    q2sq = minkowski_inner(q2, q2)
-    eps2 = 1.0 if n2raw > 0 else -1.0
-    n2 = q2.scaled(1.0 / sqrt_fn(q2sq if eps2 > 0 else -q2sq))
-
-    # The normal plane of a space-like surface has signature (+, -).
-    if eps1 > 0:
-        e3, e4 = n1, n2
-        pivots = (first, a2)
-    else:
-        e3, e4 = n2, n1
-        pivots = (a2, first)
-    return e1, e2, e3, e4, pivots
+    The time axis t splits as t_T + t_N with t_T space-like, so
+    <t_N, t_N> = -1 - |t_T|^2 <= -1 and e4 = t_N / |t_N| never
+    degenerates.  With nu = star(e1 ^ e2) and e3 = iota_{e4} nu, the
+    pair is orthonormal with e3 ^ e4 = nu by construction.  Components
+    may be floats or jets; sqrt must match them.
+    """
+    a, b = e1.c0, e2.c0
+    # t_N = t - <t, e1> e1 - <t, e2> e2, and <t, e_i> = -e_i.c0
+    t_n = e1.scaled(a) + e2.scaled(b)
+    t_n = AmbientVector(t_n.c0 + 1.0, t_n.c1, t_n.c2, t_n.c3)
+    e4 = t_n.scaled(1.0 / sqrt(1.0 + a * a + b * b))
+    nu = hodge_dual(wedge(e1, e2))
+    return contract(e4, nu), e4, nu
 
 
 def orthonormal_normal_frame(t1: AmbientVector, t2: AmbientVector,
                              tol: float = DEFAULT_CAUSAL_TOL,
-                             ) -> tuple[AmbientVector, AmbientVector, int]:
+                             ) -> tuple[AmbientVector, AmbientVector]:
     """An orthonormal basis (e3 space-like, e4 time-like) of the normal
-    plane, plus the sign relating e3 ^ e4 to the dual unit bivector.
-
-    The construction projects the standard basis onto the normal plane
-    and pivots on the largest squared length, so it is deterministic;
-    the sign is +1 or -1 and is reported rather than silently fixed.
+    plane of a space-like tangent plane, with e3 ^ e4 equal to the dual
+    unit normal bivector.
     """
-    _, _, e3, e4, _ = _normal_frame(t1, t2, tol, _FLOAT_ADAPTER)
-    nu = dual_unit_normal_bivector(t1, t2, tol)
-    w = wedge(e3, e4)
-    # w equals +nu or -nu; compare against the larger component for safety.
-    diffs = bivector_euclid_norm(w - nu), bivector_euclid_norm(w + nu)
-    sign = 1 if diffs[0] < diffs[1] else -1
-    return e3, e4, sign
+    _, g11 = _require_spacelike(t1, t2, tol)
+    e1 = t1.scaled(1.0 / math.sqrt(g11))
+    r = t2 - e1.scaled(minkowski_inner(t2, e1))
+    e2 = r.scaled(1.0 / math.sqrt(minkowski_inner(r, r)))
+    e3, e4, _ = normal_frame(e1, e2)
+    return e3, e4

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import surfaces as sf
-from .gaussmap import (PointRecord, TheoremVerdict, evaluate_point,
-                       theorem_verdict_from_records)
+from .gaussmap import (PointRecord, TheoremVerdict, _constancy,
+                       evaluate_point, theorem_verdict_from_records)
 from .geometry import DEFAULT_TOLERANCES, Tolerances
 from .expr import serialize_expression
 from .surfaces import Domain, SurfaceSpec, cell_centers
@@ -44,12 +44,14 @@ __all__ = [
     "run",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 CONVENTIONS = {
     "signature": [-1, 1, 1, 1],
     "time_axis": "component 0",
     "normal_frame_signs": {"e3": 1, "e4": -1},
+    "normal_frame": "e4 is the unit normal part of the time axis, "
+                    "e3 = iota_{e4} nu",
     "laplacian_sign": "Delta = -div grad on functions, so Delta x = -2 H",
     "bivector_basis": ["12", "13", "14", "23", "24", "34"],
     "bivector_signs": [-1, -1, -1, 1, 1, 1],
@@ -88,8 +90,7 @@ class RunConfig:
             raise ValueError("jet order must be 3 or 4")
         if self.fmt not in ("json", "csv"):
             raise ValueError(f"unknown format {self.fmt!r}")
-        for name in ("causal", "residual", "frame", "constancy_rel",
-                     "degenerate"):
+        for name in ("causal", "residual", "constancy_rel", "degenerate"):
             if getattr(self.tol, name) <= 0:
                 raise ValueError(f"tolerance {name} must be positive")
 
@@ -181,11 +182,11 @@ def summarize(records: Sequence[PointRecord], tol: Tolerances) -> dict:
     out["H_causal_classes"] = sorted({r.H_causal for r in live})
     out["H_norm_euclid_max"] = max(r.H_norm_euclid for r in live)
 
-    pos = _stats([r.position_inner for r in live])
-    out["position_inner"] = pos
+    positions = [r.position_inner for r in live]
+    out["position_inner"] = _stats(positions)
     # A quadric containment constant only makes sense if <x, x> is
-    # grid-constant; accept at a tight absolute-ish scale.
-    pos_constant = pos["sd"] <= 1e-8 * (1.0 + abs(pos["mean"]))
+    # grid-constant; the rule is the one the quadric premises use.
+    pos_constant, _ = _constancy(positions, tol.constancy_rel)
     out["position_inner_constant"] = pos_constant
 
     lem = [r.lemma42 for r in live if r.lemma42 is not None]
@@ -225,12 +226,13 @@ def _grid_block(cfg: RunConfig) -> dict:
     }
 
 
-_CSV_SCALARS = (
-    "u", "v", "ok", "skip_reason", "position_inner", "H_inner", "H_causal",
-    "H_norm_euclid", "h_sq", "RD", "c_nu", "c_norm", "residual_frame",
-    "residual_codazzi", "residual_parallel_H", "residual_beltrami",
-    "residual_route", "residual_first_kind", "residual_harmonic",
-    "f_estimate", "lemma42", "bilaplacian_norm", "frame_flipped",
+_LABEL_COLUMNS = ("u", "v", "ok", "skip_reason")
+_CSV_SCALARS = _LABEL_COLUMNS + (
+    "position_inner", "H_inner", "H_causal", "H_norm_euclid", "h_sq", "RD",
+    "c_nu", "c_norm", "residual_frame", "residual_codazzi",
+    "residual_parallel_H", "residual_beltrami", "residual_route",
+    "residual_first_kind", "residual_harmonic", "f_estimate", "lemma42",
+    "bilaplacian_norm",
 )
 _CSV_TUPLES = (
     ("g", ("E", "F", "G")),
@@ -247,16 +249,7 @@ _CSV_TUPLES = (
     ("dnu_formula", tuple(f"dnu_formula_{i}" for i in range(6))),
     ("grad_trA3", ("grad_trA3_e1", "grad_trA3_e2")),
     ("grad_trA4", ("grad_trA4_e1", "grad_trA4_e2")),
-    ("pivots", ("pivot_1", "pivot_2")),
 )
-
-
-def _csv_header() -> list[str]:
-    cols = list(_CSV_SCALARS)
-    for _, names in _CSV_TUPLES:
-        cols.extend(names)
-    cols.append("labels")
-    return cols
 
 
 def _csv_cell(value) -> str:
@@ -269,22 +262,24 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _record_row(rec: PointRecord) -> list[str]:
-    row = [_csv_cell(getattr(rec, name)) for name in _CSV_SCALARS]
-    for fieldname, names in _CSV_TUPLES:
-        vals = getattr(rec, fieldname)
-        row.extend(_csv_cell(v) for v in vals)
-    row.append(";".join(rec.labels))
-    return row
-
-
-def _records_csv(records: Sequence[PointRecord]) -> str:
+def _csv_text(header: Sequence[str], rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_csv_header())
-    for rec in records:
-        writer.writerow(_record_row(rec))
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def _records_csv(records: Sequence[PointRecord], scalars: Sequence[str],
+                 tuples=()) -> str:
+    """One row per record: the scalar fields, the tuple fields expanded
+    one column per component, and the labels joined by ';'."""
+    header = [*scalars, *(col for _, cols in tuples for col in cols), "labels"]
+    rows = ([*(_csv_cell(getattr(rec, name)) for name in scalars),
+             *(_csv_cell(x) for name, _ in tuples for x in getattr(rec, name)),
+             ";".join(rec.labels)]
+            for rec in records)
+    return _csv_text(header, rows)
 
 
 def _to_json(payload: dict) -> str:
@@ -315,6 +310,12 @@ def _analysis_result(cfg: RunConfig, include_labels_only: bool) -> RunResult:
     records = evaluate_records(spec, cfg)
     summary = summarize(records, cfg.tol)
     exit_code = 3 if summary["points_evaluated"] == 0 else 0
+    if include_labels_only:
+        points = [{"u": r.u, "v": r.v, "ok": r.ok,
+                   "skip_reason": r.skip_reason, "labels": list(r.labels)}
+                  for r in records]
+    else:
+        points = [dataclasses.asdict(r) for r in records]
 
     payload = {
         "schema": SCHEMA_VERSION,
@@ -322,30 +323,16 @@ def _analysis_result(cfg: RunConfig, include_labels_only: bool) -> RunResult:
         "conventions": CONVENTIONS,
         "surface": _surface_block(spec, source),
         "grid": _grid_block(cfg),
-        "points": [dataclasses.asdict(r) for r in records],
+        "points": points,
         "summary": summary,
     }
-    if include_labels_only:
-        payload["points"] = [
-            {"u": r.u, "v": r.v, "ok": r.ok, "skip_reason": r.skip_reason,
-             "labels": list(r.labels)}
-            for r in records]
-    if cfg.fmt == "csv":
-        text = _records_csv(records) if not include_labels_only else (
-            _labels_csv(records))
-    else:
+    if cfg.fmt == "json":
         text = _to_json(payload)
+    elif include_labels_only:
+        text = _records_csv(records, _LABEL_COLUMNS)
+    else:
+        text = _records_csv(records, _CSV_SCALARS, _CSV_TUPLES)
     return RunResult(payload=payload, text=text, exit_code=exit_code)
-
-
-def _labels_csv(records: Sequence[PointRecord]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["u", "v", "ok", "skip_reason", "labels"])
-    for r in records:
-        writer.writerow([_csv_cell(r.u), _csv_cell(r.v), _csv_cell(r.ok),
-                         _csv_cell(r.skip_reason), ";".join(r.labels)])
-    return buf.getvalue()
 
 
 def run_analyze(cfg: RunConfig) -> RunResult:
@@ -402,20 +389,15 @@ def run_catalog(cfg: RunConfig) -> RunResult:
         "catalog": entries,
     }
     if cfg.fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["name", "float_params", "expression_params",
-                         "domain", "tags"])
-        for e in entries:
-            writer.writerow([
-                e["name"],
-                ";".join(f"{k}={_csv_cell(v)}"
-                         for k, v in e["float_params"].items()),
-                ";".join(e["expression_params"]),
-                ";".join(_csv_cell(x) for x in e["domain"]),
-                ";".join(e["tags"]),
-            ])
-        text = buf.getvalue()
+        text = _csv_text(
+            ["name", "float_params", "expression_params", "domain", "tags"],
+            ([e["name"],
+              ";".join(f"{k}={_csv_cell(v)}"
+                       for k, v in e["float_params"].items()),
+              ";".join(e["expression_params"]),
+              ";".join(_csv_cell(x) for x in e["domain"]),
+              ";".join(e["tags"])]
+             for e in entries))
     else:
         text = _to_json(payload)
     return RunResult(payload=payload, text=text, exit_code=0)

@@ -26,7 +26,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 from . import expr as ex
 from .expr import Expr, ParseError, parse_expression, serialize_expression
-from .jets import Jet, Var, jet_variable
+from .jets import Jet, jet_variable
 
 __all__ = [
     "Domain",
@@ -406,8 +406,8 @@ def _splice(e: Expr, splices: Mapping[str, Expr]) -> Expr:
 def evaluate_immersion(spec: SurfaceSpec, u: float, v: float, k: int,
                        ) -> tuple[Jet, Jet, Jet, Jet]:
     """Jets of the four immersion components at base point (u, v), order k."""
-    uj = jet_variable(Var.U, u, k)
-    vj = jet_variable(Var.V, v, k)
+    uj = jet_variable("u", u, k)
+    vj = jet_variable("v", v, k)
     return tuple(ex.eval_jet(c, uj, vj, spec.params) for c in spec.components)
 
 

@@ -32,7 +32,7 @@ class TestAnalyze:
             ["analyze", "--catalog", "product", "--grid", "4x4"], capsys)
         assert code == 0 and err == ""
         d = json.loads(out)
-        assert d["schema"] == 1
+        assert d["schema"] == 2
         assert d["command"] == "analyze"
         assert d["conventions"]["signature"] == [-1, 1, 1, 1]
         assert d["surface"]["name"] == "product"
@@ -71,6 +71,9 @@ class TestAnalyze:
             assert float(r["u"]) == p["u"]
             assert float(r["h_sq"]) == p["h_sq"]
             assert float(r["residual_first_kind"]) == p["residual_first_kind"]
+            # the labels column joins the sorted labels with ';'
+            assert len(p["labels"]) > 1
+            assert r["labels"] == ";".join(p["labels"])
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_jobs_do_not_change_bytes(self, fmt, capsys):
@@ -156,6 +159,23 @@ class TestClassify:
         pts = json.loads(out)["points"]
         assert all(set(p) == {"u", "v", "ok", "skip_reason", "labels"} for p in pts)
         assert all("MARGINALLY-TRAPPED" in p["labels"] for p in pts)
+
+    @pytest.mark.parametrize("rel_sd,constant", [(1e-7, True), (1e-5, False)])
+    def test_quadric_label_follows_premise_rule(self, rel_sd, constant):
+        # the summary's quadric labels and the T3.9 premise answer the same
+        # question, "is <x, x> grid-constant", so they must agree on every
+        # spread of <x, x>, not only on exact or wildly varying data
+        delta = 2.0 * rel_sd  # sd relative to 1 + |mean| = 2
+        records = [gm.PointRecord(u=0.0, v=float(i), ok=True,
+                                  position_inner=1.0 + (-1) ** i * delta,
+                                  labels=("IN-S31",))
+                   for i in range(8)]
+        tol = report.DEFAULT_TOLERANCES
+        summary = report.summarize(records, tol)
+        verdict = gm.theorem_verdict_from_records("T3.9", records, tol=tol)
+        assert summary["position_inner_constant"] is constant
+        assert ("IN-S31" in summary["labels_everywhere"]) is constant
+        assert verdict.premise_met is constant
 
 
 class TestVerify:

@@ -71,7 +71,7 @@ class TestDecomposition:
         ("h3-flat", {"r": 1.0}),
     ])
     def test_rotating_gauges_cancel_jointly(self, name, params):
-        # here the pivoted frame rotates in the normal plane, so the two
+        # here the time-axis frame rotates in the normal plane, so the two
         # trace-gradient groups and the rotation group are each order one
         # yet their sum still reproduces the direct Laplacian
         pg = point_geometry(build(name, params), 0.4, -0.3)

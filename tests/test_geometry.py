@@ -101,7 +101,7 @@ class TestFrame:
     def test_deterministic_rebuild(self, product_12):
         a = point_geometry(product_12, 0.4, -0.3)
         b = point_geometry(product_12, 0.4, -0.3)
-        assert a.frame.pivots == b.frame.pivots
+        assert a.frame == b.frame
         assert a.frame_values == b.frame_values
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from minksurf import linalg as la
@@ -141,6 +141,17 @@ class TestHodgeDual:
             -la.bivector_inner(a, b), rel=1e-12, abs=1e-10)
 
 
+class TestContract:
+    @given(x=vectors, a=vectors, c=vectors)
+    def test_defining_identity(self, x, a, c):
+        # iota_x(a ^ c) = <x, a> c - <x, c> a
+        got = la.contract(x, la.wedge(a, c))
+        want = (c.scaled(la.minkowski_inner(x, a))
+                - a.scaled(la.minkowski_inner(x, c)))
+        for g, w in zip(got.components(), want.components()):
+            assert g == pytest.approx(w, rel=1e-10, abs=1e-9)
+
+
 class TestDualUnitNormal:
     def test_coordinate_plane(self):
         nu = la.dual_unit_normal_bivector(BASIS[1], BASIS[2])
@@ -176,6 +187,28 @@ class TestDualUnitNormal:
             la.dual_unit_normal_bivector(t1, t2)
 
 
+def boost(v: la.AmbientVector, phi: float) -> la.AmbientVector:
+    """Lorentz boost of rapidity phi along the first space axis."""
+    ch, sh = math.cosh(phi), math.sinh(phi)
+    return la.AmbientVector(ch * v.c0 + sh * v.c1, sh * v.c0 + ch * v.c1,
+                            v.c2, v.c3)
+
+
+spatial = st.tuples(coords, coords, coords)
+
+
+@st.composite
+def boosted_planes(draw):
+    """A space-like plane: two spatial vectors, boosted to rapidity <= 4."""
+    a, b = draw(spatial), draw(spatial)
+    cross = (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+             a[0] * b[1] - a[1] * b[0])
+    assume(sum(c * c for c in cross) >= 0.01)
+    phi = draw(st.floats(min_value=-4.0, max_value=4.0))
+    return (boost(la.AmbientVector(0.0, *a), phi),
+            boost(la.AmbientVector(0.0, *b), phi))
+
+
 class TestNormalFrame:
     @pytest.mark.parametrize("t1,t2", [
         (BASIS[1], BASIS[2]),
@@ -183,23 +216,46 @@ class TestNormalFrame:
         (la.AmbientVector(0.5, 2.0, 0.1, 0.0), la.AmbientVector(0.2, 0.0, 1.5, 0.8)),
     ])
     def test_orthonormal_and_normal(self, t1, t2):
-        e3, e4, sign = la.orthonormal_normal_frame(t1, t2)
+        e3, e4 = la.orthonormal_normal_frame(t1, t2)
         assert la.minkowski_inner(e3, e3) == pytest.approx(1.0, rel=1e-12)
         assert la.minkowski_inner(e4, e4) == pytest.approx(-1.0, rel=1e-12)
         assert la.minkowski_inner(e3, e4) == pytest.approx(0.0, abs=1e-12)
         for t in (t1, t2):
             assert la.minkowski_inner(e3, t) == pytest.approx(0.0, abs=1e-10)
             assert la.minkowski_inner(e4, t) == pytest.approx(0.0, abs=1e-10)
-        assert sign in (-1, 1)
 
     def test_sign_relates_wedge_to_dual(self):
+        # the orientation is fixed by construction: e3 ^ e4 = +nu, never -nu
         t1 = la.AmbientVector(0.1, 1.0, 0.0, 0.2)
         t2 = la.AmbientVector(0.0, 0.3, 1.0, -0.1)
-        e3, e4, sign = la.orthonormal_normal_frame(t1, t2)
+        e3, e4 = la.orthonormal_normal_frame(t1, t2)
         nu = la.dual_unit_normal_bivector(t1, t2)
         w = la.wedge(e3, e4)
         for f in BIV_FIELDS:
-            assert getattr(w, f) == pytest.approx(sign * getattr(nu, f), abs=1e-12)
+            assert getattr(w, f) == pytest.approx(getattr(nu, f), abs=1e-12)
+
+    @given(plane=boosted_planes())
+    @settings(max_examples=200, deadline=None)
+    def test_boosted_planes(self, plane):
+        # a boost up to rapidity 4 inflates the Euclidean size of the
+        # frame; the Gram defect of (e1, e2, e3, e4) is measured against it
+        t1, t2 = plane
+        e3, e4 = la.orthonormal_normal_frame(t1, t2)
+        e1 = t1.scaled(1.0 / math.sqrt(la.minkowski_inner(t1, t1)))
+        r = t2 - e1.scaled(la.minkowski_inner(t2, e1))
+        e2 = r.scaled(1.0 / math.sqrt(la.minkowski_inner(r, r)))
+        frame = (e1, e2, e3, e4)
+        target = (1.0, 1.0, 1.0, -1.0)
+        defect = max(abs(la.minkowski_inner(a, b) - (target[i] if i == j else 0.0))
+                     for i, a in enumerate(frame) for j, b in enumerate(frame))
+        scale = max(la.euclid_sq(e) for e in frame)
+        assert defect / scale < 1e-13
+        w = la.wedge(e3, e4)
+        nu = la.hodge_dual(la.wedge(e1, e2))
+        assert la.bivector_euclid_norm(w - nu) / scale < 1e-13
+        # <nu, nu> = -1 makes |nu|_E >= 1, so -nu would sit at distance >= 2
+        opposite = w + la.dual_unit_normal_bivector(t1, t2)
+        assert la.bivector_euclid_norm(opposite) > 1.0
 
     def test_deterministic(self):
         t1 = la.AmbientVector(0.5, 2.0, 0.1, 0.0)
