@@ -29,7 +29,8 @@ from .geometry import (NotSpacelike, PointGeometry, Tolerances, adapted_frame,
                        squared_second_fundamental_form)
 from .gaussmap import (GaussLaplacianDecomposition, NotApplicable,
                        PointRecord, TheoremVerdict, UnknownTheorem,
-                       evaluate_grid, evaluate_point, first_kind_residuals,
+                       evaluate_batch, evaluate_grid, evaluate_point,
+                       first_kind_residuals,
                        gauss_map, laplacian_gauss_direct,
                        laplacian_gauss_formula, lemma42_residual,
                        route_agreement, theorem_ids, theorem_verdict)
@@ -57,7 +58,8 @@ __all__ = [
     "parallel_H_residual", "position_laplacian", "second_fundamental_form",
     "squared_second_fundamental_form",
     "GaussLaplacianDecomposition", "NotApplicable", "PointRecord",
-    "TheoremVerdict", "UnknownTheorem", "evaluate_grid", "evaluate_point",
+    "TheoremVerdict", "UnknownTheorem", "evaluate_batch", "evaluate_grid",
+    "evaluate_point",
     "first_kind_residuals", "gauss_map", "laplacian_gauss_direct",
     "laplacian_gauss_formula", "lemma42_residual", "route_agreement",
     "theorem_ids", "theorem_verdict",

@@ -8,7 +8,8 @@ Commands:
 
 Exit codes: 0 success / consistent verdict; 1 verify found one side of
 an equivalence passing and the other failing; 2 usage, parse, or config
-errors; 3 the whole grid was geometrically degenerate.
+errors; 3 every point of the grid was skipped (degenerate or not
+space-like, or an arithmetic failure such as log of a negative value).
 """
 
 from __future__ import annotations
@@ -83,7 +84,8 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
                     dest="fmt", help="output format")
     sp.add_argument("--out", help="write the report here instead of stdout")
     sp.add_argument("--jobs", type=int, default=None,
-                    help="worker processes (default: available cores)")
+                    help="accepted for compatibility; has no effect (grids "
+                         "run as batches in one process)")
 
 
 def build_parser() -> argparse.ArgumentParser:

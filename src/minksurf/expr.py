@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Mapping, Optional, Union
 
+import numpy as np
+
 from . import jets
 from .jets import Jet
 
@@ -436,12 +438,13 @@ def _eval(e: Expr, env: Mapping[str, object], fns: Mapping) -> object:
 
 
 def eval_jet(e: Expr, u: Jet, v: Jet, params: Mapping[str, float]) -> Jet:
-    """Evaluate in jet arithmetic; constants are widened to the jet order."""
+    """Evaluate in jet arithmetic; constants are widened to the jet order
+    and to the batch of u."""
     env = {"u": u, "v": v, **params}
     out = _eval(e, env, _JET_FNS)
     if isinstance(out, Jet):
         return out
-    return Jet.constant(float(out), u.order)
+    return Jet.constant(np.full(u.batch, float(out)), u.order)
 
 
 def eval_float(e: Expr, u: float, v: float, params: Mapping[str, float]) -> float:

@@ -16,6 +16,10 @@ top of the decomposition sit the harmonicity / pointwise-first-kind
 residuals, a gradient relation satisfied by maximal surfaces with flat
 normal bundle, and grid-level verdict checks for a small registry of
 if-and-only-if statements.
+
+Grids are evaluated in blocks of points, each block as one batch of
+jets (see ``evaluate_batch``); a record's bytes do not depend on the
+block it was computed in.
 """
 
 from __future__ import annotations
@@ -25,10 +29,12 @@ import statistics
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
+from . import jets as jt
 from . import linalg as la
-from .geometry import (DEFAULT_TOLERANCES, NotSpacelike, PointGeometry,
-                       Tolerances)
-from .linalg import Bivector, DegeneratePlane
+from .geometry import DEFAULT_TOLERANCES, PointGeometry, Tolerances
+from .linalg import Bivector
 from .surfaces import SurfaceSpec, cell_centers, evaluate_immersion
 
 __all__ = [
@@ -43,6 +49,7 @@ __all__ = [
     "route_agreement",
     "first_kind_residuals",
     "lemma42_residual",
+    "evaluate_batch",
     "evaluate_point",
     "evaluate_grid",
     "theorem_verdict",
@@ -193,23 +200,10 @@ def first_kind_residuals(decomp: GaussLaplacianDecomposition,
     return decomp.residual_first_kind, decomp.residual_harmonic, f_estimate
 
 
-def lemma42_residual(pg: PointGeometry, tau: Optional[float] = None) -> float:
-    """Gradient relation satisfied by the squared second fundamental form
-    on maximal points with flat normal bundle:
-
-        e1(f) = -4 eps omega12(e2) f,   e2(f) = 4 eps omega12(e1) f
-
-    for one of eps in {-1, +1} (the frame-labeling freedom); the residual
-    minimizes over both.  Raises NotApplicable when the point is not
-    maximal or the normal bundle is not flat there.
-    """
+def _lemma42(pg: PointGeometry, tau: Optional[float] = None):
+    # (where the relation applies, its residual) at each point
     tau = pg.tol.residual if tau is None else tau
-    h_norm = math.sqrt(sum(float(c) ** 2 for c in pg.H.components()))
-    if h_norm > tau:
-        raise NotApplicable(f"not maximal at {pg.base}: |H| = {h_norm!r}")
-    if abs(pg.RD) > tau:
-        raise NotApplicable(
-            f"normal bundle not flat at {pg.base}: R^D = {pg.RD!r}")
+    applies = ~(pg.H_norm_euclid > tau) & ~(abs(pg.RD) > tau)
     f_jet = pg.h_sq_jet
     f0 = f_jet.value()
     e1f = _directional_value(pg, f_jet, 1)
@@ -217,9 +211,27 @@ def lemma42_residual(pg: PointGeometry, tau: Optional[float] = None) -> float:
     w1, w2 = pg.omega12
     best = math.inf
     for eps in (-1.0, 1.0):
-        r = max(abs(e1f + 4.0 * eps * w2 * f0),
-                abs(e2f - 4.0 * eps * w1 * f0))
-        best = min(best, r)
+        r = np.maximum(abs(e1f + 4.0 * eps * w2 * f0),
+                       abs(e2f - 4.0 * eps * w1 * f0))
+        best = np.minimum(best, r)
+    return applies, best
+
+
+def lemma42_residual(pg: PointGeometry, tau: Optional[float] = None):
+    """Gradient relation satisfied by the squared second fundamental form
+    on maximal points with flat normal bundle:
+
+        e1(f) = -4 eps omega12(e2) f,   e2(f) = 4 eps omega12(e1) f
+
+    for one of eps in {-1, +1} (the frame-labeling freedom); the residual
+    minimizes over both.  Raises NotApplicable when a point is not
+    maximal or the normal bundle is not flat there.
+    """
+    applies, best = _lemma42(pg, tau)
+    if not np.all(applies):
+        raise NotApplicable(
+            f"not maximal with flat normal bundle at {pg.base}: "
+            f"|H| = {pg.H_norm_euclid!r}, R^D = {pg.RD!r}")
     return best
 
 
@@ -272,76 +284,179 @@ class PointRecord:
     labels: tuple[str, ...] = ()
 
 
+# Points per batch when a grid is evaluated.  Report bytes do not depend
+# on it; it bounds the memory a batch of jets takes.
+BLOCK_POINTS = 256
+
+# Arithmetic failures at a point, and the skip reason each one records.
+_POINT_ERRORS = ((jt.DomainError, "domain-error"),
+                 (jt.DivisionByZeroValue, "singular"),
+                 (ZeroDivisionError, "singular"),
+                 (OverflowError, "overflow"))
+_POINT_ERROR_TYPES = tuple(err for err, _ in _POINT_ERRORS)
+
+
+def _failure(err: Exception) -> str:
+    return next(reason for kind, reason in _POINT_ERRORS
+                if isinstance(err, kind))
+
+
+def _skipped(u: float, v: float, reason: str) -> PointRecord:
+    return PointRecord(u=u, v=v, ok=False, skip_reason=reason)
+
+
+def _immersion_failure(spec: SurfaceSpec, u: float, v: float,
+                       order: int) -> Optional[str]:
+    try:
+        evaluate_immersion(spec, u, v, order)
+    except _POINT_ERROR_TYPES as err:
+        return _failure(err)
+    return None
+
+
+def _columns(pg: PointGeometry, term_scales) -> dict:
+    # every numeric record field of the points of pg, as per-point values
+    # (a tuple of them for tuple fields)
+    decomp = laplacian_gauss_formula(pg, term_scales)
+    rfk, rharm, f_est = first_kind_residuals(decomp)
+    h = pg.h_jets
+    E, F, G = pg.metric_jets
+    cols = {
+        "g": (E.value(), F.value(), G.value()),
+        "x": pg.x_values.components(),
+        "position_inner": pg.position_inner,
+        "nu": pg.nu.components(),
+        "omega12": pg.omega12, "omega34": pg.omega34,
+        "h3": tuple(h[(3, i, j)].value() for i, j in ((1, 1), (1, 2), (2, 2))),
+        "h4": tuple(h[(4, i, j)].value() for i, j in ((1, 1), (1, 2), (2, 2))),
+        "H": pg.H.components(),
+        "H_inner": pg.H_inner,
+        "H_norm_euclid": pg.H_norm_euclid,
+        "h_sq": pg.h_sq,
+        "K": (pg.K_gauss, pg.K_formula, pg.K_intrinsic),
+        "RD": pg.RD,
+        "laplacian_x": pg.laplacian_x.components(),
+        "dnu_direct": decomp.direct.components(),
+        "dnu_formula": decomp.formula.components(),
+        "c_nu": decomp.c_nu, "c_norm": decomp.c_norm,
+        "grad_trA3": decomp.grad_trA3, "grad_trA4": decomp.grad_trA4,
+        "residual_frame": pg.residual_frame,
+        "residual_codazzi": pg.residual_codazzi,
+        "residual_parallel_H": pg.residual_parallel_H,
+        "residual_beltrami": pg.residual_beltrami,
+        "residual_route": decomp.residual_route,
+        "residual_first_kind": rfk,
+        "residual_harmonic": rharm,
+        "f_estimate": f_est,
+    }
+    if pg.order >= 4:
+        cols["bilaplacian_norm"] = la.euclid_norm(pg.bilaplacian_x)
+    return cols
+
+
+def _live_records(pg: PointGeometry, us: list, vs: list,
+                  term_scales) -> list[PointRecord]:
+    # Records of the points of pg, which all have a space-like metric.
+    n = len(us)
+
+    def per_point(x) -> np.ndarray:
+        return x if np.shape(x) == (n,) else np.broadcast_to(x, (n,))
+
+    cols = _columns(pg, term_scales)
+    lemma_applies, lemma = (per_point(x) for x in _lemma42(pg))
+    finite = np.logical_and.reduce(
+        [np.isfinite(per_point(x)) for col in cols.values()
+         for x in (col if isinstance(col, tuple) else (col,))]
+        + [~lemma_applies | np.isfinite(lemma)])
+    values = {name: (list(zip(*(per_point(x).tolist() for x in col)))
+                     if isinstance(col, tuple) else per_point(col).tolist())
+              for name, col in cols.items()}
+    causal = [c.name for c in per_point(pg.H_causal)]
+    labels = pg.classify()
+    records = []
+    for k, (u, v) in enumerate(zip(us, vs)):
+        if not finite[k]:
+            records.append(_skipped(u, v, "overflow"))
+            continue
+        records.append(PointRecord(
+            u=u, v=v, ok=True, H_causal=causal[k],
+            lemma42=float(lemma[k]) if lemma_applies[k] else None,
+            labels=tuple(sorted(labels[k])),
+            **{name: col[k] for name, col in values.items()}))
+    return records
+
+
+def _batch_records(spec: SurfaceSpec, us: list, vs: list, order: int,
+                   tol: Tolerances, term_scales) -> list[PointRecord]:
+    xj = evaluate_immersion(spec, np.array(us), np.array(vs), order)
+    reasons = PointGeometry(xj, tol=tol).skip_reasons.tolist()
+    live = [k for k, reason in enumerate(reasons) if reason is None]
+    done = iter(())
+    if live:
+        if len(live) < len(us):
+            xj = tuple(c.select(np.array(live)) for c in xj)
+        lu, lv = [us[k] for k in live], [vs[k] for k in live]
+        pg = PointGeometry(xj, base=(np.array(lu), np.array(lv)), tol=tol)
+        done = iter(_live_records(pg, lu, lv, term_scales))
+    return [next(done) if reason is None else _skipped(u, v, reason)
+            for u, v, reason in zip(us, vs, reasons)]
+
+
+def evaluate_batch(spec: SurfaceSpec, points: Sequence[tuple[float, float]],
+                   order: int = 3, tol: Tolerances = DEFAULT_TOLERANCES,
+                   term_scales: Optional[dict[str, float]] = None,
+                   ) -> list[PointRecord]:
+    """Full pointwise analysis of a block of (u, v) points as one batch.
+
+    Points where the analysis cannot run come back as skipped records:
+    "degenerate" or "not-spacelike" metric, "domain-error" (sqrt or log
+    outside its domain), "singular" (division by zero), "overflow" (a
+    float overflow, or any non-finite value in the record).  numpy
+    floating-point warnings are silenced for the batch.
+    """
+    us = [float(u) for u, _ in points]
+    vs = [float(v) for _, v in points]
+    if not us:
+        return []
+    with np.errstate(all="ignore"):
+        try:
+            return _batch_records(spec, us, vs, order, tol, term_scales)
+        except _POINT_ERROR_TYPES as err:
+            if len(us) == 1:
+                return [_skipped(us[0], vs[0], _failure(err))]
+            # Find the failing points one at a time through the
+            # immersion, then evaluate the others as a batch.
+            failures = [_immersion_failure(spec, u, v, order)
+                        for u, v in zip(us, vs)]
+    if not any(failures):
+        # the failure lies past the immersion: go point by point
+        return [evaluate_point(spec, u, v, order, tol, term_scales)
+                for u, v in zip(us, vs)]
+    rest = [(u, v) for u, v, f in zip(us, vs, failures) if f is None]
+    done = iter(evaluate_batch(spec, rest, order, tol, term_scales))
+    return [next(done) if f is None else _skipped(u, v, f)
+            for u, v, f in zip(us, vs, failures)]
+
+
 def evaluate_point(spec: SurfaceSpec, u: float, v: float, order: int = 3,
                    tol: Tolerances = DEFAULT_TOLERANCES,
                    term_scales: Optional[dict[str, float]] = None,
                    ) -> PointRecord:
-    """Full pointwise analysis; degenerate or non-space-like points come
-    back as skipped records rather than raising."""
-    xj = evaluate_immersion(spec, u, v, order)
-    pg = PointGeometry(xj, base=(u, v), tol=tol)
-    try:
-        pg.require_spacelike()
-    except DegeneratePlane:
-        return PointRecord(u=u, v=v, ok=False, skip_reason="degenerate")
-    except NotSpacelike:
-        return PointRecord(u=u, v=v, ok=False, skip_reason="not-spacelike")
-
-    decomp = laplacian_gauss_formula(pg, term_scales)
-    rfk, rharm, f_est = first_kind_residuals(decomp)
-    try:
-        lem = lemma42_residual(pg)
-    except NotApplicable:
-        lem = None
-    bilap = None
-    if pg.order >= 4:
-        blv = pg.bilaplacian_x
-        bilap = math.sqrt(sum(float(c) ** 2 for c in blv.components()))
-
-    h = pg.h_jets
-    E, F, G = pg.metric_jets
-    return PointRecord(
-        u=u, v=v, ok=True,
-        g=(E.value(), F.value(), G.value()),
-        x=tuple(float(c) for c in pg.x_values.components()),
-        position_inner=pg.position_inner,
-        nu=tuple(float(c) for c in pg.nu.components()),
-        omega12=pg.omega12, omega34=pg.omega34,
-        h3=(h[(3, 1, 1)].value(), h[(3, 1, 2)].value(), h[(3, 2, 2)].value()),
-        h4=(h[(4, 1, 1)].value(), h[(4, 1, 2)].value(), h[(4, 2, 2)].value()),
-        H=tuple(float(c) for c in pg.H.components()),
-        H_inner=pg.H_inner,
-        H_causal=pg.H_causal.name,
-        H_norm_euclid=math.sqrt(sum(float(c) ** 2
-                                    for c in pg.H.components())),
-        h_sq=pg.h_sq,
-        K=(pg.K_gauss, pg.K_formula, pg.K_intrinsic),
-        RD=pg.RD,
-        laplacian_x=tuple(float(c) for c in pg.laplacian_x.components()),
-        bilaplacian_norm=bilap,
-        dnu_direct=tuple(float(c) for c in decomp.direct.components()),
-        dnu_formula=tuple(float(c) for c in decomp.formula.components()),
-        c_nu=decomp.c_nu, c_norm=decomp.c_norm,
-        grad_trA3=decomp.grad_trA3, grad_trA4=decomp.grad_trA4,
-        residual_frame=pg.residual_frame,
-        residual_codazzi=pg.residual_codazzi,
-        residual_parallel_H=pg.residual_parallel_H,
-        residual_beltrami=pg.residual_beltrami,
-        residual_route=decomp.residual_route,
-        residual_first_kind=rfk,
-        residual_harmonic=rharm,
-        f_estimate=f_est,
-        lemma42=lem,
-        labels=tuple(sorted(pg.classify())))
+    """Full pointwise analysis of one point; points where it cannot run
+    come back as skipped records rather than raising."""
+    return evaluate_batch(spec, [(u, v)], order, tol, term_scales)[0]
 
 
 def evaluate_grid(spec: SurfaceSpec, grid: tuple[int, int] = (7, 7),
                   order: int = 3, tol: Tolerances = DEFAULT_TOLERANCES,
                   term_scales: Optional[dict[str, float]] = None,
                   ) -> list[PointRecord]:
-    """Serial row-major evaluation over cell centers of the surface domain."""
-    return [evaluate_point(spec, u, v, order, tol, term_scales)
-            for u, v in cell_centers(spec.domain, *grid)]
+    """Row-major records over cell centers of the surface domain,
+    evaluated BLOCK_POINTS points at a time."""
+    points = cell_centers(spec.domain, *grid)
+    return [rec for start in range(0, len(points), BLOCK_POINTS)
+            for rec in evaluate_batch(spec, points[start:start + BLOCK_POINTS],
+                                      order, tol, term_scales)]
 
 
 def route_agreement(spec: SurfaceSpec, grid: tuple[int, int] = (7, 7),

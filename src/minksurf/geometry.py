@@ -1,10 +1,11 @@
 """Pointwise extrinsic geometry of a space-like surface.
 
-Everything here is computed from jets of the immersion at one parameter
-point: induced metric, an adapted orthonormal frame (tangent pair plus a
-space-like and a time-like normal), connection forms, second fundamental
-form and shape operators, mean curvature vector, Gaussian curvature by
-three independent routes, normal curvature, the position Laplacian, and
+Everything here is computed from jets of the immersion at a batch of
+parameter points (one point is the batch ``()``): induced metric, an
+adapted orthonormal frame (tangent pair plus a space-like and a
+time-like normal), connection forms, second fundamental form and shape
+operators, mean curvature vector, Gaussian curvature by three
+independent routes, normal curvature, the position Laplacian, and
 residuals that measure how well the structural identities hold.
 
 Conventions, fixed once for the whole package:
@@ -15,11 +16,13 @@ Conventions, fixed once for the whole package:
     which makes det[e1 e2 e3 e4] > 0;
   * the Laplacian is the geometer's one, Delta f = -div grad f on
     functions, so Delta x = -2 H.
+
+Value-level results are floats for one point and per-point arrays for a
+batch; every value is bit-for-bit the one the point gets alone.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -48,9 +51,6 @@ __all__ = [
     "position_laplacian",
     "classify_point",
 ]
-
-EPS_NORMAL = {3: 1.0, 4: -1.0}  # signs <e_beta, e_beta> of the normal frame
-
 
 class NotSpacelike(Exception):
     """The induced metric fails to be positive definite at the point.
@@ -97,8 +97,17 @@ def _biv_values(b: Bivector) -> Bivector:
     return Bivector(*(c.value() for c in b.components()))
 
 
-def _euclid_norm(v: AmbientVector) -> float:
-    return math.sqrt(sum(float(c) ** 2 for c in v.components()))
+def _matrices(rows) -> np.ndarray:
+    """A C-contiguous (*batch, n, n) stack from n rows of n per-point
+    values, the layout np.linalg.det and @ take one matrix at a time."""
+    return np.stack([np.stack(np.broadcast_arrays(*row), axis=-1)
+                     for row in rows], axis=-2)
+
+
+# Pointwise predicate labels in sorted order, as they appear in reports.
+LABELS = ("FLAT", "FLAT-NORMAL-BUNDLE", "IN-H3", "IN-LIGHTCONE", "IN-S31",
+          "MARGINALLY-TRAPPED", "MAXIMAL", "PARALLEL-H", "PSEUDO-UMBILICAL",
+          "TOTALLY-UMBILICAL")
 
 
 @dataclass(frozen=True)
@@ -118,22 +127,23 @@ class Frame:
 
 
 class PointGeometry:
-    """All frame, form, and curvature data of one surface point.
+    """All frame, form, and curvature data of a batch of surface points.
 
     Built lazily: each stage materializes on first access and is cached.
     Instances are immutable by convention (nothing mutates after
-    construction) and are not shared across processes; grid runs build
-    one per point.
+    construction).  The batch is that of the immersion jets; ``base``
+    holds the parameter values, numbers or per-point arrays.
     """
 
-    def __init__(self, xjets, base: tuple[float, float] = (0.0, 0.0),
+    def __init__(self, xjets, base=(0.0, 0.0),
                  tol: Tolerances = DEFAULT_TOLERANCES):
         if len(xjets) != 4:
             raise ValueError("xjets must have 4 components")
         self.xjets = tuple(xjets)
-        self.base = (float(base[0]), float(base[1]))
+        self.base = base
         self.tol = tol
         self.order = self.xjets[0].order
+        self.batch = self.xjets[0].batch
 
     # -- first fundamental form ---------------------------------------
 
@@ -162,6 +172,7 @@ class PointGeometry:
 
     @cached_property
     def g(self) -> np.ndarray:
+        """The metric matrix, shape (2, 2, *batch)."""
         E, F, G = self.metric_jets
         return np.array([[E.value(), F.value()], [F.value(), G.value()]])
 
@@ -170,29 +181,47 @@ class PointGeometry:
         E, F, G = self.metric_jets
         return E * G - F * F
 
-    def require_spacelike(self) -> None:
-        g = self.g
-        det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
-        if abs(det) <= self.tol.degenerate:
-            raise DegeneratePlane(
-                f"tangent Gram determinant {det!r} at {self.base} is degenerate")
-        if g[0, 0] <= 0.0 or det < 0.0:
-            tr = g[0, 0] + g[1, 1]
-            if det < 0:
-                signs = (1, -1)
-            else:
-                signs = (1, 1) if tr > 0 else (-1, -1)
-            raise NotSpacelike(
-                f"induced metric not positive definite at {self.base}: "
-                f"g11={g[0, 0]!r}, det={det!r}, eigenvalue signs {signs}", signs)
+    @cached_property
+    def _gram(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # g11, g22 and det g at each point
+        E, F, G = (j.value() for j in self.metric_jets)
+        return E, G, E * G - F * F
 
     @cached_property
-    def is_spacelike(self) -> bool:
-        try:
-            self.require_spacelike()
-        except (NotSpacelike, DegeneratePlane):
-            return False
-        return True
+    def skip_reasons(self) -> np.ndarray:
+        """Per point: None where the metric is positive definite, else
+        "degenerate" (|det g| within tolerance) or "not-spacelike"."""
+        g11, _, det = self._gram
+        reasons = np.full(self.batch, None, dtype=object)
+        reasons[(g11 <= 0.0) | (det < 0.0)] = "not-spacelike"
+        reasons[abs(det) <= self.tol.degenerate] = "degenerate"
+        return reasons
+
+    def require_spacelike(self) -> None:
+        """Raise for the first point whose metric is not positive definite."""
+        reasons = np.ravel(self.skip_reasons)
+        bad = np.flatnonzero(reasons != None)  # noqa: E711 - elementwise
+        if not bad.size:
+            return
+        first = bad[0]
+        g11, g22, det = (float(np.ravel(x)[first]) for x in self._gram)
+        base = tuple(float(np.ravel(b)[first]) for b in self.base)
+        if reasons[first] == "degenerate":
+            raise DegeneratePlane(
+                f"tangent Gram determinant {det!r} at {base} is degenerate")
+        if det < 0:
+            signs = (1, -1)
+        else:
+            signs = (1, 1) if g11 + g22 > 0 else (-1, -1)
+        raise NotSpacelike(
+            f"induced metric not positive definite at {base}: "
+            f"g11={g11!r}, det={det!r}, eigenvalue signs {signs}", signs)
+
+    @cached_property
+    def is_spacelike(self):
+        """Per point: whether the metric is positive definite."""
+        ok = self.skip_reasons == None  # noqa: E711 - elementwise
+        return bool(ok) if ok.ndim == 0 else ok
 
     # -- adapted frame --------------------------------------------------
 
@@ -211,7 +240,7 @@ class PointGeometry:
         E, F, _ = self.metric_jets
         inv_E = jt.reciprocal(E)
         a1 = jt.sqrt(inv_E)
-        b1 = Jet.constant(0.0, a1.order)
+        b1 = Jet.constant(np.zeros(self.batch), a1.order)
         # |x_v - (F/E) x_u|^2 = det g / E
         inv_mu = jt.reciprocal(jt.sqrt(self.metric_det_jet * inv_E))
         a2 = -(F * inv_E) * inv_mu
@@ -235,10 +264,10 @@ class PointGeometry:
             for j in range(i, 4):
                 got = la.minkowski_inner(vals[i], vals[j])
                 want = target[i] if i == j else 0.0
-                worst = max(worst, abs(got - want))
+                worst = np.maximum(worst, abs(got - want))
         return worst
 
-    def _dir_coeffs(self, i: int) -> tuple[float, float]:
+    def _dir_coeffs(self, i: int):
         # value-level coefficients of e_i = a du + b dv, i in {1, 2}
         f = self.frame
         return f.a[i - 1].value(), f.b[i - 1].value()
@@ -303,15 +332,13 @@ class PointGeometry:
 
     @cached_property
     def shape_operators(self) -> tuple[np.ndarray, np.ndarray]:
-        """(A3, A4) in the tangent frame; symmetric by construction."""
+        """(A3, A4) in the tangent frame, shape (*batch, 2, 2); symmetric
+        by construction."""
         h = self.h_jets
-        mats = []
-        for beta in (3, 4):
-            mats.append(np.array([
-                [h[(beta, 1, 1)].value(), h[(beta, 1, 2)].value()],
-                [h[(beta, 2, 1)].value(), h[(beta, 2, 2)].value()],
-            ]))
-        return mats[0], mats[1]
+        return tuple(_matrices(
+            [[h[(beta, 1, 1)].value(), h[(beta, 1, 2)].value()],
+             [h[(beta, 2, 1)].value(), h[(beta, 2, 2)].value()]])
+            for beta in (3, 4))
 
     @cached_property
     def trace_jets(self) -> tuple[Jet, Jet]:
@@ -340,11 +367,16 @@ class PointGeometry:
         return _vec_values(self.H_jets)
 
     @cached_property
-    def H_inner(self) -> float:
+    def H_inner(self):
         return la.minkowski_inner(self.H, self.H)
 
     @cached_property
-    def H_causal(self) -> CausalClass:
+    def H_norm_euclid(self):
+        return la.euclid_norm(self.H)
+
+    @cached_property
+    def H_causal(self):
+        """CausalClass of H; an object array of them for a batch."""
         return causal_character(self.H, self.tol.causal)
 
     @cached_property
@@ -360,22 +392,22 @@ class PointGeometry:
         return acc
 
     @cached_property
-    def h_sq(self) -> float:
+    def h_sq(self):
         return self.h_sq_jet.value()
 
     # -- curvatures ------------------------------------------------------
 
     @cached_property
-    def K_gauss(self) -> float:
+    def K_gauss(self):
         A3, A4 = self.shape_operators
-        return float(np.linalg.det(A3) - np.linalg.det(A4))
+        return np.linalg.det(A3) - np.linalg.det(A4)
 
     @cached_property
-    def K_formula(self) -> float:
+    def K_formula(self):
         return 2.0 * self.H_inner - self.h_sq / 2.0
 
     @cached_property
-    def K_intrinsic(self) -> float:
+    def K_intrinsic(self):
         """Brioschi expression in the metric jets; intrinsic oracle."""
         E, F, G = self.metric_jets
         Ev, Eu = E.partial(0, 1), E.partial(1, 0)
@@ -385,30 +417,31 @@ class PointGeometry:
         Gu, Gv = G.partial(1, 0), G.partial(0, 1)
         Guu = G.partial(2, 0)
         e0, f0, g0 = E.value(), F.value(), G.value()
-        m1 = np.array([
+        m1 = _matrices([
             [-0.5 * Evv + Fuv - 0.5 * Guu, 0.5 * Eu, Fu - 0.5 * Ev],
             [Fv - 0.5 * Gu, e0, f0],
             [0.5 * Gv, f0, g0],
         ])
-        m2 = np.array([
+        m2 = _matrices([
             [0.0, 0.5 * Ev, 0.5 * Gu],
             [0.5 * Ev, e0, f0],
             [0.5 * Gu, f0, g0],
         ])
         det_g = e0 * g0 - f0 * f0
-        return float((np.linalg.det(m1) - np.linalg.det(m2)) / det_g**2)
+        return ((np.linalg.det(m1) - np.linalg.det(m2))
+                / np.float_power(det_g, 2))
 
     @cached_property
-    def RD(self) -> float:
+    def RD(self):
         """Normal curvature component <[A3, A4] e1, e2>."""
         A3, A4 = self.shape_operators
         comm = A3 @ A4 - A4 @ A3
-        return float(comm[1, 0])
+        return comm[..., 1, 0]
 
     # -- residuals --------------------------------------------------------
 
     @cached_property
-    def residual_parallel_H(self) -> float:
+    def residual_parallel_H(self):
         """Euclidean size of the normal part of the ambient derivative of H,
         summed over both tangent directions; zero iff DH = 0."""
         du = AmbientVector(*(c.partial(1, 0) for c in self.H_jets.components()))
@@ -422,11 +455,11 @@ class PointGeometry:
             tang1 = la.minkowski_inner(w, e1v)
             tang2 = la.minkowski_inner(w, e2v)
             normal = w - e1v.scaled(tang1) - e2v.scaled(tang2)
-            total += _euclid_norm(normal)
+            total += la.euclid_norm(normal)
         return total
 
     def _h_cov_deriv(self, i: int, j: int, k: int, beta: int,
-                     omega12_shift: float = 0.0) -> float:
+                     omega12_shift: float = 0.0):
         # Covariant derivative h^beta_{jk,i}: flat derivative along e_i of
         # the coefficient, a normal-connection rotation, and two
         # Levi-Civita correction terms.
@@ -443,7 +476,7 @@ class PointGeometry:
         # +h^other omega_34 since eps_4 omega_43 = +omega_34.
         rot = h[(other, j, k)].value() * w34
         # omega in the tangent indices: omega_12(e_i) = w12, omega_21 = -w12
-        def w_tan(p: int, q: int) -> float:
+        def w_tan(p: int, q: int):
             if p == q:
                 return 0.0
             return w12 if (p, q) == (1, 2) else -w12
@@ -453,7 +486,7 @@ class PointGeometry:
                    for ell in (1, 2))
         return flat + rot - levi
 
-    def codazzi_residual(self, omega12_shift: float = 0.0) -> float:
+    def codazzi_residual(self, omega12_shift: float = 0.0):
         """Max defect of the covariant symmetry of h over all index triples."""
         worst = 0.0
         for beta in (3, 4):
@@ -462,11 +495,11 @@ class PointGeometry:
                     for k in (1, 2):
                         lhs = self._h_cov_deriv(k, i, j, beta, omega12_shift)
                         rhs = self._h_cov_deriv(i, j, k, beta, omega12_shift)
-                        worst = max(worst, abs(lhs - rhs))
+                        worst = np.maximum(worst, abs(lhs - rhs))
         return worst
 
     @cached_property
-    def residual_codazzi(self) -> float:
+    def residual_codazzi(self):
         return self.codazzi_residual()
 
     # -- Laplace operator --------------------------------------------------
@@ -504,12 +537,12 @@ class PointGeometry:
         return _vec_values(self.laplacian_x_jets)
 
     @cached_property
-    def residual_beltrami(self) -> float:
+    def residual_beltrami(self):
         """Euclidean defect of Delta x + 2 H = 0."""
         d = self.laplacian_x
         h2 = self.H.scaled(2.0)
-        return _euclid_norm(AmbientVector(*(x + y for x, y in
-                                            zip(d.components(), h2.components()))))
+        return la.euclid_norm(AmbientVector(*(x + y for x, y in
+                                              zip(d.components(), h2.components()))))
 
     @cached_property
     def bilaplacian_x(self) -> AmbientVector:
@@ -521,54 +554,52 @@ class PointGeometry:
 
     # -- classification -----------------------------------------------------
 
-    def classify(self, tau: Optional[float] = None) -> frozenset[str]:
-        """Pointwise predicate labels, each decided against tau.
+    def label_masks(self, tau: Optional[float] = None) -> dict[str, np.ndarray]:
+        """Per label, where its pointwise predicate holds at tau.
 
         Quadric labels (IN-S31, IN-H3, IN-LIGHTCONE) state the sign class
-        of <x, x> at this point; whether the whole surface lies in one
+        of <x, x> at each point; whether the whole surface lies in one
         quadric is a grid-level question answered by the report layer.
         """
         tau = self.tol.residual if tau is None else tau
-        labels = set()
-        if _euclid_norm(self.H) <= tau:
-            labels.add("MAXIMAL")
-        if self.H_causal is CausalClass.LIGHTLIKE:
-            labels.add("MARGINALLY-TRAPPED")
-        if abs(self.K_gauss) <= tau:
-            labels.add("FLAT")
-        if abs(self.RD) <= tau:
-            labels.add("FLAT-NORMAL-BUNDLE")
-        if self.residual_parallel_H <= tau:
-            labels.add("PARALLEL-H")
-
+        H, norm_H = self.H, self.H_norm_euclid
         hv = {(i, j): self.h_vector(i, j) for i in (1, 2) for j in (1, 2)}
-        p = {key: la.minkowski_inner(vec, self.H) for key, vec in hv.items()}
-        scale = tau * (1.0 + max(abs(val) for val in p.values()))
-        if abs(p[(1, 2)]) <= scale and abs(p[(1, 1)] - p[(2, 2)]) <= scale:
-            labels.add("PSEUDO-UMBILICAL")
-
-        hn = tau * (1.0 + _euclid_norm(self.H))
-        umb = all(
-            _euclid_norm(hv[(i, j)] - (self.H if i == j else
-                                       AmbientVector(0.0, 0.0, 0.0, 0.0)))
-            <= hn
-            for i in (1, 2) for j in (1, 2))
-        if umb:
-            labels.add("TOTALLY-UMBILICAL")
-
+        p = {key: la.minkowski_inner(vec, H) for key, vec in hv.items()}
+        scale = tau * (1.0 + np.maximum.reduce([abs(val) for val in p.values()]))
+        hn = tau * (1.0 + norm_H)
+        zero = AmbientVector(0.0, 0.0, 0.0, 0.0)
         xv = self.x_values
         q = la.minkowski_inner(xv, xv)
-        qs = self.tol.causal * (1.0 + la.euclid_sq(xv))
-        if abs(q) <= qs:
-            labels.add("IN-LIGHTCONE")
-        elif q > 0:
-            labels.add("IN-S31")
-        elif xv.c0 > 0:
-            labels.add("IN-H3")
-        return frozenset(labels)
+        on_cone = abs(q) <= self.tol.causal * (1.0 + la.euclid_sq(xv))
+        return {
+            "MAXIMAL": norm_H <= tau,
+            "MARGINALLY-TRAPPED": self.H_causal == CausalClass.LIGHTLIKE,
+            "FLAT": abs(self.K_gauss) <= tau,
+            "FLAT-NORMAL-BUNDLE": abs(self.RD) <= tau,
+            "PARALLEL-H": self.residual_parallel_H <= tau,
+            "PSEUDO-UMBILICAL": ((abs(p[(1, 2)]) <= scale)
+                                 & (abs(p[(1, 1)] - p[(2, 2)]) <= scale)),
+            "TOTALLY-UMBILICAL": np.logical_and.reduce([
+                la.euclid_norm(hv[(i, j)] - (H if i == j else zero)) <= hn
+                for i in (1, 2) for j in (1, 2)]),
+            "IN-LIGHTCONE": on_cone,
+            "IN-S31": ~on_cone & (q > 0),
+            "IN-H3": ~on_cone & ~(q > 0) & (xv.c0 > 0),
+        }
+
+    def classify(self, tau: Optional[float] = None):
+        """Pointwise predicate labels, each decided against tau: a
+        frozenset for one point, a list of them for a batch."""
+        masks = self.label_masks(tau)
+        if not self.batch:
+            return frozenset(name for name in LABELS if masks[name])
+        rows = zip(*(np.broadcast_to(masks[name], self.batch).ravel().tolist()
+                     for name in LABELS))
+        return [frozenset(name for name, on in zip(LABELS, row) if on)
+                for row in rows]
 
     @cached_property
-    def position_inner(self) -> float:
+    def position_inner(self):
         return la.minkowski_inner(self.x_values, self.x_values)
 
 
@@ -576,7 +607,7 @@ class PointGeometry:
 
 def first_fundamental_form(xjets, require_spacelike: bool = True,
                            tol: Tolerances = DEFAULT_TOLERANCES,
-                           ) -> tuple[np.ndarray, bool]:
+                           ):
     """Induced metric g_ij = <x_i, x_j> and the space-likeness verdict."""
     pg = PointGeometry(xjets, tol=tol)
     if require_spacelike:
@@ -602,27 +633,27 @@ def second_fundamental_form(pg: PointGeometry):
     return h, A3, A4
 
 
-def mean_curvature_vector(pg: PointGeometry) -> tuple[AmbientVector, float, CausalClass]:
+def mean_curvature_vector(pg: PointGeometry):
     return pg.H, pg.H_inner, pg.H_causal
 
 
-def squared_second_fundamental_form(pg: PointGeometry) -> float:
+def squared_second_fundamental_form(pg: PointGeometry):
     return pg.h_sq
 
 
-def gaussian_curvature(pg: PointGeometry) -> tuple[float, float, float]:
+def gaussian_curvature(pg: PointGeometry):
     return pg.K_gauss, pg.K_formula, pg.K_intrinsic
 
 
-def normal_curvature_RD(pg: PointGeometry) -> float:
+def normal_curvature_RD(pg: PointGeometry):
     return pg.RD
 
 
-def parallel_H_residual(pg: PointGeometry) -> float:
+def parallel_H_residual(pg: PointGeometry):
     return pg.residual_parallel_H
 
 
-def codazzi_residual(pg: PointGeometry, omega12_shift: float = 0.0) -> float:
+def codazzi_residual(pg: PointGeometry, omega12_shift: float = 0.0):
     return pg.codazzi_residual(omega12_shift)
 
 
@@ -635,8 +666,8 @@ def position_laplacian(pg: PointGeometry, bilaplacian: Optional[bool] = None,
     if not want:
         return dx, None
     bl = pg.bilaplacian_x
-    return dx, _euclid_norm(bl)
+    return dx, la.euclid_norm(bl)
 
 
-def classify_point(pg: PointGeometry, tau: Optional[float] = None) -> frozenset[str]:
+def classify_point(pg: PointGeometry, tau: Optional[float] = None):
     return pg.classify(tau)

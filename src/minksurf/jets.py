@@ -1,13 +1,23 @@
-"""Truncated bivariate Taylor arithmetic in two parameters.
+"""Truncated bivariate Taylor arithmetic in two parameters, batched over points.
 
 Every differential quantity downstream (metric, frames, curvatures,
 Laplacians) is obtained by evaluating expressions in this arithmetic, so
 correctness here is load-bearing for the whole package.  A :class:`Jet`
-of order ``k`` at a base point stores the Taylor-normalized partials
-``c[i, j] = (d^{i+j} f / du^i dv^j) / (i! j!)`` for ``i + j <= k``.
-Products are Cauchy products truncated at total degree ``k``; elementary
-functions are applied by composing their univariate Taylor series with
-the nilpotent part of the argument.
+of order ``k`` stores, for every point of a batch, the Taylor-normalized
+partials ``c[i, j] = (d^{i+j} f / du^i dv^j) / (i! j!)`` for
+``i + j <= k``.  Coefficients form a float array of shape
+``(m, *batch)`` with ``m = (k+1)(k+2)/2``, in graded order (total degree
+first), so truncation to a lower order is a prefix.  A single point is
+the batch ``()``.  Products are Cauchy products truncated at total
+degree ``k``; elementary functions are applied by composing their
+univariate Taylor series with the nilpotent part of the argument.
+
+Every result is bit-for-bit independent of the batch it is computed in:
+each product coefficient adds its Cauchy terms in one fixed order
+starting from 0.0, the transcendental base values come from ``math`` one
+point at a time, and integer powers of base values use
+``np.float_power``, which calls the C library ``pow`` just as Python's
+float ``**`` does.
 
 A small central finite-difference evaluator ships alongside.  It is the
 independent oracle used by the cross-check test suites and is never on
@@ -17,8 +27,11 @@ the main computation path.
 from __future__ import annotations
 
 import math
+import numbers
 from functools import lru_cache
 from typing import Callable, Sequence, Union
+
+import numpy as np
 
 __all__ = [
     "Jet",
@@ -35,7 +48,11 @@ __all__ = [
 
 SUPPORTED_ORDERS = (3, 4)
 
-Scalar = Union[int, float]
+Scalar = Union[int, float, np.ndarray]
+
+# Right operands that act on every point's value coefficient: numbers,
+# or arrays holding one number per point of the batch.
+_SCALARS = (numbers.Real, np.ndarray)
 
 
 class JetError(Exception):
@@ -58,37 +75,90 @@ class DivisionByZeroValue(JetError):
     """Division by a jet whose value coefficient is exactly zero."""
 
 
+def _size(order: int) -> int:
+    return (order + 1) * (order + 2) // 2
+
+
 @lru_cache(maxsize=None)
-def _mul_plan(order: int) -> tuple[tuple[int, int, int], ...]:
-    # Flat-index triples (ia, ib, iout) of every Cauchy-product term
-    # with total degree <= order.  Shared by all jets of this order.
-    n = order + 1
+def _index(order: int) -> dict[tuple[int, int], int]:
+    # graded storage: degree 0, then (1,0), (0,1), then (2,0), (1,1), ...
+    pairs = [(i, d - i) for d in range(order + 1) for i in range(d, -1, -1)]
+    return {pair: n for n, pair in enumerate(pairs)}
+
+
+@lru_cache(maxsize=None)
+def _mul_plan(order: int):
+    """Index arrays of the truncated product.
+
+    The Cauchy terms of each output coefficient are added in the order
+    of the loops below, starting from 0.0.  Small batches add the terms
+    in that order with one ``np.add.at``, which accumulates repeated
+    indices one after another.  Larger batches rank the outputs by term
+    count, so that the r-th terms of all outputs that have one form a
+    prefix, and add them block by block, rank after rank.
+    """
+    idx = _index(order)
     plan = []
-    for ia in range(n):
-        for ja in range(n - ia):
-            for ib in range(n - ia - ja):
-                for jb in range(n - ia - ja - ib):
-                    plan.append((ia * n + ja, ib * n + jb, (ia + ib) * n + (ja + jb)))
-    return tuple(plan)
+    for ia in range(order + 1):
+        for ja in range(order + 1 - ia):
+            for ib in range(order + 1 - ia - ja):
+                for jb in range(order + 1 - ia - ja - ib):
+                    plan.append((idx[ia, ja], idx[ib, jb], idx[ia + ib, ja + jb]))
+    terms: dict[int, list[int]] = {n: [] for n in idx.values()}
+    for t, (_, _, out) in enumerate(plan):
+        terms[out].append(t)
+    ranked = sorted(terms, key=lambda n: -len(terms[n]))
+    order_by_rank, blocks = [], []
+    for r in range(len(terms[ranked[0]])):
+        outs = [n for n in ranked if len(terms[n]) > r]
+        blocks.append((len(order_by_rank), len(outs)))
+        order_by_rank += [terms[n][r] for n in outs]
+    ia, ib, out = (np.array(col) for col in zip(*plan))
+    by_rank = np.array(order_by_rank)
+    return (ia, ib, out), (ia[by_rank], ib[by_rank], tuple(blocks),
+                           np.argsort(ranked))
+
+
+# Batches up to this many points multiply with np.add.at (fewer numpy
+# calls); larger ones with rank blocks (faster per point).
+_SMALL_BATCH = 8
+
+
+@lru_cache(maxsize=None)
+def _deriv_plan(order: int, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    # source index and factor of each coefficient of d/du (axis 0) or
+    # d/dv (axis 1), which has one order less
+    src = _index(order)
+    shift = [(i + 1, j) if axis == 0 else (i, j + 1) for i, j in _index(order - 1)]
+    factor = [float(s[axis]) for s in shift]
+    return np.array([src[s] for s in shift]), np.array(factor)
+
+
+def _first(values: np.ndarray, bad: np.ndarray) -> float:
+    # the first offending point's value, for error messages
+    return float(np.ravel(values)[np.flatnonzero(bad)[0]])
 
 
 class Jet:
-    """A bivariate Taylor polynomial truncated at total degree ``order``.
+    """A bivariate Taylor polynomial truncated at total degree ``order``,
+    one per point of a batch.
 
-    Coefficients are stored row-major in a flat tuple of length
-    ``(order + 1) ** 2``; entries with ``i + j > order`` are kept but are
-    always exactly zero.  Instances are immutable and safe to share
-    across workers.
+    ``coeffs`` has shape ``(m, *batch)``.  Instances are immutable by
+    convention: no operation writes into an existing coefficient array.
+    Operands of one operation share the batch shape; numbers and
+    per-point arrays act on the value coefficient.
     """
 
     __slots__ = ("order", "coeffs")
+    __array_ufunc__ = None  # numpy defers array-jet operations to Jet
 
-    def __init__(self, order: int, coeffs: tuple[float, ...]):
+    def __init__(self, order: int, coeffs):
         if order < 0:
             raise UnsupportedOrder(f"jet order must be nonnegative, got {order}")
-        n = order + 1
-        if len(coeffs) != n * n:
-            raise ValueError(f"expected {n * n} coefficients, got {len(coeffs)}")
+        coeffs = np.asarray(coeffs, dtype=float)
+        if coeffs.shape[:1] != (_size(order),):
+            raise ValueError(f"expected {_size(order)} coefficients, "
+                             f"got shape {coeffs.shape}")
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", coeffs)
 
@@ -99,10 +169,10 @@ class Jet:
 
     @classmethod
     def constant(cls, value: Scalar, order: int) -> "Jet":
-        n = order + 1
-        coeffs = [0.0] * (n * n)
-        coeffs[0] = float(value)
-        return cls(order, tuple(coeffs))
+        value = np.asarray(value, dtype=float)
+        coeffs = np.zeros((_size(order),) + value.shape)
+        coeffs[0] = value
+        return cls(order, coeffs)
 
     @classmethod
     def variable(cls, which: str, value: Scalar, order: int) -> "Jet":
@@ -110,46 +180,50 @@ class Jet:
             raise UnsupportedOrder("a variable jet needs order >= 1")
         if which not in ("u", "v"):
             raise ValueError(f"unknown variable {which!r}; expected 'u' or 'v'")
-        n = order + 1
-        coeffs = [0.0] * (n * n)
-        coeffs[0] = float(value)
-        if which == "u":
-            coeffs[n] = 1.0
-        else:
-            coeffs[1] = 1.0
-        return cls(order, tuple(coeffs))
+        jet = cls.constant(value, order)
+        jet.coeffs[_index(order)[(1, 0) if which == "u" else (0, 1)]] = 1.0
+        return jet
 
     # -- inspection ---------------------------------------------------
 
-    def value(self) -> float:
+    @property
+    def batch(self) -> tuple[int, ...]:
+        return self.coeffs.shape[1:]
+
+    def select(self, index) -> "Jet":
+        """The jet at the chosen points of a one-axis batch."""
+        return Jet(self.order, self.coeffs[:, index])
+
+    def value(self):
         return self.coeffs[0]
 
-    def coeff(self, i: int, j: int) -> float:
+    def coeff(self, i: int, j: int):
         """Taylor-normalized coefficient of (u-u0)^i (v-v0)^j."""
         if i < 0 or j < 0 or i + j > self.order:
             raise OrderExceeded(f"coefficient ({i},{j}) beyond order {self.order}")
-        return self.coeffs[i * (self.order + 1) + j]
+        return self.coeffs[_index(self.order)[i, j]]
 
-    def partial(self, i: int, j: int) -> float:
+    def partial(self, i: int, j: int):
         """Raw partial derivative d^{i+j}/du^i dv^j at the base point."""
         return math.factorial(i) * math.factorial(j) * self.coeff(i, j)
 
     def __repr__(self) -> str:
-        nz = {
-            (i, j): self.coeffs[i * (self.order + 1) + j]
-            for i in range(self.order + 1)
-            for j in range(self.order + 1 - i)
-            if self.coeffs[i * (self.order + 1) + j] != 0.0
-        }
+        if self.batch:
+            return f"Jet(order={self.order}, batch={self.batch})"
+        nz = {pair: float(self.coeffs[n])
+              for pair, n in _index(self.order).items() if self.coeffs[n] != 0.0}
         return f"Jet(order={self.order}, {nz})"
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Jet):
             return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
+        return (self.order == other.order
+                and np.array_equal(self.coeffs, other.coeffs))
 
     def __hash__(self) -> int:
-        return hash((self.order, self.coeffs))
+        # + 0.0 turns -0.0 into 0.0, which compares equal to it
+        return hash((self.order, self.coeffs.shape,
+                     (self.coeffs + 0.0).tobytes()))
 
     # -- ring operations ----------------------------------------------
 
@@ -157,37 +231,32 @@ class Jet:
         """This jet with every coefficient of total degree > order dropped."""
         if order >= self.order:
             return self
-        n_old = self.order + 1
-        n = order + 1
-        out = [0.0] * (n * n)
-        for i in range(n):
-            for j in range(n - i):
-                out[i * n + j] = self.coeffs[i * n_old + j]
-        return Jet(order, tuple(out))
+        return Jet(order, self.coeffs[:_size(order)])
+
+    def _with_value(self, value) -> "Jet":
+        coeffs = self.coeffs.copy()
+        coeffs[0] = value
+        return Jet(self.order, coeffs)
 
     def __add__(self, other) -> "Jet":
         if isinstance(other, Jet):
-            a, b = _align(self, other)
-            return Jet(a.order, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
-        if isinstance(other, (int, float)):
-            coeffs = list(self.coeffs)
-            coeffs[0] += float(other)
-            return Jet(self.order, tuple(coeffs))
+            k, a, b = _align(self, other)
+            return Jet(k, a + b)
+        if isinstance(other, _SCALARS):
+            return self._with_value(self.coeffs[0] + other)
         return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self) -> "Jet":
-        return Jet(self.order, tuple(-c for c in self.coeffs))
+        return Jet(self.order, -self.coeffs)
 
     def __sub__(self, other) -> "Jet":
         if isinstance(other, Jet):
-            a, b = _align(self, other)
-            return Jet(a.order, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
-        if isinstance(other, (int, float)):
-            coeffs = list(self.coeffs)
-            coeffs[0] -= float(other)
-            return Jet(self.order, tuple(coeffs))
+            k, a, b = _align(self, other)
+            return Jet(k, a - b)
+        if isinstance(other, _SCALARS):
+            return self._with_value(self.coeffs[0] - other)
         return NotImplemented
 
     def __rsub__(self, other) -> "Jet":
@@ -195,16 +264,20 @@ class Jet:
 
     def __mul__(self, other) -> "Jet":
         if isinstance(other, Jet):
-            a, b = _align(self, other)
-            n = a.order + 1
-            out = [0.0] * (n * n)
-            ca, cb = a.coeffs, b.coeffs
-            for ia, ib, io in _mul_plan(a.order):
-                out[io] += ca[ia] * cb[ib]
-            return Jet(a.order, tuple(out))
-        if isinstance(other, (int, float)):
-            s = float(other)
-            return Jet(self.order, tuple(c * s for c in self.coeffs))
+            k, a, b = _align(self, other)
+            in_order, by_rank = _mul_plan(k)
+            acc = np.zeros(a.shape)
+            if a[0].size <= _SMALL_BATCH:
+                ia, ib, out = in_order
+                np.add.at(acc, out, a[ia] * b[ib])
+                return Jet(k, acc)
+            ia, ib, blocks, unrank = by_rank
+            terms = a[ia] * b[ib]
+            for start, count in blocks:
+                acc[:count] += terms[start:start + count]
+            return Jet(k, acc[unrank])
+        if isinstance(other, _SCALARS):
+            return Jet(self.order, self.coeffs * other)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -212,15 +285,15 @@ class Jet:
     def __truediv__(self, other) -> "Jet":
         if isinstance(other, Jet):
             return self * reciprocal(other)
-        if isinstance(other, (int, float)):
-            if float(other) == 0.0:
+        if isinstance(other, _SCALARS):
+            if np.any(np.equal(other, 0.0)):
                 raise DivisionByZeroValue("division by scalar zero")
-            return self * (1.0 / float(other))
+            return self * (1.0 / other)
         return NotImplemented
 
     def __rtruediv__(self, other) -> "Jet":
-        if isinstance(other, (int, float)):
-            return reciprocal(self) * float(other)
+        if isinstance(other, _SCALARS):
+            return reciprocal(self) * other
         return NotImplemented
 
     def __pow__(self, exponent: int) -> "Jet":
@@ -228,50 +301,47 @@ class Jet:
             return NotImplemented
         if exponent < 0:
             return reciprocal(self) ** (-exponent)
-        result = Jet.constant(1.0, self.order)
+        result = Jet.constant(np.ones(self.batch), self.order)
         for _ in range(exponent):
             result = result * self
         return result
 
     # -- calculus -----------------------------------------------------
 
-    def deriv_u(self) -> "Jet":
-        """Jet of df/du, one order lower."""
+    def _deriv(self, axis: int) -> "Jet":
         if self.order == 0:
             raise OrderExceeded("cannot differentiate an order-0 jet")
-        k = self.order - 1
-        n_old = self.order + 1
-        n = k + 1
-        out = [0.0] * (n * n)
-        for i in range(n):
-            for j in range(n - i):
-                out[i * n + j] = (i + 1) * self.coeffs[(i + 1) * n_old + j]
-        return Jet(k, tuple(out))
+        src, factor = _deriv_plan(self.order, axis)
+        factor = factor.reshape(factor.shape + (1,) * len(self.batch))
+        return Jet(self.order - 1, factor * self.coeffs[src])
+
+    def deriv_u(self) -> "Jet":
+        """Jet of df/du, one order lower."""
+        return self._deriv(0)
 
     def deriv_v(self) -> "Jet":
         """Jet of df/dv, one order lower."""
-        if self.order == 0:
-            raise OrderExceeded("cannot differentiate an order-0 jet")
-        k = self.order - 1
-        n_old = self.order + 1
-        n = k + 1
-        out = [0.0] * (n * n)
-        for i in range(n):
-            for j in range(n - i):
-                out[i * n + j] = (j + 1) * self.coeffs[i * n_old + j + 1]
-        return Jet(k, tuple(out))
+        return self._deriv(1)
 
 
-def _align(a: Jet, b: Jet) -> tuple[Jet, Jet]:
+def _align(a: Jet, b: Jet) -> tuple[int, np.ndarray, np.ndarray]:
     # Mixed orders arise naturally (a second derivative of the immersion
     # times a frame jet); the product is only determined to the lower order.
-    if a.order == b.order:
-        return a, b
+    if a.coeffs.shape == b.coeffs.shape:
+        return a.order, a.coeffs, b.coeffs
+    if a.batch != b.batch:
+        raise ValueError(f"jet batches differ: {a.batch} and {b.batch}")
     k = min(a.order, b.order)
-    return a.truncated(k), b.truncated(k)
+    return k, a.coeffs[:_size(k)], b.coeffs[:_size(k)]
 
 
-def _compose(series: Sequence[float], a: Jet) -> Jet:
+def _pointwise(fn: Callable[[float], float], x) -> np.ndarray:
+    # a math function applied one point at a time, so that its result
+    # does not depend on the batch
+    return np.reshape([fn(t) for t in np.ravel(x).tolist()], np.shape(x))
+
+
+def _compose(series: Sequence, a: Jet) -> Jet:
     # Horner evaluation of sum_m series[m] * w^m where w is the
     # nilpotent part of a (so w^{k+1} = 0 in the truncated ring).
     w = a - a.value()
@@ -283,17 +353,20 @@ def _compose(series: Sequence[float], a: Jet) -> Jet:
 
 def reciprocal(a: Jet) -> Jet:
     x0 = a.value()
-    if x0 == 0.0:
+    if np.any(x0 == 0.0):
         raise DivisionByZeroValue("reciprocal of a jet with zero value")
-    series = [(-1.0) ** m / x0 ** (m + 1) for m in range(a.order + 1)]
+    series = [(-1.0) ** m / np.float_power(x0, m + 1)
+              for m in range(a.order + 1)]
     return _compose(series, a)
 
 
 def sqrt(a: Jet) -> Jet:
     x0 = a.value()
-    if x0 <= 0.0:
-        raise DomainError(f"sqrt requires a positive value, got {x0}")
-    series = [math.sqrt(x0)]
+    bad = x0 <= 0.0
+    if np.any(bad):
+        raise DomainError(
+            f"sqrt requires a positive value, got {_first(x0, bad)!r}")
+    series = [np.sqrt(x0)]
     for m in range(1, a.order + 1):
         series.append(series[m - 1] * (0.5 - (m - 1)) / (m * x0))
     return _compose(series, a)
@@ -301,44 +374,44 @@ def sqrt(a: Jet) -> Jet:
 
 def log(a: Jet) -> Jet:
     x0 = a.value()
-    if x0 <= 0.0:
-        raise DomainError(f"log requires a positive value, got {x0}")
-    series = [math.log(x0)]
+    bad = x0 <= 0.0
+    if np.any(bad):
+        raise DomainError(
+            f"log requires a positive value, got {_first(x0, bad)!r}")
+    series = [_pointwise(math.log, x0)]
     for m in range(1, a.order + 1):
-        series.append((-1.0) ** (m + 1) / (m * x0**m))
+        series.append((-1.0) ** (m + 1) / (m * np.float_power(x0, m)))
     return _compose(series, a)
 
 
 def exp(a: Jet) -> Jet:
-    e0 = math.exp(a.value())
+    e0 = _pointwise(math.exp, a.value())
     series = [e0 / math.factorial(m) for m in range(a.order + 1)]
     return _compose(series, a)
 
 
 def sin(a: Jet) -> Jet:
-    x0 = a.value()
-    cycle = (math.sin(x0), math.cos(x0), -math.sin(x0), -math.cos(x0))
+    s0, c0 = _pointwise(math.sin, a.value()), _pointwise(math.cos, a.value())
+    cycle = (s0, c0, -s0, -c0)
     series = [cycle[m % 4] / math.factorial(m) for m in range(a.order + 1)]
     return _compose(series, a)
 
 
 def cos(a: Jet) -> Jet:
-    x0 = a.value()
-    cycle = (math.cos(x0), -math.sin(x0), -math.cos(x0), math.sin(x0))
+    s0, c0 = _pointwise(math.sin, a.value()), _pointwise(math.cos, a.value())
+    cycle = (c0, -s0, -c0, s0)
     series = [cycle[m % 4] / math.factorial(m) for m in range(a.order + 1)]
     return _compose(series, a)
 
 
 def sinh(a: Jet) -> Jet:
-    x0 = a.value()
-    s0, c0 = math.sinh(x0), math.cosh(x0)
+    s0, c0 = _pointwise(math.sinh, a.value()), _pointwise(math.cosh, a.value())
     series = [(s0 if m % 2 == 0 else c0) / math.factorial(m) for m in range(a.order + 1)]
     return _compose(series, a)
 
 
 def cosh(a: Jet) -> Jet:
-    x0 = a.value()
-    s0, c0 = math.sinh(x0), math.cosh(x0)
+    s0, c0 = _pointwise(math.sinh, a.value()), _pointwise(math.cosh, a.value())
     series = [(c0 if m % 2 == 0 else s0) / math.factorial(m) for m in range(a.order + 1)]
     return _compose(series, a)
 
@@ -347,13 +420,14 @@ def cosh(a: Jet) -> Jet:
 
 
 def jet_variable(which: str, value: Scalar, k: int) -> Jet:
-    """A coordinate jet for u or v at the given base value, order k in {3, 4}."""
+    """A coordinate jet for u or v at the given base value (a number, or
+    an array with one base value per point), order k in {3, 4}."""
     if k not in SUPPORTED_ORDERS:
         raise UnsupportedOrder(f"order must be one of {SUPPORTED_ORDERS}, got {k}")
     return Jet.variable(which, value, k)
 
 
-def partial(a: Jet, i: int, j: int) -> float:
+def partial(a: Jet, i: int, j: int):
     """Raw partial derivative; raises OrderExceeded beyond the jet's order."""
     return a.partial(i, j)
 

@@ -8,10 +8,10 @@ the induced inner product is diagonal with signs (-1, -1, -1, +1, +1, +1).
 
 All functions are pure and all values immutable.  The vector and
 bivector containers are generic over their scalar type: components may
-be floats or jets, since both support the same arithmetic.  Operations
-that need comparisons (causal classification, the space-like check) take
-floats; the normal frame construction takes a square root function so
-the geometry layer runs the identical construction on jets.
+be floats, per-point float arrays or jets, since all support the same
+arithmetic.  The norms and the causal classification work point by point
+on floats or arrays; the normal frame construction takes a square root
+function so the geometry layer runs the identical construction on jets.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 __all__ = [
     "AmbientVector",
@@ -35,6 +37,7 @@ __all__ = [
     "normal_frame",
     "orthonormal_normal_frame",
     "causal_character",
+    "euclid_norm",
     "DEFAULT_CAUSAL_TOL",
 ]
 
@@ -110,10 +113,6 @@ class Bivector:
     def scaled(self, s) -> "Bivector":
         return Bivector(*(s * a for a in self.components()))
 
-    def plucker_residual(self) -> float:
-        """Zero exactly on decomposable bivectors."""
-        return self.p12 * self.p34 - self.p13 * self.p24 + self.p14 * self.p23
-
 
 def minkowski_inner(a: AmbientVector, b: AmbientVector):
     return -a.c0 * b.c0 + a.c1 * b.c1 + a.c2 * b.c2 + a.c3 * b.c3
@@ -142,13 +141,18 @@ def bivector_inner(alpha: Bivector, beta: Bivector):
     return acc
 
 
-def bivector_euclid_norm(alpha: Bivector) -> float:
-    """Euclidean norm of the six components.
+def euclid_norm(v):
+    """Euclidean norm of the components of a vector or bivector.
 
     Residual measurements use this norm, never the indefinite one: a
     light-like defect has zero indefinite norm but is still a defect.
+    Squares go through ``np.float_power``, the C library ``pow`` that
+    Python's float ``**`` also calls, and are summed in component order.
     """
-    return math.sqrt(sum(float(x) ** 2 for x in alpha.components()))
+    return np.sqrt(sum(np.float_power(x, 2) for x in v.components()))
+
+
+bivector_euclid_norm = euclid_norm
 
 
 def hodge_dual(b: Bivector) -> Bivector:
@@ -168,17 +172,25 @@ def hodge_dual(b: Bivector) -> Bivector:
     )
 
 
-def causal_character(v: AmbientVector, tol: float = DEFAULT_CAUSAL_TOL) -> CausalClass:
-    """Scale-aware causal classification of a (possibly inexact) vector."""
+_CAUSAL_CLASSES = (CausalClass.ZERO, CausalClass.LIGHTLIKE,
+                   CausalClass.SPACELIKE, CausalClass.TIMELIKE)
+
+
+def causal_character(v: AmbientVector, tol: float = DEFAULT_CAUSAL_TOL):
+    """Scale-aware causal classification of a (possibly inexact) vector.
+
+    A CausalClass for float components; for per-point arrays, an object
+    array of CausalClass of the same shape.
+    """
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
     e2 = euclid_sq(v)
-    if math.sqrt(e2) <= tol:
-        return CausalClass.ZERO
     q = minkowski_inner(v, v)
-    if abs(q) <= tol * (1.0 + e2):
-        return CausalClass.LIGHTLIKE
-    return CausalClass.SPACELIKE if q > 0 else CausalClass.TIMELIKE
+    which = np.select([np.sqrt(e2) <= tol, abs(q) <= tol * (1.0 + e2), q > 0],
+                      [0, 1, 2], 3)
+    if which.ndim == 0:
+        return _CAUSAL_CLASSES[int(which)]
+    return np.array(_CAUSAL_CLASSES, dtype=object)[which]
 
 
 # -- normal plane constructions ----------------------------------------

@@ -1,11 +1,11 @@
 """Grid orchestration and machine-readable reports.
 
 A run resolves a surface (catalog entry or text file), evaluates the
-pointwise analysis over cell centers of a rectangular grid (optionally
-across a process pool), and serializes the records plus grid summaries
-to JSON or CSV.  Reports are deterministic: identical bytes for the same
-config and build, independent of worker count, with floats written via
-repr so a JSON round trip preserves every bit.
+pointwise analysis over cell centers of a rectangular grid, block by
+block in one process, and serializes the records plus grid summaries to
+JSON or CSV.  Reports are deterministic: identical bytes for the same
+config and build, independent of how the grid is split into blocks, with
+floats written via repr so a JSON round trip preserves every bit.
 
 Every report embeds the sign conventions; the numbers are meaningless
 without them.
@@ -17,18 +17,16 @@ import csv
 import dataclasses
 import io
 import json
-import multiprocessing
-import os
 import statistics
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import surfaces as sf
 from .gaussmap import (PointRecord, TheoremVerdict, _constancy,
-                       evaluate_point, theorem_verdict_from_records)
+                       evaluate_grid, theorem_verdict_from_records)
 from .geometry import DEFAULT_TOLERANCES, Tolerances
 from .expr import serialize_expression
-from .surfaces import Domain, SurfaceSpec, cell_centers
+from .surfaces import Domain, SurfaceSpec
 
 __all__ = [
     "RunConfig",
@@ -78,7 +76,7 @@ class RunConfig:
     tol: Tolerances = DEFAULT_TOLERANCES
     fmt: str = "json"
     out: Optional[str] = None
-    jobs: Optional[int] = None
+    jobs: Optional[int] = None  # accepted for compatibility; no effect
     theorem: Optional[str] = None
 
     def __post_init__(self):
@@ -127,23 +125,11 @@ def resolve_surface(cfg: RunConfig) -> SurfaceSpec:
     return spec
 
 
-def _eval_task(args) -> PointRecord:
-    spec, u, v, order, tol = args
-    return evaluate_point(spec, u, v, order, tol)
-
-
 def evaluate_records(spec: SurfaceSpec, cfg: RunConfig) -> list[PointRecord]:
-    """Row-major records over the grid; order is independent of the
-    worker count, so downstream bytes are too."""
-    points = cell_centers(spec.domain, *cfg.grid)
-    tasks = [(spec, u, v, cfg.order, cfg.tol) for u, v in points]
-    jobs = cfg.jobs if cfg.jobs is not None else (os.cpu_count() or 1)
-    jobs = max(1, min(jobs, len(tasks)))
-    if jobs == 1 or len(tasks) < 8:
-        return [_eval_task(t) for t in tasks]
-    chunk = max(1, len(tasks) // (jobs * 4))
-    with multiprocessing.Pool(jobs) as pool:
-        return pool.map(_eval_task, tasks, chunksize=chunk)
+    """Row-major records over the grid, evaluated in blocks of
+    ``gaussmap.BLOCK_POINTS`` points; the bytes they lead to do not
+    depend on the block size."""
+    return evaluate_grid(spec, cfg.grid, cfg.order, cfg.tol)
 
 
 def _stats(values: Sequence[float]) -> dict:
@@ -315,7 +301,9 @@ def _analysis_result(cfg: RunConfig, include_labels_only: bool) -> RunResult:
                    "skip_reason": r.skip_reason, "labels": list(r.labels)}
                   for r in records]
     else:
-        points = [dataclasses.asdict(r) for r in records]
+        # PointRecord holds no nested dataclasses, so its instance dict
+        # (in field order) is what dataclasses.asdict would build.
+        points = [dict(vars(r)) for r in records]
 
     payload = {
         "schema": SCHEMA_VERSION,

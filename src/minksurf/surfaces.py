@@ -403,9 +403,13 @@ def _splice(e: Expr, splices: Mapping[str, Expr]) -> Expr:
 
 # -- evaluation -------------------------------------------------------------
 
-def evaluate_immersion(spec: SurfaceSpec, u: float, v: float, k: int,
+def evaluate_immersion(spec: SurfaceSpec, u, v, k: int,
                        ) -> tuple[Jet, Jet, Jet, Jet]:
-    """Jets of the four immersion components at base point (u, v), order k."""
+    """Jets of the four immersion components at base point (u, v), order k.
+
+    u and v are numbers for one point, or equal-shape arrays for a batch
+    of points.
+    """
     uj = jet_variable("u", u, k)
     vj = jet_variable("v", v, k)
     return tuple(ex.eval_jet(c, uj, vj, spec.params) for c in spec.components)

@@ -5,8 +5,13 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minksurf import cli
 from minksurf import gaussmap as gm
@@ -131,6 +136,54 @@ class TestAnalyze:
         assert d["summary"]["points_evaluated"] == 0
         assert d["summary"]["points_skipped"] == 9
         assert d["summary"]["skip_reasons"] == ["degenerate"]
+
+
+class TestPointFailures:
+    """Arithmetic failures of a user surface become per-point skip
+    reasons, never a traceback; exit 3 only when every point fails."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("phi,grid,code,reason,skipped", [
+        ("log(u)", "2x2", 0, "domain-error", 2),
+        ("1/u", "3x3", 0, "singular", 3),
+        ("exp(1000*u)", "2x2", 0, "overflow", 2),
+        ("log(u-5)", "2x2", 3, "domain-error", 4),
+    ])
+    def test_skip_reason(self, phi, grid, code, reason, skipped, capsys):
+        got, out, err = run(["analyze", "--catalog", "graph", "--param",
+                             f"phi={phi}", "--grid", grid], capsys)
+        assert (got, err) == (code, "")
+        d = json.loads(out)
+        summary = d["summary"]
+        assert summary["skip_reasons"] == [reason]
+        assert summary["points_skipped"] == skipped
+        for p in d["points"]:
+            assert p["ok"] == (p["skip_reason"] is None)
+            if p["ok"]:
+                assert all(math.isfinite(x) for x in p["K"] + p["H"])
+
+    _ATOMS = st.sampled_from(["u", "v", "0", "1", "2.5", "1000"])
+    _PHI = st.recursive(_ATOMS, lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/"), inner).map(
+            lambda t: f"({t[0]}{t[1]}{t[2]})"),
+        st.tuples(st.sampled_from(["sin", "cos", "sinh", "cosh", "exp",
+                                   "sqrt", "log"]), inner).map(
+            lambda t: f"{t[0]}({t[1]})"),
+        st.tuples(inner, st.sampled_from(["2", "3", "-1"])).map(
+            lambda t: f"({t[0]})^{t[1]}")), max_leaves=6)
+
+    @settings(max_examples=30, deadline=None)
+    @given(phi=_PHI)
+    def test_random_height_functions_end_cleanly(self, phi):
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with redirect_stdout(out), redirect_stderr(err):
+                code = cli.main(["analyze", "--catalog", "graph", "--param",
+                                 f"phi={phi}", "--grid", "2x2"])
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        assert err.getvalue() == "" or err.getvalue().startswith("error: ")
 
 
 class TestClassify:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -191,3 +192,45 @@ class TestErrorPaths:
         u, _ = var_pair(1.0, 0.0)
         with pytest.raises(TypeError):
             u ** 0.5
+
+
+class TestBatch:
+    @staticmethod
+    def mixed(u, v):
+        return (jt.sqrt(u * u + 1.0) * jt.sin(u * v)
+                - jt.log(u + 2.0) / jt.cosh(v) + jt.exp(v) ** -2
+                + (u - v) ** 3 * jt.sinh(u) / jt.cos(v))
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_batch_matches_single_points(self, k):
+        # every coefficient bit of a batched evaluation is the point's own
+        rng = np.random.default_rng(3)
+        us, vs = rng.uniform(0.2, 1.5, 37), rng.uniform(-1.0, 1.0, 37)
+        whole = self.mixed(*var_pair(us, vs, k))
+        assert whole.batch == (37,)
+        for p in range(37):
+            alone = self.mixed(*var_pair(float(us[p]), float(vs[p]), k))
+            assert whole.coeffs[:, p].tobytes() == alone.coeffs.tobytes()
+            assert whole.select([p]) == jt.Jet(k, alone.coeffs[:, None])
+
+    def test_equality_and_hash(self):
+        a = poly_jet(0.3, -0.4)
+        b = poly_jet(0.3, -0.4)
+        assert a == b and hash(a) == hash(b)
+        assert a != poly_jet(0.3, -0.5)
+        assert a != a.truncated(2)
+        assert a != a.value()
+
+    def test_values_are_numpy(self):
+        u, _ = var_pair(0.3, -0.4)
+        assert isinstance(u.value(), np.floating)
+        assert isinstance(u.partial(1, 0), np.floating)
+        ub, _ = var_pair(np.array([0.1, 0.2, 0.3]), np.zeros(3))
+        assert ub.value().shape == (3,)
+        assert ub.partial(1, 0).tolist() == [1.0, 1.0, 1.0]
+
+    def test_batches_must_match(self):
+        u, _ = var_pair(0.3, -0.4)
+        ub, _ = var_pair(np.array([0.1, 0.2]), np.zeros(2))
+        with pytest.raises(ValueError):
+            u * ub
