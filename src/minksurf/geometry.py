@@ -104,12 +104,6 @@ def _matrices(rows) -> np.ndarray:
                      for row in rows], axis=-2)
 
 
-# Pointwise predicate labels in sorted order, as they appear in reports.
-LABELS = ("FLAT", "FLAT-NORMAL-BUNDLE", "IN-H3", "IN-LIGHTCONE", "IN-S31",
-          "MARGINALLY-TRAPPED", "MAXIMAL", "PARALLEL-H", "PSEUDO-UMBILICAL",
-          "TOTALLY-UMBILICAL")
-
-
 @dataclass(frozen=True)
 class Frame:
     """Adapted frame at a point, carried as jets.
@@ -592,10 +586,10 @@ class PointGeometry:
         frozenset for one point, a list of them for a batch."""
         masks = self.label_masks(tau)
         if not self.batch:
-            return frozenset(name for name in LABELS if masks[name])
-        rows = zip(*(np.broadcast_to(masks[name], self.batch).ravel().tolist()
-                     for name in LABELS))
-        return [frozenset(name for name, on in zip(LABELS, row) if on)
+            return frozenset(name for name, on in masks.items() if on)
+        rows = zip(*(np.broadcast_to(on, self.batch).ravel().tolist()
+                     for on in masks.values()))
+        return [frozenset(name for name, on in zip(masks, row) if on)
                 for row in rows]
 
     @cached_property

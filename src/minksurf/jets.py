@@ -91,11 +91,9 @@ def _mul_plan(order: int):
     """Index arrays of the truncated product.
 
     The Cauchy terms of each output coefficient are added in the order
-    of the loops below, starting from 0.0.  Small batches add the terms
-    in that order with one ``np.add.at``, which accumulates repeated
-    indices one after another.  Larger batches rank the outputs by term
-    count, so that the r-th terms of all outputs that have one form a
-    prefix, and add them block by block, rank after rank.
+    of the loops below, starting from 0.0.  The outputs are ranked by
+    term count, so that the r-th terms of all outputs that have one form
+    a prefix, and added block by block, rank after rank.
     """
     idx = _index(order)
     plan = []
@@ -113,15 +111,9 @@ def _mul_plan(order: int):
         outs = [n for n in ranked if len(terms[n]) > r]
         blocks.append((len(order_by_rank), len(outs)))
         order_by_rank += [terms[n][r] for n in outs]
-    ia, ib, out = (np.array(col) for col in zip(*plan))
+    ia, ib, _ = (np.array(col) for col in zip(*plan))
     by_rank = np.array(order_by_rank)
-    return (ia, ib, out), (ia[by_rank], ib[by_rank], tuple(blocks),
-                           np.argsort(ranked))
-
-
-# Batches up to this many points multiply with np.add.at (fewer numpy
-# calls); larger ones with rank blocks (faster per point).
-_SMALL_BATCH = 8
+    return ia[by_rank], ib[by_rank], tuple(blocks), np.argsort(ranked)
 
 
 @lru_cache(maxsize=None)
@@ -265,14 +257,9 @@ class Jet:
     def __mul__(self, other) -> "Jet":
         if isinstance(other, Jet):
             k, a, b = _align(self, other)
-            in_order, by_rank = _mul_plan(k)
-            acc = np.zeros(a.shape)
-            if a[0].size <= _SMALL_BATCH:
-                ia, ib, out = in_order
-                np.add.at(acc, out, a[ia] * b[ib])
-                return Jet(k, acc)
-            ia, ib, blocks, unrank = by_rank
+            ia, ib, blocks, unrank = _mul_plan(k)
             terms = a[ia] * b[ib]
+            acc = np.zeros(a.shape)
             for start, count in blocks:
                 acc[:count] += terms[start:start + count]
             return Jet(k, acc[unrank])

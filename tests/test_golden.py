@@ -6,10 +6,11 @@ whole catalog at orders 3 and 4 on two grids, and every registered
 theorem on every catalog surface.  The digests were recorded from the
 scalar-jet implementation that preceded grid batching, so a match means
 batching changed no report byte.  Report bits also depend on the C math
-library and the BLAS build (the digests were recorded on Linux with
-Python 3.11.7 and numpy 2.4.6), so on another platform a mismatch can
-come from the platform rather than the code.  To record them from a
-checkout::
+library and the BLAS build.  The file records the platform they were
+taken on (Python, numpy, system, C library), and a mismatch names both
+platforms when they differ, since then the platform rather than the code
+may be at fault; that is a reason to run on the recorded platform, not
+to re-record.  To record them from a checkout::
 
     PYTHONPATH=src python tests/test_golden.py --record > golden.json
 """
@@ -19,9 +20,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import platform
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 from minksurf import cli, gaussmap, report, surfaces
 
@@ -69,6 +73,13 @@ def report_digest(argv: list[str]) -> tuple[int, str]:
             return code, hashlib.sha256(fh.read()).hexdigest()
 
 
+def platform_record() -> dict[str, str]:
+    """What besides the code the report bits depend on."""
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "system": platform.system(), "machine": platform.machine(),
+            "libc": " ".join(platform.libc_ver())}
+
+
 def test_config_count():
     configs = golden_configs()
     assert sum(k.startswith("verify/") for k in configs) == 88
@@ -77,7 +88,8 @@ def test_config_count():
 
 def test_report_bytes_match_golden_digests(monkeypatch):
     with open(GOLDEN, encoding="utf-8") as fh:
-        golden = json.load(fh)
+        recorded = json.load(fh)
+    golden = recorded["digests"]
     configs = golden_configs()
     assert set(golden) == set(configs)
 
@@ -99,7 +111,10 @@ def test_report_bytes_match_golden_digests(monkeypatch):
         got = list(report_digest(argv))
         if got != golden[key]:
             mismatched.append(key)
-    assert mismatched == []
+    here = platform_record()
+    note = ("" if here == recorded["platform"] else
+            f"; digests recorded on {recorded['platform']}, running on {here}")
+    assert mismatched == [], f"{len(mismatched)} reports differ{note}"
 
 
 if __name__ == "__main__":
@@ -107,5 +122,6 @@ if __name__ == "__main__":
         sys.exit(__doc__)
     digests = {key: list(report_digest(argv))
                for key, argv in golden_configs().items()}
-    json.dump(digests, sys.stdout, indent=1, sort_keys=True)
+    json.dump({"platform": platform_record(), "digests": digests},
+              sys.stdout, indent=1, sort_keys=True)
     sys.stdout.write("\n")
