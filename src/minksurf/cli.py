@@ -115,8 +115,6 @@ def _config_from_args(args: argparse.Namespace) -> rp.RunConfig:
         return rp.RunConfig(command="catalog", fmt=args.fmt, out=args.out)
     tol = DEFAULT_TOLERANCES
     if args.tol is not None:
-        if args.tol <= 0:
-            raise ValueError("--tol must be positive")
         tol = dataclasses.replace(tol, residual=args.tol)
     return rp.RunConfig(
         command=args.command,

@@ -46,9 +46,6 @@ __all__ = [
     "free_identifiers",
 ]
 
-FUNCTION_NAMES = ("sin", "cos", "sinh", "cosh", "exp", "sqrt", "log")
-
-
 class ParseError(Exception):
     """Syntax failure, carrying a 1-based source position."""
 
@@ -75,6 +72,10 @@ class UnaryFn(Enum):
     EXP = "exp"
     SQRT = "sqrt"
     LOG = "log"
+
+
+# The elementary functions; each has the same name in math and in jets.
+FUNCTION_NAMES = tuple(fn.value for fn in UnaryFn if fn is not UnaryFn.NEG)
 
 
 class BinFn(Enum):
@@ -388,25 +389,10 @@ def _jet_or_float(jet_fn, float_fn):
     return apply
 
 
-_JET_FNS = {
-    UnaryFn.SIN: _jet_or_float(jets.sin, math.sin),
-    UnaryFn.COS: _jet_or_float(jets.cos, math.cos),
-    UnaryFn.SINH: _jet_or_float(jets.sinh, math.sinh),
-    UnaryFn.COSH: _jet_or_float(jets.cosh, math.cosh),
-    UnaryFn.EXP: _jet_or_float(jets.exp, math.exp),
-    UnaryFn.SQRT: _jet_or_float(jets.sqrt, math.sqrt),
-    UnaryFn.LOG: _jet_or_float(jets.log, math.log),
-}
+_FLOAT_FNS = {UnaryFn(name): getattr(math, name) for name in FUNCTION_NAMES}
 
-_FLOAT_FNS = {
-    UnaryFn.SIN: math.sin,
-    UnaryFn.COS: math.cos,
-    UnaryFn.SINH: math.sinh,
-    UnaryFn.COSH: math.cosh,
-    UnaryFn.EXP: math.exp,
-    UnaryFn.SQRT: math.sqrt,
-    UnaryFn.LOG: math.log,
-}
+_JET_FNS = {fn: _jet_or_float(getattr(jets, fn.value), float_fn)
+            for fn, float_fn in _FLOAT_FNS.items()}
 
 
 def _eval(e: Expr, env: Mapping[str, object], fns: Mapping) -> object:

@@ -43,8 +43,6 @@ __all__ = [
     "GaussLaplacianDecomposition",
     "PointRecord",
     "TheoremVerdict",
-    "gauss_map",
-    "laplacian_gauss_direct",
     "laplacian_gauss_formula",
     "route_agreement",
     "first_kind_residuals",
@@ -111,24 +109,9 @@ class GaussLaplacianDecomposition:
         }[name]
 
 
-def gauss_map(pg: PointGeometry) -> Bivector:
-    """Jet-valued Gauss map at the point; value satisfies <nu, nu> = -1."""
-    return pg.nu_jets
-
-
 def _laplacian_bivector(pg: PointGeometry) -> Bivector:
     return Bivector(*(pg.laplacian(c).value()
                       for c in pg.nu_jets.components()))
-
-
-def laplacian_gauss_direct(spec: SurfaceSpec, u: float, v: float,
-                           order: int = 3,
-                           tol: Tolerances = DEFAULT_TOLERANCES) -> Bivector:
-    """Gauss map Laplacian by the divergence form, componentwise on the
-    jet-valued Gauss map of the surface at (u, v)."""
-    xj = evaluate_immersion(spec, u, v, order)
-    pg = PointGeometry(xj, base=(u, v), tol=tol)
-    return _laplacian_bivector(pg)
 
 
 def _directional_value(pg: PointGeometry, f, i: int) -> float:
@@ -173,10 +156,9 @@ def laplacian_gauss_formula(pg: PointGeometry,
     formula = term_nu + term_norm + term_g3 + term_g4 + term_rot
     direct = _laplacian_bivector(pg)
 
-    first_kind = la.bivector_euclid_norm(direct - nu_vals.scaled(pg.h_sq))
-    harmonic = la.bivector_euclid_norm(direct)
-    route = (la.bivector_euclid_norm(direct - formula)
-             / (1.0 + la.bivector_euclid_norm(direct)))
+    first_kind = la.euclid_norm(direct - nu_vals.scaled(pg.h_sq))
+    harmonic = la.euclid_norm(direct)
+    route = la.euclid_norm(direct - formula) / (1.0 + la.euclid_norm(direct))
 
     return GaussLaplacianDecomposition(
         nu=nu_vals, direct=direct, formula=formula,
@@ -200,9 +182,9 @@ def first_kind_residuals(decomp: GaussLaplacianDecomposition,
     return decomp.residual_first_kind, decomp.residual_harmonic, f_estimate
 
 
-def _lemma42(pg: PointGeometry, tau: Optional[float] = None):
+def _lemma42(pg: PointGeometry):
     # (where the relation applies, its residual) at each point
-    tau = pg.tol.residual if tau is None else tau
+    tau = pg.tol.residual
     applies = ~(pg.H_norm_euclid > tau) & ~(abs(pg.RD) > tau)
     f_jet = pg.h_sq_jet
     f0 = f_jet.value()
@@ -217,7 +199,7 @@ def _lemma42(pg: PointGeometry, tau: Optional[float] = None):
     return applies, best
 
 
-def lemma42_residual(pg: PointGeometry, tau: Optional[float] = None):
+def lemma42_residual(pg: PointGeometry):
     """Gradient relation satisfied by the squared second fundamental form
     on maximal points with flat normal bundle:
 
@@ -227,7 +209,7 @@ def lemma42_residual(pg: PointGeometry, tau: Optional[float] = None):
     minimizes over both.  Raises NotApplicable when a point is not
     maximal or the normal bundle is not flat there.
     """
-    applies, best = _lemma42(pg, tau)
+    applies, best = _lemma42(pg)
     if not np.all(applies):
         raise NotApplicable(
             f"not maximal with flat normal bundle at {pg.base}: "
@@ -314,10 +296,10 @@ def _immersion_failure(spec: SurfaceSpec, u: float, v: float,
     return None
 
 
-def _columns(pg: PointGeometry, term_scales) -> dict:
+def _columns(pg: PointGeometry) -> dict:
     # every numeric record field of the points of pg, as per-point values
     # (a tuple of them for tuple fields)
-    decomp = laplacian_gauss_formula(pg, term_scales)
+    decomp = laplacian_gauss_formula(pg)
     rfk, rharm, f_est = first_kind_residuals(decomp)
     h = pg.h_jets
     E, F, G = pg.metric_jets
@@ -354,15 +336,14 @@ def _columns(pg: PointGeometry, term_scales) -> dict:
     return cols
 
 
-def _live_records(pg: PointGeometry, us: list, vs: list,
-                  term_scales) -> list[PointRecord]:
+def _live_records(pg: PointGeometry, us: list, vs: list) -> list[PointRecord]:
     # Records of the points of pg, which all have a space-like metric.
     n = len(us)
 
     def per_point(x) -> np.ndarray:
         return x if np.shape(x) == (n,) else np.broadcast_to(x, (n,))
 
-    cols = _columns(pg, term_scales)
+    cols = _columns(pg)
     lemma_applies, lemma = (per_point(x) for x in _lemma42(pg))
     finite = np.logical_and.reduce(
         [np.isfinite(per_point(x)) for col in cols.values()
@@ -387,7 +368,7 @@ def _live_records(pg: PointGeometry, us: list, vs: list,
 
 
 def _batch_records(spec: SurfaceSpec, us: list, vs: list, order: int,
-                   tol: Tolerances, term_scales) -> list[PointRecord]:
+                   tol: Tolerances) -> list[PointRecord]:
     xj = evaluate_immersion(spec, np.array(us), np.array(vs), order)
     reasons = PointGeometry(xj, tol=tol).skip_reasons.tolist()
     live = [k for k, reason in enumerate(reasons) if reason is None]
@@ -397,14 +378,13 @@ def _batch_records(spec: SurfaceSpec, us: list, vs: list, order: int,
             xj = tuple(c.select(np.array(live)) for c in xj)
         lu, lv = [us[k] for k in live], [vs[k] for k in live]
         pg = PointGeometry(xj, base=(np.array(lu), np.array(lv)), tol=tol)
-        done = iter(_live_records(pg, lu, lv, term_scales))
+        done = iter(_live_records(pg, lu, lv))
     return [next(done) if reason is None else _skipped(u, v, reason)
             for u, v, reason in zip(us, vs, reasons)]
 
 
 def evaluate_batch(spec: SurfaceSpec, points: Sequence[tuple[float, float]],
-                   order: int = 3, tol: Tolerances = DEFAULT_TOLERANCES,
-                   term_scales: Optional[dict[str, float]] = None,
+                   order: int = 3, tol: Tolerances = DEFAULT_TOLERANCES
                    ) -> list[PointRecord]:
     """Full pointwise analysis of a block of (u, v) points as one batch.
 
@@ -420,7 +400,7 @@ def evaluate_batch(spec: SurfaceSpec, points: Sequence[tuple[float, float]],
         return []
     with np.errstate(all="ignore"):
         try:
-            return _batch_records(spec, us, vs, order, tol, term_scales)
+            return _batch_records(spec, us, vs, order, tol)
         except _POINT_ERROR_TYPES as err:
             if len(us) == 1:
                 return [_skipped(us[0], vs[0], _failure(err))]
@@ -430,42 +410,39 @@ def evaluate_batch(spec: SurfaceSpec, points: Sequence[tuple[float, float]],
                         for u, v in zip(us, vs)]
     if not any(failures):
         # the failure lies past the immersion: go point by point
-        return [evaluate_point(spec, u, v, order, tol, term_scales)
+        return [evaluate_point(spec, u, v, order, tol)
                 for u, v in zip(us, vs)]
     rest = [(u, v) for u, v, f in zip(us, vs, failures) if f is None]
-    done = iter(evaluate_batch(spec, rest, order, tol, term_scales))
+    done = iter(evaluate_batch(spec, rest, order, tol))
     return [next(done) if f is None else _skipped(u, v, f)
             for u, v, f in zip(us, vs, failures)]
 
 
 def evaluate_point(spec: SurfaceSpec, u: float, v: float, order: int = 3,
-                   tol: Tolerances = DEFAULT_TOLERANCES,
-                   term_scales: Optional[dict[str, float]] = None,
-                   ) -> PointRecord:
+                   tol: Tolerances = DEFAULT_TOLERANCES) -> PointRecord:
     """Full pointwise analysis of one point; points where it cannot run
     come back as skipped records rather than raising."""
-    return evaluate_batch(spec, [(u, v)], order, tol, term_scales)[0]
+    return evaluate_batch(spec, [(u, v)], order, tol)[0]
 
 
 def evaluate_grid(spec: SurfaceSpec, grid: tuple[int, int] = (7, 7),
-                  order: int = 3, tol: Tolerances = DEFAULT_TOLERANCES,
-                  term_scales: Optional[dict[str, float]] = None,
+                  order: int = 3, tol: Tolerances = DEFAULT_TOLERANCES
                   ) -> list[PointRecord]:
     """Row-major records over cell centers of the surface domain,
     evaluated BLOCK_POINTS points at a time."""
     points = cell_centers(spec.domain, *grid)
     return [rec for start in range(0, len(points), BLOCK_POINTS)
             for rec in evaluate_batch(spec, points[start:start + BLOCK_POINTS],
-                                      order, tol, term_scales)]
+                                      order, tol)]
 
 
 def route_agreement(spec: SurfaceSpec, grid: tuple[int, int] = (7, 7),
-                    order: int = 3, tol: Tolerances = DEFAULT_TOLERANCES,
-                    term_scales: Optional[dict[str, float]] = None) -> float:
+                    order: int = 3, tol: Tolerances = DEFAULT_TOLERANCES
+                    ) -> float:
     """Max over the grid of the normalized distance between the two
     Laplacian routes; the package's strongest end-to-end oracle."""
     worst = 0.0
-    for rec in evaluate_grid(spec, grid, order, tol, term_scales):
+    for rec in evaluate_grid(spec, grid, order, tol):
         if rec.ok:
             worst = max(worst, rec.residual_route)
     return worst
@@ -685,7 +662,6 @@ def theorem_ids() -> tuple[str, ...]:
 def theorem_verdict_from_records(theorem_id: str,
                                  records: Sequence[PointRecord],
                                  surface_name: str = "",
-                                 tau: Optional[float] = None,
                                  tol: Tolerances = DEFAULT_TOLERANCES,
                                  ) -> TheoremVerdict:
     entry = THEOREMS.get(theorem_id)
@@ -693,7 +669,7 @@ def theorem_verdict_from_records(theorem_id: str,
         raise UnknownTheorem(
             f"unknown theorem id {theorem_id!r}; known: "
             f"{', '.join(theorem_ids())}")
-    tau = tol.residual if tau is None else tau
+    tau = tol.residual
     rel = tol.constancy_rel
     live = _live(records)
     skipped = len(records) - len(live)
@@ -729,13 +705,7 @@ def theorem_verdict_from_records(theorem_id: str,
 
 
 def theorem_verdict(theorem_id: str, spec: SurfaceSpec,
-                    grid: tuple[int, int] = (7, 7),
-                    tau: Optional[float] = None, order: int = 3,
+                    grid: tuple[int, int] = (7, 7), order: int = 3,
                     tol: Tolerances = DEFAULT_TOLERANCES) -> TheoremVerdict:
-    if theorem_id not in THEOREMS:
-        raise UnknownTheorem(
-            f"unknown theorem id {theorem_id!r}; known: "
-            f"{', '.join(theorem_ids())}")
     records = evaluate_grid(spec, grid, order, tol)
-    return theorem_verdict_from_records(theorem_id, records, spec.name,
-                                        tau, tol)
+    return theorem_verdict_from_records(theorem_id, records, spec.name, tol)

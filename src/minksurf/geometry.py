@@ -23,7 +23,8 @@ batch; every value is bit-for-bit the one the point gets alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Optional
 
@@ -39,15 +40,12 @@ __all__ = [
     "Tolerances",
     "NotSpacelike",
     "PointGeometry",
-    "first_fundamental_form",
-    "adapted_frame",
     "second_fundamental_form",
     "mean_curvature_vector",
     "squared_second_fundamental_form",
     "gaussian_curvature",
     "normal_curvature_RD",
     "parallel_H_residual",
-    "codazzi_residual",
     "position_laplacian",
     "classify_point",
 ]
@@ -71,12 +69,20 @@ class Tolerances:
     absolute cutoff on identity residuals and pointwise predicates,
     constancy_rel is the relative cutoff on grid constancy, degenerate
     is the Gram cutoff below which a point is skipped as degenerate.
+    Every field must be finite and positive.
     """
 
     causal: float = 1e-9
     residual: float = 1e-8
     constancy_rel: float = 1e-6
     degenerate: float = 1e-12
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"tolerance {f.name} must be finite and "
+                                 f"positive, got {value!r}")
 
 
 DEFAULT_TOLERANCES = Tolerances()
@@ -210,12 +216,6 @@ class PointGeometry:
         raise NotSpacelike(
             f"induced metric not positive definite at {base}: "
             f"g11={g11!r}, det={det!r}, eigenvalue signs {signs}", signs)
-
-    @cached_property
-    def is_spacelike(self):
-        """Per point: whether the metric is positive definite."""
-        ok = self.skip_reasons == None  # noqa: E711 - elementwise
-        return bool(ok) if ok.ndim == 0 else ok
 
     # -- adapted frame --------------------------------------------------
 
@@ -548,14 +548,15 @@ class PointGeometry:
 
     # -- classification -----------------------------------------------------
 
-    def label_masks(self, tau: Optional[float] = None) -> dict[str, np.ndarray]:
-        """Per label, where its pointwise predicate holds at tau.
+    def label_masks(self) -> dict[str, np.ndarray]:
+        """Per label, where its pointwise predicate holds at the residual
+        tolerance.
 
         Quadric labels (IN-S31, IN-H3, IN-LIGHTCONE) state the sign class
         of <x, x> at each point; whether the whole surface lies in one
         quadric is a grid-level question answered by the report layer.
         """
-        tau = self.tol.residual if tau is None else tau
+        tau = self.tol.residual
         H, norm_H = self.H, self.H_norm_euclid
         hv = {(i, j): self.h_vector(i, j) for i in (1, 2) for j in (1, 2)}
         p = {key: la.minkowski_inner(vec, H) for key, vec in hv.items()}
@@ -581,10 +582,10 @@ class PointGeometry:
             "IN-H3": ~on_cone & ~(q > 0) & (xv.c0 > 0),
         }
 
-    def classify(self, tau: Optional[float] = None):
-        """Pointwise predicate labels, each decided against tau: a
-        frozenset for one point, a list of them for a batch."""
-        masks = self.label_masks(tau)
+    def classify(self):
+        """Pointwise predicate labels, each decided at the residual
+        tolerance: a frozenset for one point, a list of them for a batch."""
+        masks = self.label_masks()
         if not self.batch:
             return frozenset(name for name, on in masks.items() if on)
         rows = zip(*(np.broadcast_to(on, self.batch).ravel().tolist()
@@ -598,27 +599,6 @@ class PointGeometry:
 
 
 # -- contract-level operation wrappers -------------------------------------
-
-def first_fundamental_form(xjets, require_spacelike: bool = True,
-                           tol: Tolerances = DEFAULT_TOLERANCES,
-                           ):
-    """Induced metric g_ij = <x_i, x_j> and the space-likeness verdict."""
-    pg = PointGeometry(xjets, tol=tol)
-    if require_spacelike:
-        pg.require_spacelike()
-        return pg.g, True
-    return pg.g, pg.is_spacelike
-
-
-def adapted_frame(xjets, base=(0.0, 0.0),
-                  tol: Tolerances = DEFAULT_TOLERANCES) -> PointGeometry:
-    """PointGeometry with frames and connection forms materialized."""
-    pg = PointGeometry(xjets, base=base, tol=tol)
-    pg.frame
-    pg.omega12
-    pg.omega34
-    return pg
-
 
 def second_fundamental_form(pg: PointGeometry):
     """h coefficients (values), and the two shape operator matrices."""
@@ -647,21 +627,14 @@ def parallel_H_residual(pg: PointGeometry):
     return pg.residual_parallel_H
 
 
-def codazzi_residual(pg: PointGeometry, omega12_shift: float = 0.0):
-    return pg.codazzi_residual(omega12_shift)
-
-
-def position_laplacian(pg: PointGeometry, bilaplacian: Optional[bool] = None,
+def position_laplacian(pg: PointGeometry,
                        ) -> tuple[AmbientVector, Optional[float]]:
     """Delta x (values) and, when order-4 jets are available, the Euclidean
     norm of Delta^2 x; None marks the bilaplacian as absent at order 3."""
-    want = pg.order >= 4 if bilaplacian is None else bilaplacian
-    dx = pg.laplacian_x
-    if not want:
-        return dx, None
-    bl = pg.bilaplacian_x
-    return dx, la.euclid_norm(bl)
+    if pg.order < 4:
+        return pg.laplacian_x, None
+    return pg.laplacian_x, la.euclid_norm(pg.bilaplacian_x)
 
 
-def classify_point(pg: PointGeometry, tau: Optional[float] = None):
-    return pg.classify(tau)
+def classify_point(pg: PointGeometry):
+    return pg.classify()

@@ -41,7 +41,6 @@ __all__ = [
     "DomainError",
     "DivisionByZeroValue",
     "jet_variable",
-    "partial",
     "fd_partial",
     "SUPPORTED_ORDERS",
 ]
@@ -412,11 +411,6 @@ def jet_variable(which: str, value: Scalar, k: int) -> Jet:
     if k not in SUPPORTED_ORDERS:
         raise UnsupportedOrder(f"order must be one of {SUPPORTED_ORDERS}, got {k}")
     return Jet.variable(which, value, k)
-
-
-def partial(a: Jet, i: int, j: int):
-    """Raw partial derivative; raises OrderExceeded beyond the jet's order."""
-    return a.partial(i, j)
 
 
 # -- finite-difference oracle ------------------------------------------

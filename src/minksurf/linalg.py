@@ -152,9 +152,6 @@ def euclid_norm(v):
     return np.sqrt(sum(np.float_power(x, 2) for x in v.components()))
 
 
-bivector_euclid_norm = euclid_norm
-
-
 def hodge_dual(b: Bivector) -> Bivector:
     """The star operator on the exterior square.
 

@@ -88,14 +88,10 @@ class RunConfig:
             raise ValueError("jet order must be 3 or 4")
         if self.fmt not in ("json", "csv"):
             raise ValueError(f"unknown format {self.fmt!r}")
-        for name in ("causal", "residual", "constancy_rel", "degenerate"):
-            if getattr(self.tol, name) <= 0:
-                raise ValueError(f"tolerance {name} must be positive")
 
 
 @dataclass(frozen=True)
 class RunResult:
-    payload: dict
     text: str
     exit_code: int
 
@@ -296,6 +292,12 @@ def _analysis_result(cfg: RunConfig, include_labels_only: bool) -> RunResult:
     records = evaluate_records(spec, cfg)
     summary = summarize(records, cfg.tol)
     exit_code = 3 if summary["points_evaluated"] == 0 else 0
+    if cfg.fmt == "csv":
+        if include_labels_only:
+            text = _records_csv(records, _LABEL_COLUMNS)
+        else:
+            text = _records_csv(records, _CSV_SCALARS, _CSV_TUPLES)
+        return RunResult(text=text, exit_code=exit_code)
     if include_labels_only:
         points = [{"u": r.u, "v": r.v, "ok": r.ok,
                    "skip_reason": r.skip_reason, "labels": list(r.labels)}
@@ -304,7 +306,6 @@ def _analysis_result(cfg: RunConfig, include_labels_only: bool) -> RunResult:
         # PointRecord holds no nested dataclasses, so its instance dict
         # (in field order) is what dataclasses.asdict would build.
         points = [dict(vars(r)) for r in records]
-
     payload = {
         "schema": SCHEMA_VERSION,
         "command": cfg.command,
@@ -314,13 +315,7 @@ def _analysis_result(cfg: RunConfig, include_labels_only: bool) -> RunResult:
         "points": points,
         "summary": summary,
     }
-    if cfg.fmt == "json":
-        text = _to_json(payload)
-    elif include_labels_only:
-        text = _records_csv(records, _LABEL_COLUMNS)
-    else:
-        text = _records_csv(records, _CSV_SCALARS, _CSV_TUPLES)
-    return RunResult(payload=payload, text=text, exit_code=exit_code)
+    return RunResult(text=_to_json(payload), exit_code=exit_code)
 
 
 def run_analyze(cfg: RunConfig) -> RunResult:
@@ -338,8 +333,8 @@ def run_verify(cfg: RunConfig) -> RunResult:
     source = "catalog" if cfg.catalog is not None else "file"
     records = evaluate_records(spec, cfg)
     summary = summarize(records, cfg.tol)
-    verdict = theorem_verdict_from_records(
-        cfg.theorem, records, spec.name, cfg.tol.residual, cfg.tol)
+    verdict = theorem_verdict_from_records(cfg.theorem, records, spec.name,
+                                           cfg.tol)
     if summary["points_evaluated"] == 0:
         exit_code = 3
     else:
@@ -353,8 +348,7 @@ def run_verify(cfg: RunConfig) -> RunResult:
         "verdict": _verdict_block(verdict),
         "summary": summary,
     }
-    return RunResult(payload=payload, text=_to_json(payload),
-                     exit_code=exit_code)
+    return RunResult(text=_to_json(payload), exit_code=exit_code)
 
 
 def run_catalog(cfg: RunConfig) -> RunResult:
@@ -370,12 +364,6 @@ def run_catalog(cfg: RunConfig) -> RunResult:
             "notes": entry.notes,
             "components": list(entry.components),
         })
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "catalog",
-        "conventions": CONVENTIONS,
-        "catalog": entries,
-    }
     if cfg.fmt == "csv":
         text = _csv_text(
             ["name", "float_params", "expression_params", "domain", "tags"],
@@ -387,8 +375,13 @@ def run_catalog(cfg: RunConfig) -> RunResult:
               ";".join(e["tags"])]
              for e in entries))
     else:
-        text = _to_json(payload)
-    return RunResult(payload=payload, text=text, exit_code=0)
+        text = _to_json({
+            "schema": SCHEMA_VERSION,
+            "command": "catalog",
+            "conventions": CONVENTIONS,
+            "catalog": entries,
+        })
+    return RunResult(text=text, exit_code=0)
 
 
 def run(cfg: RunConfig) -> RunResult:

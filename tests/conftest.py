@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from minksurf import geometry as ge
@@ -52,7 +53,15 @@ def product_12() -> sf.SurfaceSpec:
 
 def point_geometry(spec: sf.SurfaceSpec, u: float, v: float, k: int = 3,
                    tol: ge.Tolerances = ge.DEFAULT_TOLERANCES) -> ge.PointGeometry:
-    return ge.adapted_frame(sf.evaluate_immersion(spec, u, v, k), base=(u, v), tol=tol)
+    return ge.PointGeometry(sf.evaluate_immersion(spec, u, v, k), base=(u, v), tol=tol)
+
+
+def grid_geometry(spec: sf.SurfaceSpec, nu: int, nv: int) -> ge.PointGeometry:
+    """One order-3 batch over the cell centres of an nu x nv grid: the
+    batch the grid is evaluated as when it has at most
+    ``gaussmap.BLOCK_POINTS`` points."""
+    us, vs = (np.array(c) for c in zip(*sf.cell_centers(spec.domain, nu, nv)))
+    return ge.PointGeometry(sf.evaluate_immersion(spec, us, vs, 3), base=(us, vs))
 
 
 def grid_points(spec: sf.SurfaceSpec, nu: int = 5, nv: int = 5):

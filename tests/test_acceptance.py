@@ -16,7 +16,7 @@ from minksurf import linalg as la
 from minksurf import report
 from minksurf import surfaces as sf
 
-from conftest import CATALOG_CASES, WILD_TEXT, build
+from conftest import CATALOG_CASES, WILD_TEXT, build, grid_geometry
 
 
 def announce(n: int, ok: bool, detail: str) -> None:
@@ -34,7 +34,7 @@ def test_criterion_1_flat_trapped_example_quantitative():
     worst = 0.0
     for u in (0.5, 1.0, 2.0):
         for v in (-0.5, 0.0, 0.5):
-            pg = ge.adapted_frame(sf.evaluate_immersion(spec, u, v, 3), base=(u, v))
+            pg = ge.PointGeometry(sf.evaluate_immersion(spec, u, v, 3), base=(u, v))
             K = ge.gaussian_curvature(pg)[0]
             hsq = ge.squared_second_fundamental_form(pg)
             worst = max(worst,
@@ -103,10 +103,11 @@ def test_criterion_5_negative_controls_and_mutations():
     # catalog members are all flat-normal-bundle, so the harness adds one
     # twisted surface to make every group of the assembly load bearing
     wild = sf.parse_surface(WILD_TEXT)
+    grids = (grid_geometry(wild, 5, 5),
+             grid_geometry(build("example52", {}), 5, 5))
     weakest = min(
-        max(gm.route_agreement(wild, grid=(5, 5), term_scales={t: 1.01}),
-            gm.route_agreement(build("example52", {}), grid=(5, 5),
-                               term_scales={t: 1.01}))
+        max(gm.laplacian_gauss_formula(pg, {t: 1.01}).residual_route.max()
+            for pg in grids)
         for t in gm.TERM_NAMES)
     announce(5, controls and both_fail and weakest > 1e-6,
              f"controls {'ok' if controls else 'weak'}, "

@@ -50,10 +50,10 @@ def test_failure_past_the_immersion_skips_only_its_points(monkeypatch):
     bad_u = clean[4].u
     real = gm.laplacian_gauss_formula
 
-    def failing_on_one_row(pg, term_scales=None):
+    def failing_on_one_row(pg):
         if np.any(pg.base[0] == bad_u):
             raise jt.DomainError("injected")
-        return real(pg, term_scales)
+        return real(pg)
 
     monkeypatch.setattr(gm, "laplacian_gauss_formula", failing_on_one_row)
     got = gm.evaluate_grid(spec, (3, 3))

@@ -251,8 +251,8 @@ class TestVerify:
         # split verdict to pin the exit-code contract
         real = gm.theorem_verdict_from_records
 
-        def rigged(tid, records, surface_name="", tau=None, tol=None):
-            v = real(tid, records, surface_name, tau, tol)
+        def rigged(tid, records, surface_name="", tol=None):
+            v = real(tid, records, surface_name, tol)
             a = gm.SideResult(v.side_a.description, True, 0.0)
             b = gm.SideResult(v.side_b.description, False, 1.0)
             import dataclasses
@@ -291,6 +291,12 @@ class TestUsageErrors:
         ["analyze", "--catalog", "plane", "--grid", "seven"],
         ["analyze", "--catalog", "plane", "--domain", "1,2,3"],
         ["analyze", "--catalog", "plane", "--param", "novalue"],
+        ["verify", "T4.4", "--catalog", "example52", "--grid", "3x3",
+         "--tol", "nan"],
+        ["verify", "T4.4", "--catalog", "example52", "--grid", "3x3",
+         "--tol", "inf"],
+        ["verify", "T4.4", "--catalog", "example52", "--grid", "3x3",
+         "--tol", "0"],
     ])
     def test_exit_2_with_stderr_message(self, argv, capsys):
         code, out, err = run(argv, capsys)

@@ -20,7 +20,8 @@ from minksurf import geometry as ge
 from minksurf import linalg as la
 from minksurf import surfaces as sf
 
-from conftest import CATALOG_CASES, CATALOG_IDS, build, point_geometry
+from conftest import (CATALOG_CASES, CATALOG_IDS, build, grid_geometry,
+                      point_geometry)
 
 HARMONIC_HEIGHTS = ("u*v", "u^2 - v^2", "exp(u)*cos(v)")
 
@@ -63,7 +64,7 @@ class TestDecomposition:
         pg = point_geometry(build(name, params), 0.4, -0.3)
         d = gm.laplacian_gauss_formula(pg)
         for t in ("normal_curvature", "grad_trace3", "grad_trace4", "rotation"):
-            assert la.bivector_euclid_norm(d.term(t)) <= 1e-12, t
+            assert la.euclid_norm(d.term(t)) <= 1e-12, t
 
     @pytest.mark.parametrize("name,params", [
         ("type-i", {"b": 0.5}),
@@ -77,7 +78,7 @@ class TestDecomposition:
         pg = point_geometry(build(name, params), 0.4, -0.3)
         d = gm.laplacian_gauss_formula(pg)
         for t in ("grad_trace3", "grad_trace4", "rotation"):
-            assert la.bivector_euclid_norm(d.term(t)) > 0.1, t
+            assert la.euclid_norm(d.term(t)) > 0.1, t
         assert d.residual_route <= 1e-12
 
     def test_formula_is_sum_of_terms(self, wild_spec):
@@ -93,10 +94,9 @@ class TestDecomposition:
 
     def test_direct_route_standalone(self):
         spec = build("product", {"a": 1.0, "b": 2.0})
-        direct = gm.laplacian_gauss_direct(spec, 0.4, -0.3)
         pg = point_geometry(spec, 0.4, -0.3)
         d = gm.laplacian_gauss_formula(pg)
-        assert la.bivector_euclid_norm(direct - d.formula) <= 1e-12
+        assert la.euclid_norm(d.direct - d.formula) <= 1e-12
 
     def test_unknown_term_name_rejected(self, wild_spec):
         pg = point_geometry(wild_spec, 0.4, -0.3)
@@ -110,15 +110,15 @@ class TestMutationSensitivity:
     @pytest.mark.parametrize("term", gm.TERM_NAMES)
     def test_each_term_matters(self, wild_spec, term):
         clean = gm.route_agreement(wild_spec, grid=(5, 5))
-        broken = gm.route_agreement(wild_spec, grid=(5, 5),
-                                    term_scales={term: 1.01})
+        broken = gm.laplacian_gauss_formula(
+            grid_geometry(wild_spec, 5, 5), {term: 1.01}).residual_route.max()
         assert clean <= 1e-10
         assert broken > 1e-6
 
     def test_connection_corruption_breaks_codazzi(self, wild_spec):
         pg = point_geometry(wild_spec, 0.4, -0.3)
-        assert ge.codazzi_residual(pg) <= 1e-10
-        assert ge.codazzi_residual(pg, omega12_shift=0.1) > 1e-2
+        assert pg.codazzi_residual() <= 1e-10
+        assert pg.codazzi_residual(omega12_shift=0.1) > 1e-2
 
 
 class TestFirstKind:
@@ -220,6 +220,6 @@ class TestRecords:
         u = dom.u_min + 0.45 * (dom.u_max - dom.u_min)
         v = dom.v_min + 0.65 * (dom.v_max - dom.v_min)
         pg = point_geometry(catalog_spec, u, v)
-        nu = gm.gauss_map(pg)  # jet valued; compare at the base point
+        nu = pg.nu_jets  # jet valued; compare at the base point
         assert la.bivector_inner(nu, nu).value() == pytest.approx(-1.0, rel=1e-12)
         assert la.bivector_inner(pg.nu, pg.nu) == pytest.approx(-1.0, rel=1e-12)

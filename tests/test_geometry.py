@@ -49,8 +49,9 @@ class TestMetric:
     def test_first_fundamental_form_oracle(self, name, params, EFG):
         spec = build(name, params)
         for u, v in probe_points(spec):
-            g, ok = ge.first_fundamental_form(sf.evaluate_immersion(spec, u, v, 3))
-            assert ok
+            pg = ge.PointGeometry(sf.evaluate_immersion(spec, u, v, 3))
+            pg.require_spacelike()
+            g = pg.g
             E, F, G = EFG(u, v)
             assert g[0, 0] == pytest.approx(E, rel=1e-12)
             assert g[0, 1] == pytest.approx(F, abs=1e-12)
@@ -59,9 +60,9 @@ class TestMetric:
 
     def test_metric_is_symmetric_positive(self, catalog_spec):
         for u, v in probe_points(catalog_spec):
-            g, ok = ge.first_fundamental_form(
-                sf.evaluate_immersion(catalog_spec, u, v, 3))
-            assert ok
+            pg = ge.PointGeometry(sf.evaluate_immersion(catalog_spec, u, v, 3))
+            pg.require_spacelike()
+            g = pg.g
             assert g[0, 1] == g[1, 0]
             assert np.linalg.det(g) > 0.0 and g[0, 0] > 0.0
 
@@ -96,7 +97,7 @@ class TestFrame:
             pg = point_geometry(catalog_spec, u, v)
             e3, e4 = pg.frame_values[2], pg.frame_values[3]
             w = la.wedge(e3, e4)
-            assert la.bivector_euclid_norm(w - pg.nu) < 1e-10
+            assert la.euclid_norm(w - pg.nu) < 1e-10
 
     def test_deterministic_rebuild(self, product_12):
         a = point_geometry(product_12, 0.4, -0.3)
@@ -211,14 +212,14 @@ class TestNormalCurvature:
 class TestResiduals:
     def test_codazzi(self, catalog_spec):
         for u, v in probe_points(catalog_spec):
-            assert ge.codazzi_residual(point_geometry(catalog_spec, u, v)) <= 1e-8
+            assert point_geometry(catalog_spec, u, v).codazzi_residual() <= 1e-8
 
     def test_codazzi_wild(self, wild_spec):
-        assert ge.codazzi_residual(point_geometry(wild_spec, 0.4, -0.3)) <= 1e-10
+        assert point_geometry(wild_spec, 0.4, -0.3).codazzi_residual() <= 1e-10
 
     def test_codazzi_detects_connection_corruption(self, wild_spec):
         pg = point_geometry(wild_spec, 0.4, -0.3)
-        assert ge.codazzi_residual(pg, omega12_shift=0.1) > 1e-2
+        assert pg.codazzi_residual(omega12_shift=0.1) > 1e-2
 
     def test_beltrami(self, catalog_spec):
         for u, v in probe_points(catalog_spec):
@@ -248,7 +249,7 @@ class TestPositionLaplacian:
     def test_type_i_is_biharmonic(self, b):
         spec = build("type-i", {"b": b})
         pg = point_geometry(spec, 0.4, -0.3, k=4)
-        lap, bil = ge.position_laplacian(pg, bilaplacian=True)
+        lap, bil = ge.position_laplacian(pg)
         assert bil is not None and bil <= 1e-8
         assert math.sqrt(la.euclid_sq(lap)) == pytest.approx(
             2.0 * math.sqrt(2.0), rel=1e-12)
@@ -256,7 +257,7 @@ class TestPositionLaplacian:
     def test_bilaplacian_needs_order_four(self):
         pg = point_geometry(build("plane", {}), 0.1, 0.1, k=3)
         with pytest.raises(jt.OrderExceeded):
-            ge.position_laplacian(pg, bilaplacian=True)
+            pg.bilaplacian_x
 
 
 class TestClassification:
@@ -310,23 +311,29 @@ class TestErrorPaths:
         v = jt.jet_variable("v", 0.2, 3)
         zero = u * 0.0
         with pytest.raises(ge.NotSpacelike) as info:
-            ge.first_fundamental_form((u, v, zero, zero))
+            ge.PointGeometry((u, v, zero, zero)).require_spacelike()
         assert info.value.eigenvalue_signs == (1, -1)
 
     def test_degenerate_plane_rejected(self):
         u = jt.jet_variable("u", 0.1, 3)
         v = jt.jet_variable("v", 0.2, 3)
         with pytest.raises(la.DegeneratePlane):
-            ge.first_fundamental_form((u, u, v, u * 0.0))
+            ge.PointGeometry((u, u, v, u * 0.0)).require_spacelike()
 
     def test_opt_out_of_spacelike_check(self):
         u = jt.jet_variable("u", 0.1, 3)
         v = jt.jet_variable("v", 0.2, 3)
         zero = u * 0.0
-        g, ok = ge.first_fundamental_form((u, v, zero, zero),
-                                          require_spacelike=False)
-        assert not ok
-        assert g[0, 0] == pytest.approx(-1.0)
+        pg = ge.PointGeometry((u, v, zero, zero))
+        assert pg.skip_reasons.item() == "not-spacelike"
+        assert pg.g[0, 0] == pytest.approx(-1.0)
+
+    @pytest.mark.parametrize("name", ["causal", "residual", "constancy_rel",
+                                      "degenerate"])
+    @pytest.mark.parametrize("value", [0.0, -1e-8, math.nan, math.inf])
+    def test_tolerances_finite_and_positive(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            ge.Tolerances(**{name: value})
 
 
 @pytest.mark.parametrize("name,params", CATALOG_CASES, ids=CATALOG_IDS)
@@ -337,7 +344,7 @@ def test_full_grid_invariants(name, params):
         pg = point_geometry(spec, u, v)
         assert pg.residual_frame <= 1e-10
         assert abs(la.bivector_inner(pg.nu, pg.nu) + 1.0) <= 1e-10
-        assert ge.codazzi_residual(pg) <= 1e-8
+        assert pg.codazzi_residual() <= 1e-8
         assert pg.residual_beltrami <= 1e-8
         Kg, Kf, Ki = ge.gaussian_curvature(pg)
         assert abs(Kg - Kf) <= 1e-8 * (1.0 + abs(Kg))

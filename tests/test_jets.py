@@ -59,7 +59,7 @@ class TestFiniteDifferenceOracle:
     @pytest.mark.parametrize("i,j", [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)])
     def test_rational_polynomial(self, u0, v0, i, j):
         want = jt.fd_partial(poly_value, u0, v0, i, j, step=1e-4)
-        got = jt.partial(poly_jet(u0, v0), i, j)
+        got = poly_jet(u0, v0).partial(i, j)
         # abs floor sized to second-difference roundoff at this step
         assert got == pytest.approx(want, rel=1e-6, abs=1e-6)
 
@@ -67,7 +67,7 @@ class TestFiniteDifferenceOracle:
     def test_third_order_partials(self, i, j):
         # third differences lose more bits; a looser step wins back accuracy
         want = jt.fd_partial(poly_value, 0.3, -0.4, i, j, step=1e-2)
-        got = jt.partial(poly_jet(0.3, -0.4), i, j)
+        got = poly_jet(0.3, -0.4).partial(i, j)
         assert got == pytest.approx(want, rel=1e-5, abs=1e-6)
 
     @pytest.mark.parametrize("name,jfn,vfn,u0", [
@@ -88,7 +88,7 @@ class TestFiniteDifferenceOracle:
         assert got.value() == pytest.approx(value(u0, 0.4), rel=1e-12)
         for i, j in [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]:
             want = jt.fd_partial(value, u0, 0.4, i, j, step=1e-4)
-            assert jt.partial(got, i, j) == pytest.approx(want, rel=1e-6, abs=1e-7)
+            assert got.partial(i, j) == pytest.approx(want, rel=1e-6, abs=1e-7)
 
 
 class TestAlgebra:
@@ -100,9 +100,9 @@ class TestAlgebra:
         u, v = var_pair(a, b)
         p = jt.sin(u) * (v * v + 1.0)
         # d/du [sin(u) (v^2+1)] = cos(u) (v^2+1)
-        assert jt.partial(p, 1, 0) == pytest.approx(
+        assert p.partial(1, 0) == pytest.approx(
             math.cos(a) * (b * b + 1.0), rel=1e-12, abs=1e-12)
-        assert jt.partial(p, 1, 1) == pytest.approx(
+        assert p.partial(1, 1) == pytest.approx(
             math.cos(a) * 2.0 * b, rel=1e-12, abs=1e-12)
 
     @given(a=scalars)
@@ -112,7 +112,7 @@ class TestAlgebra:
         s = jt.sin(u) * jt.sin(u) + jt.cos(u) * jt.cos(u)
         assert s.value() == pytest.approx(1.0, abs=1e-12)
         for i in (1, 2, 3):
-            assert jt.partial(s, i, 0) == pytest.approx(0.0, abs=1e-10)
+            assert s.partial(i, 0) == pytest.approx(0.0, abs=1e-10)
 
     @given(a=st.floats(min_value=0.2, max_value=4.0, allow_nan=False))
     @settings(max_examples=50)
@@ -121,8 +121,8 @@ class TestAlgebra:
         r = jt.sqrt(u)
         sq = r * r
         assert sq.value() == pytest.approx(a, rel=1e-12)
-        assert jt.partial(sq, 1, 0) == pytest.approx(1.0, rel=1e-10)
-        assert jt.partial(sq, 2, 0) == pytest.approx(0.0, abs=1e-10)
+        assert sq.partial(1, 0) == pytest.approx(1.0, rel=1e-10)
+        assert sq.partial(2, 0) == pytest.approx(0.0, abs=1e-10)
 
     @given(a=scalars, n=st.integers(min_value=0, max_value=5))
     @settings(max_examples=60)
@@ -138,8 +138,8 @@ class TestAlgebra:
         u, _ = var_pair(2.0, 0.0)
         r = jt.reciprocal(u)
         assert r.value() == pytest.approx(0.5)
-        assert jt.partial(r, 1, 0) == pytest.approx(-0.25)
-        assert jt.partial(r, 2, 0) == pytest.approx(0.25)
+        assert r.partial(1, 0) == pytest.approx(-0.25)
+        assert r.partial(2, 0) == pytest.approx(0.25)
 
     def test_division_is_multiplication_by_reciprocal(self):
         u, v = var_pair(0.5, -0.3)
@@ -153,14 +153,14 @@ class TestDerivAndTruncate:
         p = poly_jet(0.3, 0.2, 3)
         d = p.deriv_u()
         assert d.order == 2
-        assert d.value() == pytest.approx(jt.partial(p, 1, 0), rel=1e-12)
-        assert jt.partial(d, 1, 1) == pytest.approx(jt.partial(p, 2, 1), rel=1e-10)
+        assert d.value() == pytest.approx(p.partial(1, 0), rel=1e-12)
+        assert d.partial(1, 1) == pytest.approx(p.partial(2, 1), rel=1e-10)
 
     def test_deriv_v_matches_coefficients(self):
         p = poly_jet(0.3, 0.2, 4)
         d = p.deriv_v()
         assert d.order == 3
-        assert jt.partial(d, 0, 2) == pytest.approx(jt.partial(p, 0, 3), rel=1e-10)
+        assert d.partial(0, 2) == pytest.approx(p.partial(0, 3), rel=1e-10)
 
     def test_truncated(self):
         p = poly_jet(0.1, 0.2, 4)

@@ -91,13 +91,13 @@ class TestWedge:
     @given(a=vectors)
     @settings(max_examples=40)
     def test_self_wedge_vanishes(self, a):
-        assert la.bivector_euclid_norm(la.wedge(a, a)) == pytest.approx(0.0, abs=1e-12)
+        assert la.euclid_norm(la.wedge(a, a)) == pytest.approx(0.0, abs=1e-12)
 
     @given(a=vectors, b=vectors)
     def test_plucker_identity(self, a, b):
         w = la.wedge(a, b)
         res = w.p12 * w.p34 - w.p13 * w.p24 + w.p14 * w.p23
-        scale = 1.0 + la.bivector_euclid_norm(w) ** 2
+        scale = 1.0 + la.euclid_norm(w) ** 2
         assert abs(res) / scale < 1e-12
 
     @given(a=vectors, b=vectors, c=vectors, d=vectors)
@@ -120,7 +120,7 @@ class TestBivectorInner:
 
     def test_euclid_norm(self):
         b = la.Bivector(3.0, 0.0, 0.0, 4.0, 0.0, 0.0)
-        assert la.bivector_euclid_norm(b) == pytest.approx(5.0)
+        assert la.euclid_norm(b) == pytest.approx(5.0)
 
 
 class TestHodgeDual:
@@ -252,10 +252,10 @@ class TestNormalFrame:
         assert defect / scale < 1e-13
         w = la.wedge(e3, e4)
         nu = la.hodge_dual(la.wedge(e1, e2))
-        assert la.bivector_euclid_norm(w - nu) / scale < 1e-13
+        assert la.euclid_norm(w - nu) / scale < 1e-13
         # <nu, nu> = -1 makes |nu|_E >= 1, so -nu would sit at distance >= 2
         opposite = w + la.dual_unit_normal_bivector(t1, t2)
-        assert la.bivector_euclid_norm(opposite) > 1.0
+        assert la.euclid_norm(opposite) > 1.0
 
     def test_deterministic(self):
         t1 = la.AmbientVector(0.5, 2.0, 0.1, 0.0)

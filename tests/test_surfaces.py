@@ -79,11 +79,11 @@ class TestEvaluateImmersion:
         spec = sf.catalog_lookup("plane")
         xj = sf.evaluate_immersion(spec, 1.0, 2.0, 3)
         assert [c.value() for c in xj] == [0.0, 1.0, 2.0, 0.0]
-        assert [jt.partial(c, 1, 0) for c in xj] == [0.0, 1.0, 0.0, 0.0]
-        assert [jt.partial(c, 0, 1) for c in xj] == [0.0, 0.0, 1.0, 0.0]
+        assert [c.partial(1, 0) for c in xj] == [0.0, 1.0, 0.0, 0.0]
+        assert [c.partial(0, 1) for c in xj] == [0.0, 0.0, 1.0, 0.0]
         for c in xj:
             for i, j in [(2, 0), (1, 1), (0, 2), (3, 0), (0, 3)]:
-                assert jt.partial(c, i, j) == 0.0
+                assert c.partial(i, j) == 0.0
 
     def test_example52_value_oracle(self):
         spec = sf.catalog_lookup("example52")
@@ -107,7 +107,7 @@ class TestEvaluateImmersion:
                     return ex.eval_float(_c, u, v, spec.params)
                 for i, j in [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]:
                     want = jt.fd_partial(value, u0, v0, i, j, step=1e-4)
-                    got = jt.partial(xj[ci], i, j)
+                    got = xj[ci].partial(i, j)
                     assert got == pytest.approx(want, rel=1e-6, abs=1e-5), (
                         f"{name} component {ci + 1} partial {(i, j)} at {(u0, v0)}")
 
