@@ -259,8 +259,12 @@ class _Parser:
     def _atom(self) -> Expr:
         tok = self._cur
         if tok.kind == "number":
+            value = float(tok.text)
+            if not math.isfinite(value):
+                raise ParseError(f"number {tok.text!r} is too large",
+                                 tok.line, tok.column)
             self._advance()
-            return Const(float(tok.text))
+            return Const(value)
         if tok.kind == "(":
             self._advance()
             e = self._expr()

@@ -7,6 +7,12 @@ JSON or CSV.  Reports are deterministic: identical bytes for the same
 config and build, independent of how the grid is split into blocks, with
 floats written via repr so a JSON round trip preserves every bit.
 
+The JSON ``points`` block is written by a writer compiled from the
+``PointRecord`` fields: one ``%``-template per record layout, filled
+column by column, with bytes equal to what ``json.dumps(indent=2,
+allow_nan=True)`` writes for the records' dicts.  The rest of a payload
+goes through ``json.dumps`` itself.
+
 Every report embeds the sign conventions; the numbers are meaningless
 without them.
 """
@@ -15,14 +21,17 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import io
 import json
 import statistics
+import typing
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from . import surfaces as sf
-from .gaussmap import (PointRecord, TheoremVerdict, _constancy,
+from .gaussmap import (BLOCK_POINTS, PointRecord, TheoremVerdict, _constancy,
                        evaluate_grid, theorem_verdict_from_records)
 from .geometry import DEFAULT_TOLERANCES, Tolerances
 from .expr import serialize_expression
@@ -252,20 +261,157 @@ def _csv_text(header: Sequence[str], rows) -> str:
     return buf.getvalue()
 
 
+@functools.cache
+def _field_kinds() -> dict[str, str]:
+    """The kind of each PointRecord field, from its type hint: "float";
+    "floats", a tuple of floats as long as its default; "strings", a
+    tuple of str (the labels); or "value", a field that holds None, a
+    bool, a str or a float."""
+    kinds = {}
+    for name, hint in typing.get_type_hints(PointRecord).items():
+        item = (typing.get_args(hint)[:1]
+                if typing.get_origin(hint) is tuple else None)
+        kinds[name] = ("float" if hint is float else
+                       "floats" if item == (float,) else
+                       "strings" if item == (str,) else "value")
+    return kinds
+
+
+def _blocks(records: Sequence[PointRecord]):
+    """The records in blocks of ``BLOCK_POINTS``: the writers encode one
+    block's columns at a time, which bounds the memory they hold."""
+    for start in range(0, len(records), BLOCK_POINTS):
+        yield records[start:start + BLOCK_POINTS]
+
+
+def _column(records: Sequence[PointRecord], name: str) -> list:
+    return [getattr(rec, name) for rec in records]
+
+
+def _components(records: Sequence[PointRecord], name: str) -> list:
+    """One column per component of a tuple field."""
+    return list(zip(*_column(records, name), strict=True))
+
+
+def _float_texts(values) -> list[str]:
+    """``float.__repr__`` of each value: the text of a float in both the
+    CSV and the JSON reports (JSON then renames the non-finite ones)."""
+    return list(map(float.__repr__, values))
+
+
+def _csv_cells(values) -> list[str]:
+    return list(map(_csv_cell, values))
+
+
 def _records_csv(records: Sequence[PointRecord], scalars: Sequence[str],
                  tuples=()) -> str:
     """One row per record: the scalar fields, the tuple fields expanded
     one column per component, and the labels joined by ';'."""
     header = [*scalars, *(col for _, cols in tuples for col in cols), "labels"]
-    rows = ([*(_csv_cell(getattr(rec, name)) for name in scalars),
-             *(_csv_cell(x) for name, _ in tuples for x in getattr(rec, name)),
-             ";".join(rec.labels)]
-            for rec in records)
-    return _csv_text(header, rows)
+    kinds = _field_kinds()
+
+    def columns(block):
+        cols = [(_float_texts if kinds[name] == "float" else _csv_cells)(
+                    _column(block, name)) for name in scalars]
+        for name, _ in tuples:
+            cols.extend(map(_float_texts, _components(block, name)))
+        cols.append([";".join(rec.labels) for rec in block])
+        return cols
+
+    return _csv_text(header, (row for block in _blocks(records)
+                              for row in zip(*columns(block))))
+
+
+class _JSONText(str):
+    """JSON text that ``_to_json`` writes as it is."""
+
+
+def _json_floats(values) -> list[str]:
+    """JSON text of floats: ``float.__repr__``, and NaN/Infinity/-Infinity
+    for the non-finite ones, as ``allow_nan=True`` writes them."""
+    texts = _float_texts(values)
+    nonfinite = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+    return list(map(nonfinite.get, texts, texts))
+
+
+def _json_value(value) -> str:
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    return _json_floats((value,))[0]
+
+
+def _json_strings(strings: Sequence[str]) -> str:
+    if not strings:
+        return "[]"
+    items = ",\n        ".join(map(encode_basestring_ascii, strings))
+    return f"[\n        {items}\n      ]"
+
+
+@functools.cache
+def _record_template(names: tuple[str, ...]) -> str:
+    """%-template of one element of the ``points`` list, at its depth in
+    a payload, for a record restricted to the PointRecord fields
+    ``names``: one ``%s`` per component of a "floats" field and one per
+    other field."""
+    kinds = _field_kinds()
+    defaults = {f.name: f.default for f in dataclasses.fields(PointRecord)}
+    members = []
+    for name in names:
+        key = encode_basestring_ascii(name)
+        if kinds[name] != "floats":
+            members.append(f"      {key}: %s")
+        elif defaults[name]:
+            slots = ",\n".join(["        %s"] * len(defaults[name]))
+            members.append(f"      {key}: [\n{slots}\n      ]")
+        else:
+            members.append(f"      {key}: []")
+    return "    {\n" + ",\n".join(members) + "\n    }"
+
+
+def _points_json(records: Sequence[PointRecord],
+                 names: tuple[str, ...]) -> _JSONText:
+    """The ``points`` list of a payload, holding the fields ``names`` of
+    each record: a block's columns are encoded at once, then each record
+    is one ``template % values``."""
+    if not records:
+        return _JSONText("[]")
+    kinds, template = _field_kinds(), _record_template(names)
+    texts = []
+    for block in _blocks(records):
+        columns = []
+        for name in names:
+            if kinds[name] == "floats":
+                columns.extend(map(_json_floats, _components(block, name)))
+            elif kinds[name] == "float":
+                columns.append(_json_floats(_column(block, name)))
+            elif kinds[name] == "strings":
+                columns.append(list(map(_json_strings, _column(block, name))))
+            else:
+                columns.append(list(map(_json_value, _column(block, name))))
+        texts.extend(map(template.__mod__, zip(*columns)))
+    return _JSONText("[\n" + ",\n".join(texts) + "\n  ]")
 
 
 def _to_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, allow_nan=True) + "\n"
+    """``json.dumps(payload, indent=2, allow_nan=True) + "\\n"``: each
+    value but a ``_JSONText`` is written by ``json.dumps`` and indented
+    by two more spaces, which is safe since JSON text holds no raw
+    newline inside a string."""
+    parts = []
+    for key, value in payload.items():
+        if not isinstance(value, _JSONText):
+            value = json.dumps(value, indent=2, allow_nan=True)
+            value = value.replace("\n", "\n  ")
+        parts += (",\n  " if parts else "{\n  ",
+                  encode_basestring_ascii(key), ": ", value)
+    parts.append("\n}\n")
+    return "".join(parts)
 
 
 def _verdict_block(verdict: TheoremVerdict) -> dict:
@@ -299,20 +445,16 @@ def _analysis_result(cfg: RunConfig, include_labels_only: bool) -> RunResult:
             text = _records_csv(records, _CSV_SCALARS, _CSV_TUPLES)
         return RunResult(text=text, exit_code=exit_code)
     if include_labels_only:
-        points = [{"u": r.u, "v": r.v, "ok": r.ok,
-                   "skip_reason": r.skip_reason, "labels": list(r.labels)}
-                  for r in records]
+        names = (*_LABEL_COLUMNS, "labels")
     else:
-        # PointRecord holds no nested dataclasses, so its instance dict
-        # (in field order) is what dataclasses.asdict would build.
-        points = [dict(vars(r)) for r in records]
+        names = tuple(f.name for f in dataclasses.fields(PointRecord))
     payload = {
         "schema": SCHEMA_VERSION,
         "command": cfg.command,
         "conventions": CONVENTIONS,
         "surface": _surface_block(spec, source),
         "grid": _grid_block(cfg),
-        "points": points,
+        "points": _points_json(records, names),
         "summary": summary,
     }
     return RunResult(text=_to_json(payload), exit_code=exit_code)

@@ -20,6 +20,7 @@ comment.  Serialization emits the same format and round-trips exactly.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Union
@@ -59,6 +60,9 @@ class Domain:
     v_max: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, self.as_tuple())):
+            raise ValueError(
+                f"domain bounds must be finite, got {self.as_tuple()}")
         if not (self.u_min < self.u_max and self.v_min < self.v_max):
             raise ValueError(f"empty domain {self!r}")
 
@@ -89,14 +93,21 @@ class SurfaceSpec:
         if len(self.components) != 4:
             raise ValueError("an immersion needs exactly 4 components")
         allowed = {"u", "v", *self.params}
-        for pname in self.params:
+        for pname, value in self.params.items():
             if pname in ("u", "v") or pname in ex.FUNCTION_NAMES:
                 raise ValueError(f"reserved parameter name {pname!r}")
+            _require_finite(pname, value)
         for k, comp in enumerate(self.components, start=1):
             loose = ex.free_identifiers(comp) - allowed
             if loose:
                 raise ex.UnknownIdentifier(
                     f"x{k} references undeclared identifiers {sorted(loose)}", 0, 0)
+
+
+def _require_finite(pname: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"parameter {pname!r} must be finite, got {value!r}")
+    return value
 
 
 # -- text format ----------------------------------------------------------
@@ -107,9 +118,12 @@ _DOMAIN_RE = re.compile(
 
 def _float_or_error(text: str, what: str, line: int, col: int) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ParseError(f"{what}: not a number: {text!r}", line, col) from None
+    if not math.isfinite(value):
+        raise ParseError(f"{what}: not finite: {text!r}", line, col)
+    return value
 
 
 def parse_surface(text: str) -> SurfaceSpec:
@@ -167,8 +181,8 @@ def parse_surface(text: str) -> SurfaceSpec:
                     for g in m.groups()]
             try:
                 domain = Domain(*nums)
-            except ValueError:
-                raise ParseError(f"empty domain {value!r}", line_no, value_col) from None
+            except ValueError as err:
+                raise ParseError(str(err), line_no, value_col) from None
         elif key == "tags":
             tags = frozenset(t.strip() for t in value.split(",") if t.strip())
         elif key == "notes":
@@ -356,7 +370,7 @@ def catalog_lookup(name: str,
         if isinstance(raw, str):
             ast = parse_expression(raw, frozenset())
         elif isinstance(raw, (int, float)):
-            ast = ex.Const(float(raw))
+            ast = ex.Const(_require_finite(pname, float(raw)))
         else:
             ast = raw
         loose = ex.free_identifiers(ast) - {"u", "v"}

@@ -297,6 +297,14 @@ class TestUsageErrors:
          "--tol", "inf"],
         ["verify", "T4.4", "--catalog", "example52", "--grid", "3x3",
          "--tol", "0"],
+        ["analyze", "--catalog", "plane", "--grid", "2x2",
+         "--domain", "0,inf,0,1"],
+        ["verify", "T4.4", "--catalog", "s31-flat", "--param", "r=nan",
+         "--grid", "2x2"],
+        ["analyze", "--catalog", "graph", "--param", "phi=inf",
+         "--grid", "2x2"],
+        ["analyze", "--catalog", "graph", "--param", "phi=1e400*u",
+         "--grid", "2x2"],
     ])
     def test_exit_2_with_stderr_message(self, argv, capsys):
         code, out, err = run(argv, capsys)
@@ -319,6 +327,20 @@ class TestUsageErrors:
         code, _, err = run(
             ["analyze", "--surface-file", str(tmp_path / "absent.surf")], capsys)
         assert code == 2 and "error:" in err
+
+    @pytest.mark.parametrize("text, extra", [
+        ("param a = 1; x1 = a*u; x2 = u; x3 = v; x4 = 0", ["--param", "a=-inf"]),
+        ("param a = nan; x1 = a*u; x2 = u; x3 = v; x4 = 0", []),
+        ("domain = [0,inf]x[0,1]; x1 = u; x2 = u; x3 = v; x4 = 0", []),
+    ], ids=["merged-param", "file-param", "file-domain"])
+    def test_non_finite_surface_file_input(self, tmp_path, capsys, text,
+                                           extra):
+        f = tmp_path / "s.surf"
+        f.write_text(text + "\n")
+        code, out, err = run(
+            ["analyze", "--surface-file", str(f), "--grid", "2x2", *extra],
+            capsys)
+        assert code == 2 and out == "" and "finite" in err
 
     def test_bad_surface_text(self, tmp_path, capsys):
         f = tmp_path / "bad.surf"

@@ -60,6 +60,7 @@ class TestParseErrors:
         ("2 ^ 3 ^ 2", 7),
         ("u^(2)", 2),
         ("u^1.5", 2),
+        ("u + 1e400", 5),
     ])
     def test_parse_error_position(self, text, col):
         with pytest.raises(ex.ParseError) as info:

@@ -1,0 +1,152 @@
+"""The JSON records writer against the stdlib encoder.
+
+``report`` writes the ``points`` block of analyze and classify reports
+from a template compiled from the ``PointRecord`` fields.  The oracle
+here is ``json.dumps(payload, indent=2, allow_nan=True) + "\\n"`` on
+``dataclasses.asdict`` payloads, which shares no code with that writer.
+The CLI rejects non-finite input, so these tests are the only ones that
+put NaN and infinities into a report.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+import math
+import typing
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from minksurf import report
+from minksurf.gaussmap import PointRecord
+
+ANALYZE = tuple(f.name for f in dataclasses.fields(PointRecord))
+CLASSIFY = ("u", "v", "ok", "skip_reason", "labels")
+
+SPECIAL = (-0.0, 5e-324, 1e16, 1e-5, math.nan, math.inf, -math.inf)
+FINITE_SPECIAL = tuple(x for x in SPECIAL if math.isfinite(x))
+
+# An envelope like a report's, around the records.
+HEAD = {"schema": 2, "command": "analyze", "conventions": report.CONVENTIONS,
+        "surface": {"name": "s", "params": {"a": 1.5}, "domain": [0, 1.0]},
+        "grid": {"nu": 2, "nv": 2}}
+TAIL = {"summary": {"points_total": 3, "lemma42_max": None,
+                    "skip_reasons": [], "K_gauss": {"mean": math.nan}}}
+
+
+def oracle(records, names) -> str:
+    points = []
+    for rec in records:
+        fields = dataclasses.asdict(rec)
+        points.append({name: fields[name] for name in names})
+    payload = {**HEAD, "points": points, **TAIL}
+    return json.dumps(payload, indent=2, allow_nan=True) + "\n"
+
+
+def written(records, names) -> str:
+    return report._to_json(
+        {**HEAD, "points": report._points_json(records, names), **TAIL})
+
+
+def assert_floats_round_trip(text, records, names):
+    """json.loads gives back every finite float bit for bit (so -0.0
+    stays -0.0) and every non-finite one as itself."""
+    for rec, point in zip(records, json.loads(text)["points"], strict=True):
+        for name in names:
+            value = getattr(rec, name)
+            if isinstance(value, float):
+                value, back = (value,), (point[name],)
+            elif (isinstance(value, tuple) and value
+                  and isinstance(value[0], float)):
+                back = tuple(point[name])
+            else:
+                continue
+            for x, y in zip(value, back, strict=True):
+                if math.isnan(x):
+                    assert math.isnan(y)
+                else:
+                    assert x.hex() == y.hex()
+
+
+def special_records() -> list[PointRecord]:
+    live = [PointRecord(u=x, v=-x, ok=True, H_causal="spacelike",
+                        K=(x, 0.0, x), nu=(x,) * 6, lemma42=x,
+                        bilaplacian_norm=x, labels=("HARMONIC", "MAXIMAL"))
+            for x in FINITE_SPECIAL]
+    skipped = [PointRecord(u=x, v=x, ok=False, skip_reason="overflow",
+                           K=(x, 1.0, x), lemma42=x, bilaplacian_norm=-x)
+               for x in SPECIAL]
+    text = "quote\" back\\ é\n"
+    return [PointRecord(u=0.5, v=0.25, ok=False, skip_reason="degenerate"),
+            PointRecord(u=0.5, v=0.5, ok=False, skip_reason=text),
+            PointRecord(u=1.0, v=2.0, ok=True, H_causal=text, labels=(text,)),
+            *live, *skipped]
+
+
+@pytest.mark.parametrize("names", [ANALYZE, CLASSIFY],
+                         ids=["analyze", "classify"])
+class TestAgainstStdlib:
+    def test_special_records(self, names):
+        records = special_records()
+        text = written(records, names)
+        assert text == oracle(records, names)
+        assert_floats_round_trip(text, records, names)
+
+    def test_skipped_record_is_zero_filled(self, names):
+        records = [PointRecord(u=0.1, v=0.2, ok=False, skip_reason="singular")]
+        assert records[0].lemma42 is None and records[0].labels == ()
+        assert written(records, names) == oracle(records, names)
+
+    def test_empty_record_list(self, names):
+        assert written([], names) == oracle([], names)
+        assert '"points": [],' in written([], names)
+
+    def test_report_run(self, names, monkeypatch):
+        """A whole report through ``report.run``, with crafted records;
+        summarize needs finite values on the points it evaluates, so the
+        non-finite ones sit on skipped points."""
+        records = special_records()
+        monkeypatch.setattr(report, "evaluate_records",
+                            lambda spec, cfg: records)
+        command = "analyze" if names == ANALYZE else "classify"
+        text = report.run(report.RunConfig(command=command, catalog="plane",
+                                           grid=(2, 2))).text
+        payload = json.loads(text)
+        payload["points"] = json.loads(oracle(records, names))["points"]
+        assert text == json.dumps(payload, indent=2, allow_nan=True) + "\n"
+        assert_floats_round_trip(text, records, names)
+
+
+def _field_strategy(name: str, hint, default):
+    floats = st.floats(allow_nan=True, allow_infinity=True)
+    if hint is float:
+        return floats
+    if hint is bool:
+        return st.booleans()
+    if hint is str:
+        return st.text(max_size=8)
+    if hint == typing.Optional[float]:
+        return st.none() | floats
+    if hint == typing.Optional[str]:
+        return st.none() | st.text(max_size=8)
+    if name == "labels":
+        return st.lists(st.text(max_size=8), max_size=3).map(tuple)
+    return st.tuples(*[floats] * len(default))
+
+
+def _record_strategy():
+    hints = typing.get_type_hints(PointRecord)
+    return st.builds(PointRecord, **{
+        f.name: _field_strategy(f.name, hints[f.name], f.default)
+        for f in dataclasses.fields(PointRecord)})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_record_strategy(), max_size=4))
+def test_schema_conformant_records(records):
+    for names in (ANALYZE, CLASSIFY):
+        text = written(records, names)
+        assert text == oracle(records, names)
+        assert_floats_round_trip(text, records, names)
