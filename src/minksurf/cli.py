@@ -138,15 +138,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         cfg = _config_from_args(args)
         result = rp.run(cfg)
+        if cfg.out:
+            with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(result.text)
     except (ex.ParseError, sf.UnknownSurface, sf.MissingParameter,
             jt.UnsupportedOrder, gm.UnknownTheorem, ValueError,
             OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(result.text)
-    else:
+    if not cfg.out:
         sys.stdout.write(result.text)
     return result.exit_code
 

@@ -393,7 +393,8 @@ def _jet_or_float(jet_fn, float_fn):
     return apply
 
 
-_FLOAT_FNS = {UnaryFn(name): getattr(math, name) for name in FUNCTION_NAMES}
+_FLOAT_FNS = {**{UnaryFn(name): getattr(math, name) for name in FUNCTION_NAMES},
+              UnaryFn.SIN: jets.float_sin, UnaryFn.COS: jets.float_cos}
 
 _JET_FNS = {fn: _jet_or_float(getattr(jets, fn.value), float_fn)
             for fn, float_fn in _FLOAT_FNS.items()}

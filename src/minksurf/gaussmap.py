@@ -44,13 +44,11 @@ __all__ = [
     "PointRecord",
     "TheoremVerdict",
     "laplacian_gauss_formula",
-    "route_agreement",
     "first_kind_residuals",
     "lemma42_residual",
     "evaluate_batch",
     "evaluate_point",
     "evaluate_grid",
-    "theorem_verdict",
     "theorem_verdict_from_records",
     "theorem_ids",
     "TERM_NAMES",
@@ -98,15 +96,6 @@ class GaussLaplacianDecomposition:
     residual_first_kind: float
     residual_harmonic: float
     residual_route: float
-
-    def term(self, name: str) -> Bivector:
-        return {
-            "nu": self.term_nu,
-            "normal_curvature": self.term_normal_curvature,
-            "grad_trace3": self.term_grad_trace3,
-            "grad_trace4": self.term_grad_trace4,
-            "rotation": self.term_rotation,
-        }[name]
 
 
 def _laplacian_bivector(pg: PointGeometry) -> Bivector:
@@ -436,18 +425,6 @@ def evaluate_grid(spec: SurfaceSpec, grid: tuple[int, int] = (7, 7),
                                       order, tol)]
 
 
-def route_agreement(spec: SurfaceSpec, grid: tuple[int, int] = (7, 7),
-                    order: int = 3, tol: Tolerances = DEFAULT_TOLERANCES
-                    ) -> float:
-    """Max over the grid of the normalized distance between the two
-    Laplacian routes; the package's strongest end-to-end oracle."""
-    worst = 0.0
-    for rec in evaluate_grid(spec, grid, order, tol):
-        if rec.ok:
-            worst = max(worst, rec.residual_route)
-    return worst
-
-
 # -- theorem verdicts -----------------------------------------------------
 
 @dataclass(frozen=True)
@@ -678,34 +655,17 @@ def theorem_verdict_from_records(theorem_id: str,
     if not live:
         empty = SideResult("not evaluated (no usable points)", False,
                            math.inf)
-        return TheoremVerdict(
-            theorem_id=theorem_id, surface=surface_name,
-            statement=entry.statement, premise="no usable sample points",
-            premise_met=False, vacuous=True, side_a=empty, side_b=empty,
-            consistent=True, tolerance=tau, points=0, skipped=skipped,
-            notes=notes)
-    met, premise_text = entry.premise(live, tau, rel)
-    side_a = entry.side_a(live, tau, rel)
-    side_b = entry.side_b(live, tau, rel)
-    if not met:
-        # Premise fails: the statement says nothing here, so the sample
-        # cannot contradict it.
-        return TheoremVerdict(
-            theorem_id=theorem_id, surface=surface_name,
-            statement=entry.statement, premise=premise_text,
-            premise_met=False, vacuous=True, side_a=side_a, side_b=side_b,
-            consistent=True, tolerance=tau, points=len(live),
-            skipped=skipped, notes=notes)
+        met, premise_text, side_a, side_b = (
+            False, "no usable sample points", empty, empty)
+    else:
+        met, premise_text = entry.premise(live, tau, rel)
+        side_a = entry.side_a(live, tau, rel)
+        side_b = entry.side_b(live, tau, rel)
+    # A failed premise makes the statement say nothing here, so the
+    # sample cannot contradict it.
     return TheoremVerdict(
         theorem_id=theorem_id, surface=surface_name,
-        statement=entry.statement, premise=premise_text, premise_met=True,
-        vacuous=False, side_a=side_a, side_b=side_b,
-        consistent=side_a.passes == side_b.passes, tolerance=tau,
-        points=len(live), skipped=skipped, notes=notes)
-
-
-def theorem_verdict(theorem_id: str, spec: SurfaceSpec,
-                    grid: tuple[int, int] = (7, 7), order: int = 3,
-                    tol: Tolerances = DEFAULT_TOLERANCES) -> TheoremVerdict:
-    records = evaluate_grid(spec, grid, order, tol)
-    return theorem_verdict_from_records(theorem_id, records, spec.name, tol)
+        statement=entry.statement, premise=premise_text, premise_met=met,
+        vacuous=not met, side_a=side_a, side_b=side_b,
+        consistent=not met or side_a.passes == side_b.passes,
+        tolerance=tau, points=len(live), skipped=skipped, notes=notes)

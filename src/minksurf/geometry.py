@@ -563,9 +563,7 @@ class PointGeometry:
         scale = tau * (1.0 + np.maximum.reduce([abs(val) for val in p.values()]))
         hn = tau * (1.0 + norm_H)
         zero = AmbientVector(0.0, 0.0, 0.0, 0.0)
-        xv = self.x_values
-        q = la.minkowski_inner(xv, xv)
-        on_cone = abs(q) <= self.tol.causal * (1.0 + la.euclid_sq(xv))
+        x_causal = causal_character(self.x_values, self.tol.causal)
         return {
             "MAXIMAL": norm_H <= tau,
             "MARGINALLY-TRAPPED": self.H_causal == CausalClass.LIGHTLIKE,
@@ -577,9 +575,11 @@ class PointGeometry:
             "TOTALLY-UMBILICAL": np.logical_and.reduce([
                 la.euclid_norm(hv[(i, j)] - (H if i == j else zero)) <= hn
                 for i in (1, 2) for j in (1, 2)]),
-            "IN-LIGHTCONE": on_cone,
-            "IN-S31": ~on_cone & (q > 0),
-            "IN-H3": ~on_cone & ~(q > 0) & (xv.c0 > 0),
+            "IN-LIGHTCONE": ((x_causal == CausalClass.ZERO)
+                             | (x_causal == CausalClass.LIGHTLIKE)),
+            "IN-S31": x_causal == CausalClass.SPACELIKE,
+            "IN-H3": ((x_causal == CausalClass.TIMELIKE)
+                      & (self.x_values.c0 > 0)),
         }
 
     def classify(self):

@@ -18,10 +18,6 @@ starting from 0.0, the transcendental base values come from ``math`` one
 point at a time, and integer powers of base values use
 ``np.float_power``, which calls the C library ``pow`` just as Python's
 float ``**`` does.
-
-A small central finite-difference evaluator ships alongside.  It is the
-independent oracle used by the cross-check test suites and is never on
-the main computation path.
 """
 
 from __future__ import annotations
@@ -41,7 +37,6 @@ __all__ = [
     "DomainError",
     "DivisionByZeroValue",
     "jet_variable",
-    "fd_partial",
     "SUPPORTED_ORDERS",
 ]
 
@@ -376,15 +371,24 @@ def exp(a: Jet) -> Jet:
     return _compose(series, a)
 
 
+def _nan_at_infinity(fn: Callable[[float], float]) -> Callable[[float], float]:
+    # math.sin and math.cos raise ValueError at +-inf; NaN there makes an
+    # overflowed argument a non-finite value like any other overflow
+    return lambda t: fn(t) if math.isfinite(t) else math.nan
+
+
+float_sin, float_cos = _nan_at_infinity(math.sin), _nan_at_infinity(math.cos)
+
+
 def sin(a: Jet) -> Jet:
-    s0, c0 = _pointwise(math.sin, a.value()), _pointwise(math.cos, a.value())
+    s0, c0 = _pointwise(float_sin, a.value()), _pointwise(float_cos, a.value())
     cycle = (s0, c0, -s0, -c0)
     series = [cycle[m % 4] / math.factorial(m) for m in range(a.order + 1)]
     return _compose(series, a)
 
 
 def cos(a: Jet) -> Jet:
-    s0, c0 = _pointwise(math.sin, a.value()), _pointwise(math.cos, a.value())
+    s0, c0 = _pointwise(float_sin, a.value()), _pointwise(float_cos, a.value())
     cycle = (c0, -s0, -c0, s0)
     series = [cycle[m % 4] / math.factorial(m) for m in range(a.order + 1)]
     return _compose(series, a)
@@ -412,39 +416,3 @@ def jet_variable(which: str, value: Scalar, k: int) -> Jet:
         raise UnsupportedOrder(f"order must be one of {SUPPORTED_ORDERS}, got {k}")
     return Jet.variable(which, value, k)
 
-
-# -- finite-difference oracle ------------------------------------------
-
-_CENTRAL_STENCILS: dict[int, tuple[tuple[int, float], ...]] = {
-    0: ((0, 1.0),),
-    1: ((-1, -0.5), (1, 0.5)),
-    2: ((-1, 1.0), (0, -2.0), (1, 1.0)),
-    3: ((-2, -0.5), (-1, 1.0), (1, -1.0), (2, 0.5)),
-}
-
-
-def _fd_once(fn: Callable[[float, float], float], u: float, v: float,
-             i: int, j: int, h: float) -> float:
-    acc = 0.0
-    for du, wu in _CENTRAL_STENCILS[i]:
-        for dv, wv in _CENTRAL_STENCILS[j]:
-            acc += wu * wv * fn(u + du * h, v + dv * h)
-    return acc / h ** (i + j)
-
-
-def fd_partial(fn: Callable[[float, float], float], u: float, v: float,
-               i: int, j: int, step: float = 1e-4, richardson: bool = True) -> float:
-    """Central-difference estimate of d^{i+j} fn / du^i dv^j at (u, v).
-
-    Second-order central stencils, tensored over the two directions,
-    with one optional Richardson step (cancels the leading h^2 error).
-    Test-suite oracle only; roundoff grows quickly with i + j, so use a
-    coarser step for third derivatives.
-    """
-    if i < 0 or j < 0 or i > 3 or j > 3:
-        raise ValueError("fd_partial supports derivative orders 0..3 per axis")
-    d_h = _fd_once(fn, u, v, i, j, step)
-    if not richardson:
-        return d_h
-    d_h2 = _fd_once(fn, u, v, i, j, step / 2.0)
-    return (4.0 * d_h2 - d_h) / 3.0

@@ -33,15 +33,10 @@ __all__ = [
     "bivector_inner",
     "hodge_dual",
     "contract",
-    "dual_unit_normal_bivector",
     "normal_frame",
-    "orthonormal_normal_frame",
     "causal_character",
     "euclid_norm",
-    "DEFAULT_CAUSAL_TOL",
 ]
-
-DEFAULT_CAUSAL_TOL = 1e-9
 
 # Signs of the induced inner product on the bivector basis
 # (12, 13, 14, 23, 24, 34): a factor f1 makes the square negative.
@@ -173,7 +168,7 @@ _CAUSAL_CLASSES = (CausalClass.ZERO, CausalClass.LIGHTLIKE,
                    CausalClass.SPACELIKE, CausalClass.TIMELIKE)
 
 
-def causal_character(v: AmbientVector, tol: float = DEFAULT_CAUSAL_TOL):
+def causal_character(v: AmbientVector, tol: float):
     """Scale-aware causal classification of a (possibly inexact) vector.
 
     A CausalClass for float components; for per-point arrays, an object
@@ -205,30 +200,6 @@ def contract(x: AmbientVector, b: Bivector) -> AmbientVector:
     )
 
 
-def _require_spacelike(t1: AmbientVector, t2: AmbientVector, tol: float):
-    # returns the tangent Gram determinant and g11
-    g11 = minkowski_inner(t1, t1)
-    g12 = minkowski_inner(t1, t2)
-    det = g11 * minkowski_inner(t2, t2) - g12 * g12
-    if det <= tol or g11 <= 0.0:
-        raise DegeneratePlane(
-            f"tangent Gram determinant {det!r} (g11={g11!r}) is not positive")
-    return det, g11
-
-
-def dual_unit_normal_bivector(t1: AmbientVector, t2: AmbientVector,
-                              tol: float = DEFAULT_CAUSAL_TOL) -> Bivector:
-    """Unit bivector of the normal plane of a space-like tangent plane.
-
-    Computed gauge-free as the normalized star-dual of t1 ^ t2.  The
-    result nu is decomposable, satisfies <nu, nu> = -1, annihilates the
-    tangent plane, and is oriented so that the adapted frame
-    (e1, e2, e3, e4) with e3 ^ e4 = nu has positive determinant.
-    """
-    det, _ = _require_spacelike(t1, t2, tol)
-    return hodge_dual(wedge(t1, t2)).scaled(1.0 / math.sqrt(det))
-
-
 def normal_frame(e1: AmbientVector, e2: AmbientVector, sqrt=math.sqrt,
                  ) -> tuple[AmbientVector, AmbientVector, Bivector]:
     """(e3, e4, nu) for an orthonormal space-like tangent pair (e1, e2).
@@ -247,17 +218,3 @@ def normal_frame(e1: AmbientVector, e2: AmbientVector, sqrt=math.sqrt,
     nu = hodge_dual(wedge(e1, e2))
     return contract(e4, nu), e4, nu
 
-
-def orthonormal_normal_frame(t1: AmbientVector, t2: AmbientVector,
-                             tol: float = DEFAULT_CAUSAL_TOL,
-                             ) -> tuple[AmbientVector, AmbientVector]:
-    """An orthonormal basis (e3 space-like, e4 time-like) of the normal
-    plane of a space-like tangent plane, with e3 ^ e4 equal to the dual
-    unit normal bivector.
-    """
-    _, g11 = _require_spacelike(t1, t2, tol)
-    e1 = t1.scaled(1.0 / math.sqrt(g11))
-    r = t2 - e1.scaled(minkowski_inner(t2, e1))
-    e2 = r.scaled(1.0 / math.sqrt(minkowski_inner(r, r)))
-    e3, e4, _ = normal_frame(e1, e2)
-    return e3, e4

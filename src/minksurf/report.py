@@ -44,8 +44,6 @@ __all__ = [
     "resolve_surface",
     "evaluate_records",
     "summarize",
-    "run_analyze",
-    "run_classify",
     "run_verify",
     "run_catalog",
     "run",
@@ -97,6 +95,9 @@ class RunConfig:
             raise ValueError("jet order must be 3 or 4")
         if self.fmt not in ("json", "csv"):
             raise ValueError(f"unknown format {self.fmt!r}")
+        if self.command == "verify" and self.fmt == "csv":
+            raise ValueError("verify writes JSON only; --format csv is not "
+                             "supported")
 
 
 @dataclass(frozen=True)
@@ -432,19 +433,21 @@ def _verdict_block(verdict: TheoremVerdict) -> dict:
     }
 
 
-def _analysis_result(cfg: RunConfig, include_labels_only: bool) -> RunResult:
+def _analysis_result(cfg: RunConfig) -> RunResult:
+    # analyze writes every record field, classify only the labels
+    labels_only = cfg.command == "classify"
     spec = resolve_surface(cfg)
     source = "catalog" if cfg.catalog is not None else "file"
     records = evaluate_records(spec, cfg)
     summary = summarize(records, cfg.tol)
     exit_code = 3 if summary["points_evaluated"] == 0 else 0
     if cfg.fmt == "csv":
-        if include_labels_only:
+        if labels_only:
             text = _records_csv(records, _LABEL_COLUMNS)
         else:
             text = _records_csv(records, _CSV_SCALARS, _CSV_TUPLES)
         return RunResult(text=text, exit_code=exit_code)
-    if include_labels_only:
+    if labels_only:
         names = (*_LABEL_COLUMNS, "labels")
     else:
         names = tuple(f.name for f in dataclasses.fields(PointRecord))
@@ -458,14 +461,6 @@ def _analysis_result(cfg: RunConfig, include_labels_only: bool) -> RunResult:
         "summary": summary,
     }
     return RunResult(text=_to_json(payload), exit_code=exit_code)
-
-
-def run_analyze(cfg: RunConfig) -> RunResult:
-    return _analysis_result(cfg, include_labels_only=False)
-
-
-def run_classify(cfg: RunConfig) -> RunResult:
-    return _analysis_result(cfg, include_labels_only=True)
 
 
 def run_verify(cfg: RunConfig) -> RunResult:
@@ -527,10 +522,8 @@ def run_catalog(cfg: RunConfig) -> RunResult:
 
 
 def run(cfg: RunConfig) -> RunResult:
-    if cfg.command == "analyze":
-        return run_analyze(cfg)
-    if cfg.command == "classify":
-        return run_classify(cfg)
+    if cfg.command in ("analyze", "classify"):
+        return _analysis_result(cfg)
     if cfg.command == "verify":
         return run_verify(cfg)
     return run_catalog(cfg)

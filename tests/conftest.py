@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from minksurf import gaussmap as gm
 from minksurf import geometry as ge
 from minksurf import surfaces as sf
 
@@ -62,6 +63,13 @@ def grid_geometry(spec: sf.SurfaceSpec, nu: int, nv: int) -> ge.PointGeometry:
     ``gaussmap.BLOCK_POINTS`` points."""
     us, vs = (np.array(c) for c in zip(*sf.cell_centers(spec.domain, nu, nv)))
     return ge.PointGeometry(sf.evaluate_immersion(spec, us, vs, 3), base=(us, vs))
+
+
+def route_agreement(spec: sf.SurfaceSpec, grid: tuple[int, int]) -> float:
+    """Max over the evaluated points of an order-3 grid of the
+    normalized distance between the two Gauss map Laplacian routes."""
+    return max((r.residual_route for r in gm.evaluate_grid(spec, grid)
+                if r.ok), default=0.0)
 
 
 def grid_points(spec: sf.SurfaceSpec, nu: int = 5, nv: int = 5):

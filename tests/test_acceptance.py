@@ -16,7 +16,8 @@ from minksurf import linalg as la
 from minksurf import report
 from minksurf import surfaces as sf
 
-from conftest import CATALOG_CASES, WILD_TEXT, build, grid_geometry
+from conftest import (CATALOG_CASES, WILD_TEXT, build, grid_geometry,
+                      route_agreement)
 
 
 def announce(n: int, ok: bool, detail: str) -> None:
@@ -47,7 +48,7 @@ def test_criterion_1_flat_trapped_example_quantitative():
 
 def test_criterion_2_two_route_identity_on_catalog():
     t0 = time.perf_counter()
-    worst = max(gm.route_agreement(build(name, params), grid=(7, 7))
+    worst = max(route_agreement(build(name, params), grid=(7, 7))
                 for name, params in CATALOG_CASES)
     elapsed = time.perf_counter() - t0
     announce(2, worst <= 1e-6 and elapsed < 10.0,
@@ -96,8 +97,8 @@ def test_criterion_5_negative_controls_and_mutations():
     recs = records("graph", {"phi": "u^3"}, grid=(6, 6))
     controls = (min(r.residual_first_kind for r in recs) > 1e-3
                 and min(r.residual_parallel_H for r in recs) > 1e-3)
-    verdict = gm.theorem_verdict("T4.4", build("graph", {"phi": "u^3"}),
-                                 grid=(6, 6))
+    verdict = gm.theorem_verdict_from_records("T4.4", recs, "graph",
+                                              ge.DEFAULT_TOLERANCES)
     both_fail = (verdict.consistent and not verdict.side_a.passes
                  and not verdict.side_b.passes)
     # catalog members are all flat-normal-bundle, so the harness adds one

@@ -148,6 +148,7 @@ class TestPointFailures:
         ("1/u", "3x3", 0, "singular", 3),
         ("exp(1000*u)", "2x2", 0, "overflow", 2),
         ("log(u-5)", "2x2", 3, "domain-error", 4),
+        ("sin(1e200*u*1e200)", "2x2", 3, "overflow", 4),
     ])
     def test_skip_reason(self, phi, grid, code, reason, skipped, capsys):
         got, out, err = run(["analyze", "--catalog", "graph", "--param",
@@ -305,6 +306,9 @@ class TestUsageErrors:
          "--grid", "2x2"],
         ["analyze", "--catalog", "graph", "--param", "phi=1e400*u",
          "--grid", "2x2"],
+        ["analyze", "--catalog", "plane", "--grid", "2x2", "--out", "/"],
+        ["verify", "T4.4", "--catalog", "plane", "--grid", "2x2",
+         "--format", "csv"],
     ])
     def test_exit_2_with_stderr_message(self, argv, capsys):
         code, out, err = run(argv, capsys)

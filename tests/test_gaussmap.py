@@ -21,7 +21,7 @@ from minksurf import linalg as la
 from minksurf import surfaces as sf
 
 from conftest import (CATALOG_CASES, CATALOG_IDS, build, grid_geometry,
-                      point_geometry)
+                      point_geometry, route_agreement)
 
 HARMONIC_HEIGHTS = ("u*v", "u^2 - v^2", "exp(u)*cos(v)")
 
@@ -29,11 +29,11 @@ HARMONIC_HEIGHTS = ("u*v", "u^2 - v^2", "exp(u)*cos(v)")
 @pytest.mark.parametrize("name,params", CATALOG_CASES, ids=CATALOG_IDS)
 def test_route_agreement_catalog(name, params):
     spec = build(name, params)
-    assert gm.route_agreement(spec, grid=(5, 5)) <= 1e-10
+    assert route_agreement(spec, grid=(5, 5)) <= 1e-10
 
 
 def test_route_agreement_wild(wild_spec):
-    assert gm.route_agreement(wild_spec, grid=(5, 5)) <= 1e-10
+    assert route_agreement(wild_spec, grid=(5, 5)) <= 1e-10
 
 
 class TestDecomposition:
@@ -64,7 +64,7 @@ class TestDecomposition:
         pg = point_geometry(build(name, params), 0.4, -0.3)
         d = gm.laplacian_gauss_formula(pg)
         for t in ("normal_curvature", "grad_trace3", "grad_trace4", "rotation"):
-            assert la.euclid_norm(d.term(t)) <= 1e-12, t
+            assert la.euclid_norm(getattr(d, f"term_{t}")) <= 1e-12, t
 
     @pytest.mark.parametrize("name,params", [
         ("type-i", {"b": 0.5}),
@@ -78,7 +78,7 @@ class TestDecomposition:
         pg = point_geometry(build(name, params), 0.4, -0.3)
         d = gm.laplacian_gauss_formula(pg)
         for t in ("grad_trace3", "grad_trace4", "rotation"):
-            assert la.euclid_norm(d.term(t)) > 0.1, t
+            assert la.euclid_norm(getattr(d, f"term_{t}")) > 0.1, t
         assert d.residual_route <= 1e-12
 
     def test_formula_is_sum_of_terms(self, wild_spec):
@@ -88,7 +88,7 @@ class TestDecomposition:
         fields = ("p12", "p13", "p14", "p23", "p24", "p34")
         for t in gm.TERM_NAMES:
             for k, f in enumerate(fields):
-                total[k] += getattr(d.term(t), f)
+                total[k] += getattr(getattr(d, f"term_{t}"), f)
         for k, f in enumerate(fields):
             assert total[k] == pytest.approx(getattr(d.formula, f), rel=1e-12, abs=1e-12)
 
@@ -109,7 +109,7 @@ class TestMutationSensitivity:
 
     @pytest.mark.parametrize("term", gm.TERM_NAMES)
     def test_each_term_matters(self, wild_spec, term):
-        clean = gm.route_agreement(wild_spec, grid=(5, 5))
+        clean = route_agreement(wild_spec, grid=(5, 5))
         broken = gm.laplacian_gauss_formula(
             grid_geometry(wild_spec, 5, 5), {term: 1.01}).residual_route.max()
         assert clean <= 1e-10

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from minksurf import jets as jt
 
+from oracles import fd_partial
+
 
 def var_pair(u0: float, v0: float, k: int = 3):
     return jt.jet_variable("u", u0, k), jt.jet_variable("v", v0, k)
@@ -58,7 +60,7 @@ class TestFiniteDifferenceOracle:
     @pytest.mark.parametrize("u0,v0", [(0.0, 0.0), (0.3, -0.4), (1.1, 0.7)])
     @pytest.mark.parametrize("i,j", [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)])
     def test_rational_polynomial(self, u0, v0, i, j):
-        want = jt.fd_partial(poly_value, u0, v0, i, j, step=1e-4)
+        want = fd_partial(poly_value, u0, v0, i, j, step=1e-4)
         got = poly_jet(u0, v0).partial(i, j)
         # abs floor sized to second-difference roundoff at this step
         assert got == pytest.approx(want, rel=1e-6, abs=1e-6)
@@ -66,7 +68,7 @@ class TestFiniteDifferenceOracle:
     @pytest.mark.parametrize("i,j", [(3, 0), (2, 1), (1, 2), (0, 3)])
     def test_third_order_partials(self, i, j):
         # third differences lose more bits; a looser step wins back accuracy
-        want = jt.fd_partial(poly_value, 0.3, -0.4, i, j, step=1e-2)
+        want = fd_partial(poly_value, 0.3, -0.4, i, j, step=1e-2)
         got = poly_jet(0.3, -0.4).partial(i, j)
         assert got == pytest.approx(want, rel=1e-5, abs=1e-6)
 
@@ -87,7 +89,7 @@ class TestFiniteDifferenceOracle:
         got = jfn(u + 0.5 * v * v)
         assert got.value() == pytest.approx(value(u0, 0.4), rel=1e-12)
         for i, j in [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]:
-            want = jt.fd_partial(value, u0, 0.4, i, j, step=1e-4)
+            want = fd_partial(value, u0, 0.4, i, j, step=1e-4)
             assert got.partial(i, j) == pytest.approx(want, rel=1e-6, abs=1e-7)
 
 

@@ -10,13 +10,16 @@ from __future__ import annotations
 import pytest
 
 from minksurf import gaussmap as gm
+from minksurf import geometry as ge
 from minksurf import surfaces as sf
 
 from conftest import build
 
 
-def verdict(tid, name, params=None, grid=(5, 5), **kw):
-    return gm.theorem_verdict(tid, build(name, params or {}), grid=grid, **kw)
+def verdict(tid, name, params=None, grid=(5, 5)):
+    spec = build(name, params or {})
+    return gm.theorem_verdict_from_records(
+        tid, gm.evaluate_grid(spec, grid), spec.name, ge.DEFAULT_TOLERANCES)
 
 
 class TestRegistry:
@@ -27,7 +30,7 @@ class TestRegistry:
 
     def test_unknown_id(self):
         with pytest.raises(gm.UnknownTheorem):
-            gm.theorem_verdict("T9.99", build("plane", {}))
+            verdict("T9.99", "plane")
 
     def test_verdict_text_fields(self):
         v = verdict("T4.1", "graph", {"phi": "u*v"})
