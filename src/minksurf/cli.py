@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import re
 import sys
 from typing import Optional
 
@@ -132,9 +133,27 @@ def _config_from_args(args: argparse.Namespace) -> rp.RunConfig:
     )
 
 
+# argparse reads a token that starts with "-" as an option unless it is
+# a plain negative number, so "--domain -1,1,0,1" would lack its value.
+# A bound list after --domain is joined to the flag; an option name after
+# it ("--domain --out x") is still a usage error.
+_BOUNDS = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
+
+def _join_domain(argv: list[str]) -> list[str]:
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] == "--domain" and _BOUNDS.match(token):
+            out[-1] = "--domain=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_domain(sys.argv[1:] if argv is None
+                                          else list(argv)))
     try:
         cfg = _config_from_args(args)
         result = rp.run(cfg)

@@ -99,8 +99,7 @@ class GaussLaplacianDecomposition:
 
 
 def _laplacian_bivector(pg: PointGeometry) -> Bivector:
-    return Bivector(*(pg.laplacian(c).value()
-                      for c in pg.nu_jets.components()))
+    return Bivector.of(pg.laplacian(pg.nu_jets.comps).value())
 
 
 def _directional_value(pg: PointGeometry, f, i: int) -> float:
@@ -126,9 +125,9 @@ def laplacian_gauss_formula(pg: PointGeometry,
 
     e1, e2, e3, e4 = pg.frame_values
     nu_vals = pg.nu
-    tr3, tr4 = pg.trace_jets
-    grad3 = (_directional_value(pg, tr3, 1), _directional_value(pg, tr3, 2))
-    grad4 = (_directional_value(pg, tr4, 1), _directional_value(pg, tr4, 2))
+    # e_i(trace A3) and e_i(trace A4), i = 1, 2
+    d1, d2 = (_directional_value(pg, pg.trace_jets, i) for i in (1, 2))
+    grad3, grad4 = (d1[0], d2[0]), (d1[1], d2[1])
     grad3_vec = e1.scaled(grad3[0]) + e2.scaled(grad3[1])
     grad4_vec = e1.scaled(grad4[0]) + e2.scaled(grad4[1])
     w34 = pg.omega34
@@ -364,7 +363,7 @@ def _batch_records(spec: SurfaceSpec, us: list, vs: list, order: int,
     done = iter(())
     if live:
         if len(live) < len(us):
-            xj = tuple(c.select(np.array(live)) for c in xj)
+            xj = tuple(c[np.array(live)] for c in xj)
         lu, lv = [us[k] for k in live], [vs[k] for k in live]
         pg = PointGeometry(xj, base=(np.array(lu), np.array(lv)), tol=tol)
         done = iter(_live_records(pg, lu, lv))

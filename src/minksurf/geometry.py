@@ -87,20 +87,15 @@ class Tolerances:
 
 DEFAULT_TOLERANCES = Tolerances()
 
-def _vec_deriv_u(v: AmbientVector) -> AmbientVector:
-    return AmbientVector(*(c.deriv_u() for c in v.components()))
+def _values(v):
+    # the values of a vector or bivector of jets
+    return type(v).of(v.comps.value())
 
 
-def _vec_deriv_v(v: AmbientVector) -> AmbientVector:
-    return AmbientVector(*(c.deriv_v() for c in v.components()))
-
-
-def _vec_values(v: AmbientVector) -> AmbientVector:
-    return AmbientVector(*(c.value() for c in v.components()))
-
-
-def _biv_values(b: Bivector) -> Bivector:
-    return Bivector(*(c.value() for c in b.components()))
+# Operands of the products a_i a_j, a_i b_j, b_i a_j, b_i b_j (in blocks
+# of three, ij = 11, 12, 22) in the stack (a_1, a_2, b_1, b_2).
+_H_LEFT = [0, 0, 1, 0, 0, 1, 2, 2, 3, 2, 2, 3]
+_H_RIGHT = [0, 1, 1, 2, 3, 3, 0, 1, 1, 2, 3, 3]
 
 
 def _matrices(rows) -> np.ndarray:
@@ -153,22 +148,33 @@ class PointGeometry:
 
     @cached_property
     def x_values(self) -> AmbientVector:
-        return _vec_values(self.x)
+        return _values(self.x)
+
+    @cached_property
+    def _partials(self) -> Jet:
+        """x_u and x_v as one stack of shape (4, 2, *batch)."""
+        x = self.x.comps
+        return jt.stack([x.deriv_u(), x.deriv_v()], axis=1)
 
     @cached_property
     def xu(self) -> AmbientVector:
-        return _vec_deriv_u(self.x)
+        return AmbientVector.of(self._partials[:, 0])
 
     @cached_property
     def xv(self) -> AmbientVector:
-        return _vec_deriv_v(self.x)
+        return AmbientVector.of(self._partials[:, 1])
+
+    @cached_property
+    def _metric(self) -> Jet:
+        """(E, F, G) = (<x_u, x_u>, <x_u, x_v>, <x_v, x_v>) as one stack."""
+        d = self._partials
+        return la.minkowski_inner(AmbientVector.of(d[:, [0, 0, 1]]),
+                                  AmbientVector.of(d[:, [0, 1, 1]]))
 
     @cached_property
     def metric_jets(self) -> tuple[Jet, Jet, Jet]:
-        E = la.minkowski_inner(self.xu, self.xu)
-        F = la.minkowski_inner(self.xu, self.xv)
-        G = la.minkowski_inner(self.xv, self.xv)
-        return E, F, G
+        g = self._metric
+        return g[0], g[1], g[2]
 
     @cached_property
     def g(self) -> np.ndarray:
@@ -178,8 +184,10 @@ class PointGeometry:
 
     @cached_property
     def metric_det_jet(self) -> Jet:
-        E, F, G = self.metric_jets
-        return E * G - F * F
+        # E G - F F
+        g = self._metric
+        p = g[[0, 1]] * g[[2, 1]]
+        return p[0] - p[1]
 
     @cached_property
     def _gram(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -226,40 +234,42 @@ class PointGeometry:
 
     @cached_property
     def nu(self) -> Bivector:
-        return _biv_values(self.nu_jets)
+        return _values(self.nu_jets)
 
     @cached_property
     def frame(self) -> Frame:
         self.require_spacelike()
         E, F, _ = self.metric_jets
         inv_E = jt.reciprocal(E)
-        a1 = jt.sqrt(inv_E)
+        # det g / E, which is |x_v - (F/E) x_u|^2, and F / E
+        q = jt.stack([self.metric_det_jet, F]) * inv_E[None]
+        roots = jt.sqrt(jt.stack([inv_E, q[0]]))
+        a1 = roots[0]
         b1 = Jet.constant(np.zeros(self.batch), a1.order)
-        # |x_v - (F/E) x_u|^2 = det g / E
-        inv_mu = jt.reciprocal(jt.sqrt(self.metric_det_jet * inv_E))
-        a2 = -(F * inv_E) * inv_mu
+        inv_mu = jt.reciprocal(roots[1])
+        a2 = -q[1] * inv_mu
         b2 = inv_mu
-        e1 = self.xu.scaled(a1)
-        e2 = self.xu.scaled(a2) + self.xv.scaled(b2)
+        # a1 x_u, a2 x_u and b2 x_v; e1 is the first, e2 the sum of the others
+        p = jt.stack([a1, a2, b2])[None] * self._partials[:, [0, 0, 1]]
+        e1 = AmbientVector.of(p[:, 0])
+        e2 = AmbientVector.of(p[:, 1] + p[:, 2])
         e3, e4, nu = la.normal_frame(e1, e2, jt.sqrt)
         return Frame(e=(e1, e2, e3, e4), a=(a1, a2), b=(b1, b2), nu=nu)
 
     @cached_property
     def frame_values(self) -> tuple[AmbientVector, ...]:
-        return tuple(_vec_values(e) for e in self.frame.e)
+        return tuple(_values(e) for e in self.frame.e)
 
     @cached_property
     def residual_frame(self) -> float:
         """Max deviation of the frame Gram matrix from diag(1, 1, 1, -1)."""
-        target = (1.0, 1.0, 1.0, -1.0)
-        worst = 0.0
-        vals = self.frame_values
-        for i in range(4):
-            for j in range(i, 4):
-                got = la.minkowski_inner(vals[i], vals[j])
-                want = target[i] if i == j else 0.0
-                worst = np.maximum(worst, abs(got - want))
-        return worst
+        vals = np.stack([e.comps for e in self.frame_values], axis=1)
+        i, j = np.triu_indices(4)
+        got = la.minkowski_inner(AmbientVector.of(vals[:, i]),
+                                 AmbientVector.of(vals[:, j]))
+        want = np.diag([1.0, 1.0, 1.0, -1.0])[i, j]
+        return np.maximum.reduce(
+            abs(got - want.reshape(want.shape + (1,) * len(self.batch))))
 
     def _dir_coeffs(self, i: int):
         # value-level coefficients of e_i = a du + b dv, i in {1, 2}
@@ -272,13 +282,10 @@ class PointGeometry:
         Antisymmetric in (A, B) by metric compatibility; indices are
         1-based frame labels, i in {1, 2}.
         """
-        eA = self.frame.e[A - 1]
-        eB = self.frame_values[B - 1]
+        eA = self.frame.e[A - 1].comps
         a, b = self._dir_coeffs(i)
-        du = tuple(c.partial(1, 0) for c in eA.components())
-        dv = tuple(c.partial(0, 1) for c in eA.components())
-        w = AmbientVector(*(a * x + b * y for x, y in zip(du, dv)))
-        return la.minkowski_inner(w, eB)
+        w = AmbientVector.of(a * eA.partial(1, 0) + b * eA.partial(0, 1))
+        return la.minkowski_inner(w, self.frame_values[B - 1])
 
     @cached_property
     def omega12(self) -> tuple[float, float]:
@@ -291,15 +298,14 @@ class PointGeometry:
     # -- second fundamental form ----------------------------------------
 
     @cached_property
-    def _second_partials(self) -> tuple[AmbientVector, AmbientVector, AmbientVector]:
-        xuu = _vec_deriv_u(self.xu)
-        xuv = _vec_deriv_v(self.xu)
-        xvv = _vec_deriv_v(self.xv)
-        return xuu, xuv, xvv
+    def _normals(self) -> Jet:
+        """e3 and e4 as one stack of shape (4, 2, *batch)."""
+        return jt.stack([self.frame.e[2].comps, self.frame.e[3].comps], axis=1)
 
     @cached_property
-    def h_jets(self) -> dict[tuple[int, int, int], Jet]:
-        """Second-fundamental-form coefficients h^beta_ij as jets.
+    def _h(self) -> Jet:
+        """Second-fundamental-form coefficients h^beta_ij as one stack of
+        shape (2, 3, *batch): beta = 3, 4 by ij = 11, 12, 22.
 
         Built from the symmetric expansion
         h^beta_ij = a_i a_j <x_uu, e_b> + (a_i b_j + b_i a_j) <x_uv, e_b>
@@ -308,36 +314,40 @@ class PointGeometry:
         and makes h^beta_12 = h^beta_21 structural.
         """
         f = self.frame
-        xuu, xuv, xvv = self._second_partials
+        d = self._partials
+        du, dv = d.deriv_u(), d.deriv_v()
+        second = jt.stack([du[:, 0], dv[:, 0], dv[:, 1]], axis=1)
+        # <x_uu, e_b>, <x_uv, e_b>, <x_vv, e_b> by beta, shape (2, 3, *batch)
+        p = la.minkowski_inner(AmbientVector.of(second[:, None]),
+                               AmbientVector.of(self._normals[:, :, None]))
+        ab = jt.stack([f.a[0], f.a[1], f.b[0], f.b[1]])
+        c = ab[_H_LEFT] * ab[_H_RIGHT]
+        # the three coefficients of each h_ij, shape (3, 3, *batch)
+        coef = jt.stack([c[0:3], c[3:6] + c[6:9], c[9:12]])
+        t = coef[None] * p[:, :, None]
+        return t[:, 0] + t[:, 1] + t[:, 2]
+
+    @cached_property
+    def h_jets(self) -> dict[tuple[int, int, int], Jet]:
+        """h^beta_ij as jets, keyed (beta, i, j)."""
         out: dict[tuple[int, int, int], Jet] = {}
-        for beta, ebeta in ((3, f.e[2]), (4, f.e[3])):
-            puu = la.minkowski_inner(xuu, ebeta)
-            puv = la.minkowski_inner(xuv, ebeta)
-            pvv = la.minkowski_inner(xvv, ebeta)
-            for i in (1, 2):
-                for j in (i, 2):
-                    ai, bi = f.a[i - 1], f.b[i - 1]
-                    aj, bj = f.a[j - 1], f.b[j - 1]
-                    hij = (ai * aj * puu + (ai * bj + bi * aj) * puv
-                           + bi * bj * pvv)
-                    out[(beta, i, j)] = hij
-                    out[(beta, j, i)] = hij
+        for b, beta in enumerate((3, 4)):
+            for q, (i, j) in enumerate(((1, 1), (1, 2), (2, 2))):
+                out[(beta, i, j)] = out[(beta, j, i)] = self._h[b, q]
         return out
 
     @cached_property
     def shape_operators(self) -> tuple[np.ndarray, np.ndarray]:
         """(A3, A4) in the tangent frame, shape (*batch, 2, 2); symmetric
         by construction."""
-        h = self.h_jets
-        return tuple(_matrices(
-            [[h[(beta, 1, 1)].value(), h[(beta, 1, 2)].value()],
-             [h[(beta, 2, 1)].value(), h[(beta, 2, 2)].value()]])
-            for beta in (3, 4))
+        h = self._h.value()
+        return tuple(_matrices([[h[b, 0], h[b, 1]], [h[b, 1], h[b, 2]]])
+                     for b in (0, 1))
 
     @cached_property
-    def trace_jets(self) -> tuple[Jet, Jet]:
-        h = self.h_jets
-        return (h[(3, 1, 1)] + h[(3, 2, 2)], h[(4, 1, 1)] + h[(4, 2, 2)])
+    def trace_jets(self) -> Jet:
+        """trace A3 and trace A4 as one stack."""
+        return self._h[:, 0] + self._h[:, 2]
 
     def h_vector(self, i: int, j: int) -> AmbientVector:
         """h(e_i, e_j) as an ambient vector of values."""
@@ -350,15 +360,12 @@ class PointGeometry:
     @cached_property
     def H_jets(self) -> AmbientVector:
         """Mean curvature vector as jets: (trA3 e3 - trA4 e4) / 2."""
-        tr3, tr4 = self.trace_jets
-        f = self.frame
-        half3 = tr3 * 0.5
-        half4 = tr4 * 0.5
-        return f.e[2].scaled(half3) - f.e[3].scaled(half4)
+        t = (self.trace_jets * 0.5)[None] * self._normals
+        return AmbientVector.of(t[:, 0] - t[:, 1])
 
     @cached_property
     def H(self) -> AmbientVector:
-        return _vec_values(self.H_jets)
+        return _values(self.H_jets)
 
     @cached_property
     def H_inner(self):
@@ -376,14 +383,9 @@ class PointGeometry:
     @cached_property
     def h_sq_jet(self) -> Jet:
         """The signed squared norm of h (may be negative)."""
-        h = self.h_jets
-        acc = None
-        for beta, eps in ((3, 1.0), (4, -1.0)):
-            s = (h[(beta, 1, 1)] ** 2 + h[(beta, 1, 2)] ** 2 * 2.0
-                 + h[(beta, 2, 2)] ** 2)
-            term = s if eps > 0 else -s
-            acc = term if acc is None else acc + term
-        return acc
+        sq = self._h ** 2
+        s = sq[:, 0] + sq[:, 1] * 2.0 + sq[:, 2]
+        return s[0] + -s[1]
 
     @cached_property
     def h_sq(self):
@@ -438,59 +440,47 @@ class PointGeometry:
     def residual_parallel_H(self):
         """Euclidean size of the normal part of the ambient derivative of H,
         summed over both tangent directions; zero iff DH = 0."""
-        du = AmbientVector(*(c.partial(1, 0) for c in self.H_jets.components()))
-        dv = AmbientVector(*(c.partial(0, 1) for c in self.H_jets.components()))
+        H = self.H_jets.comps
+        du, dv = H.partial(1, 0), H.partial(0, 1)
         e1v, e2v = self.frame_values[0], self.frame_values[1]
         total = 0.0
         for i in (1, 2):
             a, b = self._dir_coeffs(i)
-            w = AmbientVector(*(a * x + b * y
-                                for x, y in zip(du.components(), dv.components())))
+            w = AmbientVector.of(a * du + b * dv)
             tang1 = la.minkowski_inner(w, e1v)
             tang2 = la.minkowski_inner(w, e2v)
             normal = w - e1v.scaled(tang1) - e2v.scaled(tang2)
             total += la.euclid_norm(normal)
         return total
 
-    def _h_cov_deriv(self, i: int, j: int, k: int, beta: int,
-                     omega12_shift: float = 0.0):
-        # Covariant derivative h^beta_{jk,i}: flat derivative along e_i of
-        # the coefficient, a normal-connection rotation, and two
-        # Levi-Civita correction terms.
-        h = self.h_jets
-        a, b = self._dir_coeffs(i)
-        flat = (a * h[(beta, j, k)].partial(1, 0)
-                + b * h[(beta, j, k)].partial(0, 1))
-
-        w12 = self.omega12[i - 1] + omega12_shift
-        w34 = self.omega34[i - 1]
-        other = 7 - beta  # 3 <-> 4
+    def codazzi_residual(self, omega12_shift: float = 0.0):
+        """Max defect of the covariant symmetry h^beta_{ij,k} = h^beta_{jk,i}
+        over all index triples."""
+        # h^beta_{jk,i} as an array indexed [beta, i, j, k, *batch]: the flat
+        # derivative along e_i of the coefficient, a normal-connection
+        # rotation, and two Levi-Civita correction terms.
+        f = self.frame
+        sym = [[0, 1], [1, 2]]  # h_jk in the (11, 12, 22) stack
+        h, hu, hv = (x[:, sym] for x in (
+            self._h.value(), self._h.partial(1, 0), self._h.partial(0, 1)))
+        a = np.array([f.a[0].value(), f.a[1].value()])[None, :, None, None]
+        b = np.array([f.b[0].value(), f.b[1].value()])[None, :, None, None]
+        flat = a * hu[:, None] + b * hv[:, None]
         # sum_gamma eps_gamma h^gamma_jk omega_{gamma beta}(e_i); the
         # gamma = beta term vanishes, and both cross terms reduce to
         # +h^other omega_34 since eps_4 omega_43 = +omega_34.
-        rot = h[(other, j, k)].value() * w34
-        # omega in the tangent indices: omega_12(e_i) = w12, omega_21 = -w12
-        def w_tan(p: int, q: int):
-            if p == q:
-                return 0.0
-            return w12 if (p, q) == (1, 2) else -w12
-
-        levi = sum(w_tan(j, ell) * h[(beta, ell, k)].value()
-                   + w_tan(k, ell) * h[(beta, j, ell)].value()
-                   for ell in (1, 2))
-        return flat + rot - levi
-
-    def codazzi_residual(self, omega12_shift: float = 0.0):
-        """Max defect of the covariant symmetry of h over all index triples."""
-        worst = 0.0
-        for beta in (3, 4):
-            for i in (1, 2):
-                for j in (1, 2):
-                    for k in (1, 2):
-                        lhs = self._h_cov_deriv(k, i, j, beta, omega12_shift)
-                        rhs = self._h_cov_deriv(i, j, k, beta, omega12_shift)
-                        worst = np.maximum(worst, abs(lhs - rhs))
-        return worst
+        rot = h[::-1, None] * np.array(self.omega34)[None, :, None, None]
+        # omega in the tangent indices, [i, p, q]: omega_12(e_i) = w12,
+        # omega_21 = -w12, and 0.0 on the diagonal
+        w12 = np.array(self.omega12) + omega12_shift
+        zero = np.zeros_like(w12)
+        w = np.moveaxis(np.array([[zero, w12], [-w12, zero]]), 2, 0)
+        levi = sum(w[None, :, :, None, ell] * h[:, None, None, ell]
+                   + w[None, :, None, :, ell] * h[:, None, :, None, ell]
+                   for ell in (0, 1))
+        cov = flat + rot - levi
+        # h^beta_{jk,i} against h^beta_{ij,k}, which sits at [beta, k, i, j]
+        return np.max(abs(np.moveaxis(cov, 1, 3) - cov), axis=(0, 1, 2, 3))
 
     @cached_property
     def residual_codazzi(self):
@@ -499,52 +489,52 @@ class PointGeometry:
     # -- Laplace operator --------------------------------------------------
 
     @cached_property
-    def _laplace_coeffs(self) -> tuple[Jet, Jet, Jet, Jet]:
-        E, F, G = self.metric_jets
+    def _laplace_coeffs(self) -> tuple[Jet, Jet]:
+        # (P, Q, Q, R) = (G, -F, -F, E) / W as one stack, and 1 / W
         W = jt.sqrt(self.metric_det_jet)
         invW = jt.reciprocal(W)
-        P = G * invW
-        Q = -(F * invW)
-        R = E * invW
-        return P, Q, R, invW
+        r = self._metric[[2, 1, 0]] * invW[None]
+        return jt.stack([r[0], -r[1], -r[1], r[2]]), invW
 
     def laplacian(self, f: Jet) -> Jet:
-        """Geometer's Laplace operator applied to a scalar jet.
+        """Geometer's Laplace operator applied to a scalar jet, or to each
+        component of a stack of them.
 
         Result is a jet two orders lower than f (after alignment with
         the metric jets), so order-3 immersions support one Laplacian of
         first-derivative data and order-4 immersions support the
         bilaplacian of the position.
         """
-        P, Q, R, invW = self._laplace_coeffs
+        coef, invW = self._laplace_coeffs
         fu, fv = f.deriv_u(), f.deriv_v()
-        div = (P * fu + Q * fv).deriv_u() + (Q * fu + R * fv).deriv_v()
-        return -(invW * div)
+        # the coefficients get an axis for each component axis of f
+        extra = (None,) * (len(f.batch) - len(self.batch))
+        # P fu, Q fv, Q fu, R fv
+        t = coef[(slice(None),) + extra] * jt.stack([fu, fv, fu, fv])
+        div = (t[0] + t[1]).deriv_u() + (t[2] + t[3]).deriv_v()
+        return -(invW[extra] * div)
 
     @cached_property
     def laplacian_x_jets(self) -> AmbientVector:
         self.require_spacelike()
-        return AmbientVector(*(self.laplacian(c) for c in self.xjets))
+        return AmbientVector.of(self.laplacian(self.x.comps))
 
     @cached_property
     def laplacian_x(self) -> AmbientVector:
-        return _vec_values(self.laplacian_x_jets)
+        return _values(self.laplacian_x_jets)
 
     @cached_property
     def residual_beltrami(self):
         """Euclidean defect of Delta x + 2 H = 0."""
-        d = self.laplacian_x
-        h2 = self.H.scaled(2.0)
-        return la.euclid_norm(AmbientVector(*(x + y for x, y in
-                                              zip(d.components(), h2.components()))))
+        return la.euclid_norm(self.laplacian_x + self.H.scaled(2.0))
 
     @cached_property
     def bilaplacian_x(self) -> AmbientVector:
         if self.order < 4:
             raise OrderExceeded(
                 "the bilaplacian needs order-4 jets of the immersion")
-        return AmbientVector(*(self.laplacian(c).value()
-                               for c in self.laplacian_x_jets.components()))
+        return AmbientVector.of(
+            self.laplacian(self.laplacian_x_jets.comps).value())
 
     # -- classification -----------------------------------------------------
 
@@ -562,7 +552,6 @@ class PointGeometry:
         p = {key: la.minkowski_inner(vec, H) for key, vec in hv.items()}
         scale = tau * (1.0 + np.maximum.reduce([abs(val) for val in p.values()]))
         hn = tau * (1.0 + norm_H)
-        zero = AmbientVector(0.0, 0.0, 0.0, 0.0)
         x_causal = causal_character(self.x_values, self.tol.causal)
         return {
             "MAXIMAL": norm_H <= tau,
@@ -573,7 +562,7 @@ class PointGeometry:
             "PSEUDO-UMBILICAL": ((abs(p[(1, 2)]) <= scale)
                                  & (abs(p[(1, 1)] - p[(2, 2)]) <= scale)),
             "TOTALLY-UMBILICAL": np.logical_and.reduce([
-                la.euclid_norm(hv[(i, j)] - (H if i == j else zero)) <= hn
+                la.euclid_norm(hv[(i, j)] - H if i == j else hv[(i, j)]) <= hn
                 for i in (1, 2) for j in (1, 2)]),
             "IN-LIGHTCONE": ((x_causal == CausalClass.ZERO)
                              | (x_causal == CausalClass.LIGHTLIKE)),

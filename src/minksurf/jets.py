@@ -8,9 +8,11 @@ partials ``c[i, j] = (d^{i+j} f / du^i dv^j) / (i! j!)`` for
 ``i + j <= k``.  Coefficients form a float array of shape
 ``(m, *batch)`` with ``m = (k+1)(k+2)/2``, in graded order (total degree
 first), so truncation to a lower order is a prefix.  A single point is
-the batch ``()``.  Products are Cauchy products truncated at total
-degree ``k``; elementary functions are applied by composing their
-univariate Taylor series with the nilpotent part of the argument.
+the batch ``()``.  A stack of jets (the components of a vector, say)
+is one jet whose batch has a leading component axis.  Products are
+Cauchy products truncated at total degree ``k``; elementary functions
+are applied by composing their univariate Taylor series with the
+nilpotent part of the argument.
 
 Every result is bit-for-bit independent of the batch it is computed in:
 each product coefficient adds its Cauchy terms in one fixed order
@@ -37,6 +39,7 @@ __all__ = [
     "DomainError",
     "DivisionByZeroValue",
     "jet_variable",
+    "stack",
     "SUPPORTED_ORDERS",
 ]
 
@@ -81,33 +84,69 @@ def _index(order: int) -> dict[tuple[int, int], int]:
 
 
 @lru_cache(maxsize=None)
-def _mul_plan(order: int):
-    """Index arrays of the truncated product.
+def _mul_plan(order: int) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """Factor and output indices of the Cauchy terms of the truncated
+    product.
 
-    The Cauchy terms of each output coefficient are added in the order
-    of the loops below, starting from 0.0.  The outputs are ranked by
-    term count, so that the r-th terms of all outputs that have one form
-    a prefix, and added block by block, rank after rank.
+    The terms of each output coefficient are added in the order of the
+    loops below, starting from 0.0.  They are laid out rank by rank (the
+    r-th terms of every output that has one), each rank in output order,
+    so that consecutive terms of a rank mostly go to consecutive outputs
+    and a product adds them slice by slice.
     """
     idx = _index(order)
-    plan = []
+    terms: dict[int, list[tuple[int, int]]] = {n: [] for n in idx.values()}
     for ia in range(order + 1):
         for ja in range(order + 1 - ia):
             for ib in range(order + 1 - ia - ja):
                 for jb in range(order + 1 - ia - ja - ib):
-                    plan.append((idx[ia, ja], idx[ib, jb], idx[ia + ib, ja + jb]))
-    terms: dict[int, list[int]] = {n: [] for n in idx.values()}
-    for t, (_, _, out) in enumerate(plan):
-        terms[out].append(t)
-    ranked = sorted(terms, key=lambda n: -len(terms[n]))
-    order_by_rank, blocks = [], []
-    for r in range(len(terms[ranked[0]])):
-        outs = [n for n in ranked if len(terms[n]) > r]
-        blocks.append((len(order_by_rank), len(outs)))
-        order_by_rank += [terms[n][r] for n in outs]
-    ia, ib, _ = (np.array(col) for col in zip(*plan))
-    by_rank = np.array(order_by_rank)
-    return ia[by_rank], ib[by_rank], tuple(blocks), np.argsort(ranked)
+                    terms[idx[ia + ib, ja + jb]].append(
+                        (idx[ia, ja], idx[ib, jb]))
+    laid = [(terms[n][r], n) for r in range(max(map(len, terms.values())))
+            for n in sorted(terms) if len(terms[n]) > r]
+    return (np.array([t[0] for t, _ in laid]),
+            np.array([t[1] for t, _ in laid]), tuple(n for _, n in laid))
+
+
+# Bytes of gathered Cauchy terms a product holds at once.  Larger
+# temporaries pass glibc's default 128 KiB mmap and trim thresholds, and
+# the pages of each one are then faulted in again on every product.
+_TERM_BYTES = 1 << 15
+
+
+@lru_cache(maxsize=None)
+def _mul_runs(order: int, run_terms: int):
+    """The terms of ``_mul_plan`` in runs of run_terms terms: per run,
+    its factor indices and its pieces (lo, hi, t), which add the run's
+    terms t, t+1, ... to the outputs lo, ..., hi - 1."""
+    ia, ib, out = _mul_plan(order)
+    runs = []
+    for start in range(0, len(out), run_terms):
+        pieces: list[tuple[int, int, int]] = []
+        for t in range(start, min(start + run_terms, len(out))):
+            if t > start and out[t] == out[t - 1] + 1:
+                lo, hi, first = pieces[-1]
+                pieces[-1] = (lo, hi + 1, first)
+            else:
+                pieces.append((out[t], out[t] + 1, t - start))
+        runs.append((ia[start:start + run_terms], ib[start:start + run_terms],
+                     tuple(pieces)))
+    return tuple(runs)
+
+
+def _product(order: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # Each output coefficient adds its terms rank after rank from 0.0,
+    # however the runs cut the terms, so the result never changes a bit.
+    n_terms = len(_mul_plan(order)[2])
+    shape = a.shape if a.shape == b.shape else (
+        a.shape[:1] + np.broadcast_shapes(a.shape[1:], b.shape[1:]))
+    out = np.zeros(shape)
+    run_terms = max(1, _TERM_BYTES // max(out[0].nbytes, 1))
+    for run_a, run_b, pieces in _mul_runs(order, min(run_terms, n_terms)):
+        terms = a[run_a] * b[run_b]
+        for lo, hi, first in pieces:
+            out[lo:hi] += terms[first:first + hi - lo]
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -131,12 +170,16 @@ class Jet:
 
     ``coeffs`` has shape ``(m, *batch)``.  Instances are immutable by
     convention: no operation writes into an existing coefficient array.
-    Operands of one operation share the batch shape; numbers and
-    per-point arrays act on the value coefficient.
+    Operands of one operation have as many batch axes as each other and
+    broadcast as numpy arrays do, so ``s[None] * v`` multiplies each
+    component of the stack ``v`` by the jet ``s``, while a ``()`` and a
+    ``(2,)`` jet do not combine.  Numbers and arrays with one number per
+    point of the batch act on the value coefficient.
     """
 
     __slots__ = ("order", "coeffs")
     __array_ufunc__ = None  # numpy defers array-jet operations to Jet
+    __iter__ = None  # indexing selects points; a jet is not a sequence
 
     def __init__(self, order: int, coeffs):
         if order < 0:
@@ -158,7 +201,7 @@ class Jet:
         value = np.asarray(value, dtype=float)
         coeffs = np.zeros((_size(order),) + value.shape)
         coeffs[0] = value
-        return cls(order, coeffs)
+        return _jet(order, coeffs)
 
     @classmethod
     def variable(cls, which: str, value: Scalar, order: int) -> "Jet":
@@ -176,9 +219,11 @@ class Jet:
     def batch(self) -> tuple[int, ...]:
         return self.coeffs.shape[1:]
 
-    def select(self, index) -> "Jet":
-        """The jet at the chosen points of a one-axis batch."""
-        return Jet(self.order, self.coeffs[:, index])
+    def __getitem__(self, index) -> "Jet":
+        """The jet at the chosen points (or components) of the batch; the
+        index applies to the batch axes as it would to a numpy array."""
+        index = index if isinstance(index, tuple) else (index,)
+        return _jet(self.order, self.coeffs[(slice(None),) + index])
 
     def value(self):
         return self.coeffs[0]
@@ -217,17 +262,17 @@ class Jet:
         """This jet with every coefficient of total degree > order dropped."""
         if order >= self.order:
             return self
-        return Jet(order, self.coeffs[:_size(order)])
+        return _jet(order, self.coeffs[:_size(order)])
 
     def _with_value(self, value) -> "Jet":
         coeffs = self.coeffs.copy()
         coeffs[0] = value
-        return Jet(self.order, coeffs)
+        return _jet(self.order, coeffs)
 
     def __add__(self, other) -> "Jet":
         if isinstance(other, Jet):
             k, a, b = _align(self, other)
-            return Jet(k, a + b)
+            return _jet(k, a + b)
         if isinstance(other, _SCALARS):
             return self._with_value(self.coeffs[0] + other)
         return NotImplemented
@@ -235,12 +280,12 @@ class Jet:
     __radd__ = __add__
 
     def __neg__(self) -> "Jet":
-        return Jet(self.order, -self.coeffs)
+        return _jet(self.order, -self.coeffs)
 
     def __sub__(self, other) -> "Jet":
         if isinstance(other, Jet):
             k, a, b = _align(self, other)
-            return Jet(k, a - b)
+            return _jet(k, a - b)
         if isinstance(other, _SCALARS):
             return self._with_value(self.coeffs[0] - other)
         return NotImplemented
@@ -251,14 +296,9 @@ class Jet:
     def __mul__(self, other) -> "Jet":
         if isinstance(other, Jet):
             k, a, b = _align(self, other)
-            ia, ib, blocks, unrank = _mul_plan(k)
-            terms = a[ia] * b[ib]
-            acc = np.zeros(a.shape)
-            for start, count in blocks:
-                acc[:count] += terms[start:start + count]
-            return Jet(k, acc[unrank])
+            return _jet(k, _product(k, a, b))
         if isinstance(other, _SCALARS):
-            return Jet(self.order, self.coeffs * other)
+            return _jet(self.order, self.coeffs * other)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -294,7 +334,7 @@ class Jet:
             raise OrderExceeded("cannot differentiate an order-0 jet")
         src, factor = _deriv_plan(self.order, axis)
         factor = factor.reshape(factor.shape + (1,) * len(self.batch))
-        return Jet(self.order - 1, factor * self.coeffs[src])
+        return _jet(self.order - 1, factor * self.coeffs[src])
 
     def deriv_u(self) -> "Jet":
         """Jet of df/du, one order lower."""
@@ -305,15 +345,35 @@ class Jet:
         return self._deriv(1)
 
 
+_set_order, _set_coeffs = Jet.order.__set__, Jet.coeffs.__set__
+
+
+def _jet(order: int, coeffs: np.ndarray) -> Jet:
+    # a Jet around a float coefficient array of the right length, built
+    # without the checks of Jet.__init__; every operation returns one
+    jet = object.__new__(Jet)
+    _set_order(jet, order)
+    _set_coeffs(jet, coeffs)
+    return jet
+
+
 def _align(a: Jet, b: Jet) -> tuple[int, np.ndarray, np.ndarray]:
     # Mixed orders arise naturally (a second derivative of the immersion
     # times a frame jet); the product is only determined to the lower order.
     if a.coeffs.shape == b.coeffs.shape:
         return a.order, a.coeffs, b.coeffs
-    if a.batch != b.batch:
+    if len(a.batch) != len(b.batch):
         raise ValueError(f"jet batches differ: {a.batch} and {b.batch}")
     k = min(a.order, b.order)
     return k, a.coeffs[:_size(k)], b.coeffs[:_size(k)]
+
+
+def stack(jets: Sequence[Jet], axis: int = 0) -> Jet:
+    """One jet whose batch has a new axis at ``axis`` along the given
+    jets, at the lowest of their orders."""
+    k = min(j.order for j in jets)
+    return _jet(k, np.stack([j.coeffs[:_size(k)] for j in jets],
+                            axis=axis + 1))
 
 
 def _pointwise(fn: Callable[[float], float], x) -> np.ndarray:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Union
 
 from . import expr as ex
 from .expr import Expr, ParseError, parse_expression, serialize_expression

@@ -8,8 +8,6 @@ from __future__ import annotations
 import math
 import time
 
-import pytest
-
 from minksurf import gaussmap as gm
 from minksurf import geometry as ge
 from minksurf import linalg as la

@@ -118,6 +118,18 @@ class TestAnalyze:
         assert d["surface"]["domain"] == [0.0, 1.0, 0.0, 1.0]
         assert all(0.0 < p["u"] < 1.0 for p in d["points"])
 
+    def test_negative_domain_bound_after_a_space(self, capsys):
+        # a bound list that starts with "-" is the value of --domain, in
+        # either spelling, and not an unknown option
+        head = ["classify", "--catalog", "plane", "--grid", "3x3"]
+        bounds = "-1e-10,1e-10,-1e-10,1e-10"
+        spaced = run(head + ["--domain", bounds], capsys)
+        joined = run(head + ["--domain=" + bounds], capsys)
+        assert spaced == joined
+        assert spaced[0] == 0
+        assert json.loads(spaced[1])["surface"]["domain"] == [
+            -1e-10, 1e-10, -1e-10, 1e-10]
+
     def test_order_four(self, capsys):
         code, out, _ = run(
             ["analyze", "--catalog", "type-i", "--param", "b=0.5",
@@ -291,6 +303,7 @@ class TestUsageErrors:
         ["analyze", "--catalog", "graph"],  # missing phi
         ["analyze", "--catalog", "plane", "--grid", "seven"],
         ["analyze", "--catalog", "plane", "--domain", "1,2,3"],
+        ["analyze", "--catalog", "plane", "--domain", "--out", "x"],
         ["analyze", "--catalog", "plane", "--param", "novalue"],
         ["verify", "T4.4", "--catalog", "example52", "--grid", "3x3",
          "--tol", "nan"],

@@ -11,8 +11,6 @@ feeds at least one of the two routes.
 
 from __future__ import annotations
 
-import math
-
 import pytest
 
 from minksurf import gaussmap as gm

@@ -213,7 +213,7 @@ class TestBatch:
         for p in range(37):
             alone = self.mixed(*var_pair(float(us[p]), float(vs[p]), k))
             assert whole.coeffs[:, p].tobytes() == alone.coeffs.tobytes()
-            assert whole.select([p]) == jt.Jet(k, alone.coeffs[:, None])
+            assert whole[[p]] == jt.Jet(k, alone.coeffs[:, None])
 
     def test_equality_and_hash(self):
         a = poly_jet(0.3, -0.4)

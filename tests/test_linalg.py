@@ -117,7 +117,7 @@ class TestBivectorInner:
     def test_metric_signs(self):
         signs = []
         for f in BIV_FIELDS:
-            b = la.Bivector(**{g: 1.0 if g == f else 0.0 for g in BIV_FIELDS})
+            b = la.Bivector(*(1.0 if g == f else 0.0 for g in BIV_FIELDS))
             signs.append(la.bivector_inner(b, b))
         assert signs == [-1.0, -1.0, -1.0, 1.0, 1.0, 1.0]
 

@@ -1,0 +1,288 @@
+"""Stacked-component jets against per-component jet arithmetic.
+
+A vector or bivector of jets is one jet whose batch has a leading
+component axis, and each linalg operation on it is one product.  These
+tests write every operation out component by component on scalar jets,
+as the formulas read, and require the stacked result to carry the same
+coefficient bytes (so a -0.0 for a 0.0 counts as a difference).
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from minksurf import geometry as ge
+from minksurf import jets as jt
+from minksurf import linalg as la
+from minksurf import surfaces as sf
+
+from conftest import CATALOG_CASES, WILD_TEXT, build
+
+ORDERS = st.sampled_from([3, 4])
+BATCHES = st.sampled_from([(), (16,), (256,)])
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def random_jets(rng, order: int, batch: tuple, n: int) -> list[jt.Jet]:
+    """n scalar jets with normal coefficients, about a tenth of them
+    replaced by +0.0 or -0.0."""
+    coeffs = rng.standard_normal((n, jt._size(order)) + batch)
+    zeros = rng.random(coeffs.shape) < 0.1
+    coeffs[zeros] = np.where(rng.random(coeffs.shape) < 0.5, 0.0, -0.0)[zeros]
+    return [jt.Jet(order, c) for c in coeffs]
+
+
+def same_bytes(stacked: jt.Jet, parts: list[jt.Jet]) -> bool:
+    return (stacked.batch[:1] == (len(parts),)
+            and all(stacked.order == p.order
+                    and stacked.coeffs[:, n].tobytes() == p.coeffs.tobytes()
+                    for n, p in enumerate(parts)))
+
+
+# -- the component formulas ---------------------------------------------------
+
+def inner(a, b):
+    return -a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3]
+
+
+def wedge(a, b):
+    return [a[0] * b[1] - a[1] * b[0], a[0] * b[2] - a[2] * b[0],
+            a[0] * b[3] - a[3] * b[0], a[1] * b[2] - a[2] * b[1],
+            a[1] * b[3] - a[3] * b[1], a[2] * b[3] - a[3] * b[2]]
+
+
+def contract(x, p):
+    return [-(x[1] * p[0] + x[2] * p[1] + x[3] * p[2]),
+            -(x[0] * p[0] + x[2] * p[3] + x[3] * p[4]),
+            -(x[0] * p[1]) + x[1] * p[3] - x[3] * p[5],
+            -(x[0] * p[2]) + x[1] * p[4] + x[2] * p[5]]
+
+
+def hodge(p):
+    return [p[5], -p[4], p[3], -p[2], p[1], -p[0]]
+
+
+def normal_frame(e1, e2):
+    a, b = e1[0], e2[0]
+    t_n = [a * x + b * y for x, y in zip(e1, e2)]
+    t_n[0] = t_n[0] + 1.0
+    inv = 1.0 / jt.sqrt(1.0 + a * a + b * b)
+    e4 = [inv * c for c in t_n]
+    nu = hodge(wedge(e1, e2))
+    return contract(e4, nu), e4, nu
+
+
+def laplacian(pg: ge.PointGeometry, f: jt.Jet) -> jt.Jet:
+    E, F, G = pg.metric_jets
+    inv_w = jt.reciprocal(jt.sqrt(pg.metric_det_jet))
+    P, Q, R = G * inv_w, -(F * inv_w), E * inv_w
+    fu, fv = f.deriv_u(), f.deriv_v()
+    return -(inv_w * ((P * fu + Q * fv).deriv_u() + (Q * fu + R * fv).deriv_v()))
+
+
+def vector(parts):
+    return la.AmbientVector(*parts)
+
+
+# -- stacked against component by component -------------------------------------
+
+@settings(max_examples=25, deadline=None)
+@given(ORDERS, BATCHES, SEEDS)
+def test_minkowski_inner(order, batch, seed):
+    a, b = (random_jets(np.random.default_rng(seed), order, batch, 8)[s]
+            for s in (slice(0, 4), slice(4, 8)))
+    got = la.minkowski_inner(vector(a), vector(b))
+    assert got.coeffs.tobytes() == inner(a, b).coeffs.tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(ORDERS, BATCHES, SEEDS)
+def test_wedge(order, batch, seed):
+    parts = random_jets(np.random.default_rng(seed), order, batch, 8)
+    a, b = parts[:4], parts[4:]
+    assert same_bytes(la.wedge(vector(a), vector(b)).comps, wedge(a, b))
+
+
+@settings(max_examples=25, deadline=None)
+@given(ORDERS, BATCHES, SEEDS)
+def test_contract(order, batch, seed):
+    parts = random_jets(np.random.default_rng(seed), order, batch, 10)
+    x, p = parts[:4], parts[4:]
+    got = la.contract(vector(x), la.Bivector(*p))
+    assert same_bytes(got.comps, contract(x, p))
+
+
+@settings(max_examples=25, deadline=None)
+@given(ORDERS, BATCHES, SEEDS)
+def test_scaled(order, batch, seed):
+    parts = random_jets(np.random.default_rng(seed), order, batch, 5)
+    s, v = parts[0], parts[1:]
+    assert same_bytes(vector(v).scaled(s).comps, [s * c for c in v])
+
+
+@settings(max_examples=25, deadline=None)
+@given(ORDERS, BATCHES, SEEDS)
+def test_hodge_dual(order, batch, seed):
+    p = random_jets(np.random.default_rng(seed), order, batch, 6)
+    assert same_bytes(la.hodge_dual(la.Bivector(*p)).comps, hodge(p))
+
+
+@settings(max_examples=25, deadline=None)
+@given(ORDERS, BATCHES, SEEDS)
+def test_normal_frame(order, batch, seed):
+    parts = random_jets(np.random.default_rng(seed), order, batch, 8)
+    e1, e2 = parts[:4], parts[4:]
+    got = la.normal_frame(vector(e1), vector(e2), jt.sqrt)
+    for g, want in zip(got, normal_frame(e1, e2)):
+        assert same_bytes(g.comps, want)
+
+
+@settings(max_examples=25, deadline=None)
+@given(ORDERS, BATCHES, SEEDS, st.sampled_from([4, 6]))
+def test_laplacian(order, batch, seed, n):
+    rng = np.random.default_rng(seed)
+    # a space-like immersion: (0, u, v, 0) plus a small random part
+    x = random_jets(rng, order, batch, 4)
+    us, vs = rng.uniform(-1.0, 1.0, (2,) + batch)
+    u, v = jt.Jet.variable("u", us, order), jt.Jet.variable("v", vs, order)
+    xjets = [c * 0.1 + base for c, base in zip(x, (0.0, u, v, 0.0))]
+    pg = ge.PointGeometry(xjets, base=(us, vs))
+    f = random_jets(rng, order, batch, n)
+    assert same_bytes(pg.laplacian(jt.stack(f)), [laplacian(pg, c) for c in f])
+
+
+# -- the product under the stacking ---------------------------------------------
+
+@pytest.mark.parametrize("order", [3, 4])
+def test_product_chunking_changes_no_bit(order, monkeypatch):
+    # one term per run against one run for all terms
+    a, b = random_jets(np.random.default_rng(order), order, (12, 256), 2)
+    whole = a * b
+    monkeypatch.setattr(jt, "_TERM_BYTES", 1)
+    assert (a * b).coeffs.tobytes() == whole.coeffs.tobytes()
+    monkeypatch.setattr(jt, "_TERM_BYTES", 1 << 40)
+    assert (a * b).coeffs.tobytes() == whole.coeffs.tobytes()
+
+
+def test_spread_scalar_multiplies_each_component():
+    s, *v = random_jets(np.random.default_rng(5), 3, (16,), 5)
+    assert same_bytes(s[None] * jt.stack(v), [s * c for c in v])
+    with pytest.raises(ValueError):
+        s * jt.stack(v)  # no axis was added: the batches differ
+
+
+# -- geometry stacks against the component formulas -------------------------------
+
+def geometries():
+    """Order-3 and order-4 geometry of every catalog surface and the wild
+    one, on a 4x4 grid batch and at one point."""
+    specs = [build(name, params) for name, params in CATALOG_CASES]
+    specs.append(sf.parse_surface(WILD_TEXT))
+    for spec in specs:
+        us, vs = (np.array(c) for c in zip(*sf.cell_centers(spec.domain, 4, 4)))
+        for order in (3, 4):
+            for u, v in ((us, vs), (us[5], vs[5])):
+                xj = sf.evaluate_immersion(spec, u, v, order)
+                yield ge.PointGeometry(xj, base=(u, v))
+
+
+GEOMETRIES = list(geometries())
+
+
+def jet_bytes(jets) -> list[bytes]:
+    return [j.coeffs.tobytes() for j in jets]
+
+
+def frame_loop(pg: ge.PointGeometry):
+    """Metric, frame and second fundamental form, component by component."""
+    xu = [c.deriv_u() for c in pg.xjets]
+    xv = [c.deriv_v() for c in pg.xjets]
+    E, F, G = inner(xu, xu), inner(xu, xv), inner(xv, xv)
+    det = E * G - F * F
+    inv_E = jt.reciprocal(E)
+    a1 = jt.sqrt(inv_E)
+    inv_mu = jt.reciprocal(jt.sqrt(det * inv_E))
+    a2, b2 = -(F * inv_E) * inv_mu, inv_mu
+    b1 = jt.Jet.constant(np.zeros(pg.batch), a1.order)
+    e1 = [a1 * c for c in xu]
+    e2 = [a2 * x + b2 * y for x, y in zip(xu, xv)]
+    e3, e4, nu = normal_frame(e1, e2)
+    xuu = [c.deriv_u() for c in xu]
+    xuv = [c.deriv_v() for c in xu]
+    xvv = [c.deriv_v() for c in xv]
+    a, b = (a1, a2), (b1, b2)
+    h = {}
+    for beta, e in ((3, e3), (4, e4)):
+        puu, puv, pvv = inner(xuu, e), inner(xuv, e), inner(xvv, e)
+        for i, j in ((1, 1), (1, 2), (2, 2)):
+            ai, bi, aj, bj = a[i - 1], b[i - 1], a[j - 1], b[j - 1]
+            h[beta, i, j] = h[beta, j, i] = (
+                ai * aj * puu + (ai * bj + bi * aj) * puv + bi * bj * pvv)
+    tr3, tr4 = h[3, 1, 1] + h[3, 2, 2], h[4, 1, 1] + h[4, 2, 2]
+    half3, half4 = tr3 * 0.5, tr4 * 0.5
+    H = [half3 * x - half4 * y for x, y in zip(e3, e4)]
+    s3, s4 = (h[beta, 1, 1] ** 2 + h[beta, 1, 2] ** 2 * 2.0 + h[beta, 2, 2] ** 2
+              for beta in (3, 4))
+    return dict(metric=[E, F, G], det=[det], e=e1 + e2 + e3 + e4, nu=nu,
+                h=[h[key] for key in sorted(h)], H=H, h_sq=[s3 + -s4])
+
+
+@pytest.mark.parametrize("pg", GEOMETRIES)
+def test_geometry_stacks(pg):
+    want = frame_loop(pg)
+    got = dict(metric=pg.metric_jets, det=[pg.metric_det_jet],
+               e=[c for e in pg.frame.e for c in e.components()],
+               nu=pg.nu_jets.components(),
+               h=[pg.h_jets[key] for key in sorted(pg.h_jets)],
+               H=pg.H_jets.components(), h_sq=[pg.h_sq_jet])
+    for name in want:
+        assert jet_bytes(got[name]) == jet_bytes(want[name]), name
+
+
+def codazzi_loop(pg: ge.PointGeometry, shift: float):
+    h = pg.h_jets
+
+    def cov(i, j, k, beta):
+        # h^beta_{jk,i}
+        a, b = pg._dir_coeffs(i)
+        flat = a * h[beta, j, k].partial(1, 0) + b * h[beta, j, k].partial(0, 1)
+        w12 = pg.omega12[i - 1] + shift
+        rot = h[7 - beta, j, k].value() * pg.omega34[i - 1]
+
+        def w_tan(p, q):
+            return 0.0 if p == q else (w12 if (p, q) == (1, 2) else -w12)
+
+        levi = sum(w_tan(j, ell) * h[beta, ell, k].value()
+                   + w_tan(k, ell) * h[beta, j, ell].value() for ell in (1, 2))
+        return flat + rot - levi
+
+    worst = 0.0
+    for beta in (3, 4):
+        for i in (1, 2):
+            for j in (1, 2):
+                for k in (1, 2):
+                    worst = np.maximum(
+                        worst, abs(cov(k, i, j, beta) - cov(i, j, k, beta)))
+    return worst
+
+
+def frame_residual_loop(pg: ge.PointGeometry):
+    target = (1.0, 1.0, 1.0, -1.0)
+    vals, worst = pg.frame_values, 0.0
+    for i in range(4):
+        for j in range(i, 4):
+            got = la.minkowski_inner(vals[i], vals[j])
+            worst = np.maximum(worst, abs(got - (target[i] if i == j else 0.0)))
+    return worst
+
+
+@pytest.mark.parametrize("pg", GEOMETRIES)
+def test_residual_arrays(pg):
+    for shift in (0.0, 0.1):
+        assert (np.asarray(pg.codazzi_residual(shift)).tobytes()
+                == np.asarray(codazzi_loop(pg, shift)).tobytes())
+    assert (np.asarray(pg.residual_frame).tobytes()
+            == np.asarray(frame_residual_loop(pg)).tobytes())
