@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import re
 import sys
 from typing import Optional
@@ -111,6 +112,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args leaves a parser as it was, so one serves every call
+    return build_parser()
+
+
 def _config_from_args(args: argparse.Namespace) -> rp.RunConfig:
     if args.command == "catalog":
         return rp.RunConfig(command="catalog", fmt=args.fmt, out=args.out)
@@ -151,9 +158,8 @@ def _join_domain(argv: list[str]) -> list[str]:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_join_domain(sys.argv[1:] if argv is None
-                                          else list(argv)))
+    args = _parser().parse_args(_join_domain(sys.argv[1:] if argv is None
+                                             else list(argv)))
     try:
         cfg = _config_from_args(args)
         result = rp.run(cfg)

@@ -9,9 +9,10 @@ Grammar (standard precedence, ^ binds tightest, integer exponents only):
     atom    := NUMBER | IDENT | IDENT '(' expr ')' | '(' expr ')'
 
 Identifiers are the coordinates u and v, declared parameter names, or
-the function names sin, cos, sinh, cosh, exp, sqrt, log.  The AST is a
-tree of frozen dataclasses with structural equality, and serialization
-is canonical: parse(serialize(ast)) == ast.
+the function names sin, cos, sinh, cosh, exp, sqrt, log.  An exponent's
+magnitude is at most MAX_EXPONENT.  The AST is a tree of frozen
+dataclasses with structural equality, and serialization is canonical:
+parse(serialize(ast)) == ast.
 """
 
 from __future__ import annotations
@@ -45,6 +46,11 @@ __all__ = [
     "eval_float",
     "free_identifiers",
 ]
+
+# A jet power multiplies once per unit of its exponent, so the exponent
+# is capped to keep evaluation time bounded.
+MAX_EXPONENT = 1000
+
 
 class ParseError(Exception):
     """Syntax failure, carrying a 1-based source position."""
@@ -252,8 +258,12 @@ class _Parser:
         if tok.kind != "number" or not _is_integer_literal(tok.text):
             raise ParseError("exponent must be an integer literal",
                              caret.line, caret.column)
+        digits = tok.text.lstrip("0") or "0"
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+            raise ParseError(f"exponent {tok.text} exceeds {MAX_EXPONENT}",
+                             tok.line, tok.column)
         self._advance()
-        exponent = int(tok.text)
+        exponent = int(digits)
         return Pow(base, -exponent if negate else exponent)
 
     def _atom(self) -> Expr:

@@ -18,12 +18,14 @@ normal bundle, and grid-level verdict checks for a small registry of
 if-and-only-if statements.
 
 Grids are evaluated in blocks of points, each block as one batch of
-jets (see ``evaluate_batch``); a record's bytes do not depend on the
-block it was computed in.
+jets (see ``evaluate_batch``), and their records come back as columns
+(``Records``); a record's bytes do not depend on the block it was
+computed in.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import statistics
 from dataclasses import dataclass
@@ -42,6 +44,7 @@ __all__ = [
     "UnknownTheorem",
     "GaussLaplacianDecomposition",
     "PointRecord",
+    "Records",
     "TheoremVerdict",
     "laplacian_gauss_formula",
     "first_kind_residuals",
@@ -205,11 +208,12 @@ def lemma42_residual(pg: PointGeometry):
     return best
 
 
-# -- per-point record ---------------------------------------------------
+# -- records ------------------------------------------------------------
 
 @dataclass(frozen=True)
 class PointRecord:
-    """Flat, picklable snapshot of everything computed at one grid point.
+    """Flat snapshot of everything computed at one grid point: one row
+    of a ``Records`` block.
 
     Skipped points carry ok=False and a reason; every numeric field is
     then zero-filled and must not be interpreted.
@@ -254,6 +258,66 @@ class PointRecord:
     labels: tuple[str, ...] = ()
 
 
+class Records:
+    """The records of a sequence of grid points, one column per
+    ``PointRecord`` field.
+
+    A float field is a float64 array with one row per point, of shape
+    (n,) or, for a tuple field, (n, k); every other field (ok,
+    skip_reason, H_causal, lemma42, bilaplacian_norm, labels) is a list.
+    """
+
+    def __init__(self, columns: dict):
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.columns["ok"])
+
+    def __getitem__(self, name: str):
+        return self.columns[name]
+
+    @staticmethod
+    def join(blocks: Sequence[Records]) -> Records:
+        """The rows of each block in turn."""
+        return Records({
+            name: (np.concatenate([b[name] for b in blocks])
+                   if isinstance(col, np.ndarray)
+                   else [x for b in blocks for x in b[name]])
+            for name, col in blocks[0].columns.items()})
+
+    def select(self, rows) -> Records:
+        """The records at ``rows``: a slice, or a list of row indices."""
+        def pick(col):
+            if isinstance(col, np.ndarray) or isinstance(rows, slice):
+                return col[rows]
+            return [col[k] for k in rows]
+        return Records({name: pick(col) for name, col in self.columns.items()})
+
+    def lists(self, name: str) -> list[list]:
+        """A column as Python lists, one per component of its field;
+        floats come out of ``.tolist()`` bit for bit."""
+        col = self.columns[name]
+        if not isinstance(col, np.ndarray):
+            return [col]
+        return col.T.tolist() if col.ndim == 2 else [col.tolist()]
+
+    def live(self) -> Records:
+        """The records of the evaluated points."""
+        ok = self.columns["ok"]
+        return self if all(ok) else self.select(
+            [k for k, evaluated in enumerate(ok) if evaluated])
+
+    def point(self, k: int) -> PointRecord:
+        """Row k as a ``PointRecord``."""
+        def cell(col):
+            if not isinstance(col, np.ndarray):
+                return col[k]
+            value = col[k].tolist()
+            return tuple(value) if isinstance(value, list) else value
+        return PointRecord(**{name: cell(col)
+                              for name, col in self.columns.items()})
+
+
 # Points per batch when a grid is evaluated.  Report bytes do not depend
 # on it; it bounds the memory a batch of jets takes.
 BLOCK_POINTS = 256
@@ -271,8 +335,34 @@ def _failure(err: Exception) -> str:
                 if isinstance(err, kind))
 
 
-def _skipped(u: float, v: float, reason: str) -> PointRecord:
-    return PointRecord(u=u, v=v, ok=False, skip_reason=reason)
+def _skipped(us: list, vs: list, reasons: list) -> Records:
+    # the records of points that were not evaluated: every field past
+    # skip_reason holds its PointRecord default, zeros for float fields
+    n = len(us)
+
+    def fill(default):
+        if isinstance(default, float) or isinstance(default, tuple) and default:
+            return np.zeros((n, *np.shape(default)))
+        return [default] * n
+
+    return Records({"u": np.array(us, dtype=float),
+                    "v": np.array(vs, dtype=float),
+                    "ok": [False] * n, "skip_reason": list(reasons),
+                    **{f.name: fill(f.default)
+                       for f in dataclasses.fields(PointRecord)[4:]}})
+
+
+def _with_skips(us: list, vs: list, reasons: list, block: Records
+                ) -> Records:
+    # The records of the points us, vs: the rows of block, in order, at
+    # the points whose reason is None, and skipped rows at the others.
+    skip = [k for k, reason in enumerate(reasons) if reason is not None]
+    if not skip:
+        return block
+    live = [k for k, reason in enumerate(reasons) if reason is None]
+    rows = _skipped([us[k] for k in skip], [vs[k] for k in skip],
+                    [reasons[k] for k in skip])
+    return Records.join([block, rows]).select(np.argsort(live + skip).tolist())
 
 
 def _immersion_failure(spec: SurfaceSpec, u: float, v: float,
@@ -324,59 +414,61 @@ def _columns(pg: PointGeometry) -> dict:
     return cols
 
 
-def _live_records(pg: PointGeometry, us: list, vs: list) -> list[PointRecord]:
-    # Records of the points of pg, which all have a space-like metric.
+def _live_block(pg: PointGeometry, us: list, vs: list
+                ) -> tuple[Records, np.ndarray]:
+    # The records of the points of pg, which all have a space-like
+    # metric, and which of them hold only finite values.
     n = len(us)
 
     def per_point(x) -> np.ndarray:
-        return x if np.shape(x) == (n,) else np.broadcast_to(x, (n,))
+        return np.broadcast_to(x, (n,))
 
-    cols = _columns(pg)
+    cols = {name: (np.stack([per_point(x) for x in col], axis=1)
+                   if isinstance(col, tuple) else np.array(per_point(col)))
+            for name, col in _columns(pg).items()}
     lemma_applies, lemma = (per_point(x) for x in _lemma42(pg))
     finite = np.logical_and.reduce(
-        [np.isfinite(per_point(x)) for col in cols.values()
-         for x in (col if isinstance(col, tuple) else (col,))]
+        [np.isfinite(col).reshape(n, -1).all(axis=1) for col in cols.values()]
         + [~lemma_applies | np.isfinite(lemma)])
-    values = {name: (list(zip(*(per_point(x).tolist() for x in col)))
-                     if isinstance(col, tuple) else per_point(col).tolist())
-              for name, col in cols.items()}
-    causal = [c.name for c in per_point(pg.H_causal)]
-    labels = pg.classify()
-    records = []
-    for k, (u, v) in enumerate(zip(us, vs)):
-        if not finite[k]:
-            records.append(_skipped(u, v, "overflow"))
-            continue
-        records.append(PointRecord(
-            u=u, v=v, ok=True, H_causal=causal[k],
-            lemma42=float(lemma[k]) if lemma_applies[k] else None,
-            labels=tuple(sorted(labels[k])),
-            **{name: col[k] for name, col in values.items()}))
-    return records
+    bilaplacian = cols.pop("bilaplacian_norm", None)
+    cols.update(
+        u=np.array(us), v=np.array(vs), ok=[True] * n, skip_reason=[None] * n,
+        H_causal=[c.name for c in per_point(pg.H_causal)],
+        lemma42=[x if applies else None for x, applies
+                 in zip(lemma.tolist(), lemma_applies.tolist())],
+        bilaplacian_norm=([None] * n if bilaplacian is None
+                          else bilaplacian.tolist()),
+        labels=[tuple(sorted(labels)) for labels in pg.classify()])
+    return Records(cols), finite
 
 
 def _batch_records(spec: SurfaceSpec, us: list, vs: list, order: int,
-                   tol: Tolerances) -> list[PointRecord]:
+                   tol: Tolerances) -> Records:
     xj = evaluate_immersion(spec, np.array(us), np.array(vs), order)
     reasons = PointGeometry(xj, tol=tol).skip_reasons.tolist()
     live = [k for k, reason in enumerate(reasons) if reason is None]
-    done = iter(())
-    if live:
-        if len(live) < len(us):
-            xj = tuple(c[np.array(live)] for c in xj)
-        lu, lv = [us[k] for k in live], [vs[k] for k in live]
-        pg = PointGeometry(xj, base=(np.array(lu), np.array(lv)), tol=tol)
-        done = iter(_live_records(pg, lu, lv))
-    return [next(done) if reason is None else _skipped(u, v, reason)
-            for u, v, reason in zip(us, vs, reasons)]
+    if not live:
+        return _skipped(us, vs, reasons)
+    if len(live) < len(us):
+        xj = tuple(c[np.array(live)] for c in xj)
+    lu, lv = [us[k] for k in live], [vs[k] for k in live]
+    pg = PointGeometry(xj, base=(np.array(lu), np.array(lv)), tol=tol)
+    block, finite = _live_block(pg, lu, lv)
+    if not finite.all():
+        # a non-finite value makes its point an overflow skip
+        for k, ok in zip(live, finite.tolist()):
+            if not ok:
+                reasons[k] = "overflow"
+        block = block.select(np.flatnonzero(finite).tolist())
+    return _with_skips(us, vs, reasons, block)
 
 
 def evaluate_batch(spec: SurfaceSpec, points: Sequence[tuple[float, float]],
                    order: int = 3, tol: Tolerances = DEFAULT_TOLERANCES
-                   ) -> list[PointRecord]:
+                   ) -> Records:
     """Full pointwise analysis of a block of (u, v) points as one batch.
 
-    Points where the analysis cannot run come back as skipped records:
+    Points where the analysis cannot run come back as skipped rows:
     "degenerate" or "not-spacelike" metric, "domain-error" (sqrt or log
     outside its domain), "singular" (division by zero), "overflow" (a
     float overflow, or any non-finite value in the record).  numpy
@@ -385,43 +477,41 @@ def evaluate_batch(spec: SurfaceSpec, points: Sequence[tuple[float, float]],
     us = [float(u) for u, _ in points]
     vs = [float(v) for _, v in points]
     if not us:
-        return []
+        return _skipped([], [], [])
     with np.errstate(all="ignore"):
         try:
             return _batch_records(spec, us, vs, order, tol)
         except _POINT_ERROR_TYPES as err:
             if len(us) == 1:
-                return [_skipped(us[0], vs[0], _failure(err))]
+                return _skipped(us, vs, [_failure(err)])
             # Find the failing points one at a time through the
             # immersion, then evaluate the others as a batch.
             failures = [_immersion_failure(spec, u, v, order)
                         for u, v in zip(us, vs)]
     if not any(failures):
         # the failure lies past the immersion: go point by point
-        return [evaluate_point(spec, u, v, order, tol)
-                for u, v in zip(us, vs)]
+        return Records.join([evaluate_batch(spec, [point], order, tol)
+                             for point in zip(us, vs)])
     rest = [(u, v) for u, v, f in zip(us, vs, failures) if f is None]
-    done = iter(evaluate_batch(spec, rest, order, tol))
-    return [next(done) if f is None else _skipped(u, v, f)
-            for u, v, f in zip(us, vs, failures)]
+    return _with_skips(us, vs, failures, evaluate_batch(spec, rest, order, tol))
 
 
 def evaluate_point(spec: SurfaceSpec, u: float, v: float, order: int = 3,
                    tol: Tolerances = DEFAULT_TOLERANCES) -> PointRecord:
     """Full pointwise analysis of one point; points where it cannot run
     come back as skipped records rather than raising."""
-    return evaluate_batch(spec, [(u, v)], order, tol)[0]
+    return evaluate_batch(spec, [(u, v)], order, tol).point(0)
 
 
 def evaluate_grid(spec: SurfaceSpec, grid: tuple[int, int] = (7, 7),
                   order: int = 3, tol: Tolerances = DEFAULT_TOLERANCES
-                  ) -> list[PointRecord]:
+                  ) -> Records:
     """Row-major records over cell centers of the surface domain,
     evaluated BLOCK_POINTS points at a time."""
     points = cell_centers(spec.domain, *grid)
-    return [rec for start in range(0, len(points), BLOCK_POINTS)
-            for rec in evaluate_batch(spec, points[start:start + BLOCK_POINTS],
-                                      order, tol)]
+    return Records.join([
+        evaluate_batch(spec, points[start:start + BLOCK_POINTS], order, tol)
+        for start in range(0, len(points), BLOCK_POINTS)])
 
 
 # -- theorem verdicts -----------------------------------------------------
@@ -457,10 +547,6 @@ class TheoremVerdict:
     notes: str
 
 
-def _live(records: Sequence[PointRecord]) -> list[PointRecord]:
-    return [r for r in records if r.ok]
-
-
 def _constancy(values: Sequence[float], rel: float) -> tuple[bool, float]:
     # sample sd against rel * (1 + |mean|); returns (constant?, sd)
     if len(values) < 2:
@@ -471,50 +557,52 @@ def _constancy(values: Sequence[float], rel: float) -> tuple[bool, float]:
 
 
 def _check_harmonic(recs, tau, rel):
-    worst = max(r.residual_harmonic for r in recs)
+    worst = max(recs["residual_harmonic"].tolist())
     return SideResult("harmonic Gauss map (max |direct Laplacian|)",
                       worst <= tau, worst)
 
 
 def _check_first_kind(recs, tau, rel):
-    worst = max(r.residual_first_kind for r in recs)
+    worst = max(recs["residual_first_kind"].tolist())
     return SideResult("pointwise first-kind Gauss map Laplacian "
                       "(max |direct - h_sq nu|)", worst <= tau, worst)
 
 
 def _check_global_first_kind(recs, tau, rel):
-    worst = max(r.residual_first_kind for r in recs)
-    const, sd = _constancy([r.f_estimate for r in recs], rel)
+    worst = max(recs["residual_first_kind"].tolist())
+    const, sd = _constancy(recs["f_estimate"].tolist(), rel)
     return SideResult("global first-kind: pointwise first-kind with "
                       "grid-constant f", worst <= tau and const,
                       max(worst, sd))
 
 
 def _check_flat(recs, tau, rel):
-    worst = max(abs(r.K[0]) for r in recs)
+    worst = max(map(abs, recs["K"][:, 0].tolist()))
     return SideResult("flat (max |K|)", worst <= tau, worst)
 
 
 def _check_fnb(recs, tau, rel):
-    worst = max(abs(r.RD) for r in recs)
+    worst = max(map(abs, recs["RD"].tolist()))
     return SideResult("flat normal bundle (max |R^D|)", worst <= tau, worst)
 
 
 def _check_parallel(recs, tau, rel):
-    worst = max(r.residual_parallel_H for r in recs)
+    worst = max(recs["residual_parallel_H"].tolist())
     return SideResult("parallel mean curvature vector (max |DH|)",
                       worst <= tau, worst)
 
 
 def _check_lightlike_H(recs, tau, rel):
-    ok = all(r.H_causal == "LIGHTLIKE" for r in recs)
-    worst = max(abs(r.H_inner) / (1.0 + r.H_norm_euclid ** 2) for r in recs)
+    ok = all(c == "LIGHTLIKE" for c in recs["H_causal"])
+    worst = max(abs(inner) / (1.0 + norm ** 2) for inner, norm
+                in zip(recs["H_inner"].tolist(),
+                       recs["H_norm_euclid"].tolist()))
     return SideResult("light-like mean curvature vector everywhere",
                       ok, worst)
 
 
 def _check_K_constant(recs, tau, rel):
-    const, sd = _constancy([r.K[0] for r in recs], rel)
+    const, sd = _constancy(recs["K"][:, 0].tolist(), rel)
     return SideResult("grid-constant Gaussian curvature", const, sd)
 
 
@@ -541,29 +629,32 @@ def _premise_any(recs, tau, rel):
 
 
 def _premise_maximal(recs, tau, rel):
-    ok = all(r.H_norm_euclid <= tau for r in recs)
+    ok = all(x <= tau for x in recs["H_norm_euclid"].tolist())
     return ok, "maximal on the sample (|H| <= tol everywhere)"
 
 
 def _premise_nonmaximal(recs, tau, rel):
-    ok = all(r.H_norm_euclid > tau for r in recs)
+    ok = all(x > tau for x in recs["H_norm_euclid"].tolist())
     return ok, "non-maximal on the sample (|H| > tol everywhere)"
 
 
 def _premise_lightlike(recs, tau, rel):
-    ok = all(r.H_causal == "LIGHTLIKE" for r in recs)
+    ok = all(c == "LIGHTLIKE" for c in recs["H_causal"])
     return ok, "light-like mean curvature vector on the sample"
 
 
 def _premise_in_s31(recs, tau, rel):
-    const, _ = _constancy([r.position_inner for r in recs], rel)
-    ok = const and all(r.position_inner > 0 for r in recs)
+    positions = recs["position_inner"].tolist()
+    const, _ = _constancy(positions, rel)
+    ok = const and all(p > 0 for p in positions)
     return ok, "sample lies in a de Sitter quadric (<x,x> constant > 0)"
 
 
 def _premise_in_h3(recs, tau, rel):
-    const, _ = _constancy([r.position_inner for r in recs], rel)
-    ok = const and all(r.position_inner < 0 and r.x[0] > 0 for r in recs)
+    positions = recs["position_inner"].tolist()
+    const, _ = _constancy(positions, rel)
+    ok = const and all(p < 0 and x0 > 0 for p, x0
+                       in zip(positions, recs["x"][:, 0].tolist()))
     return ok, "sample lies in a hyperbolic quadric (<x,x> constant < 0)"
 
 
@@ -592,8 +683,8 @@ THEOREMS: dict[str, _TheoremEntry] = {
         _and(_check_flat, _check_fnb,
              _or(lambda recs, tau, rel: SideResult(
                      "maximal (max |H|)",
-                     max(r.H_norm_euclid for r in recs) <= tau,
-                     max(r.H_norm_euclid for r in recs)),
+                     max(recs["H_norm_euclid"].tolist()) <= tau,
+                     max(recs["H_norm_euclid"].tolist())),
                  _and(_check_lightlike_H, _check_parallel)))),
     "T3.9": _TheoremEntry(
         "in a de Sitter quadric: flat with light-like parallel mean "
@@ -636,7 +727,7 @@ def theorem_ids() -> tuple[str, ...]:
 
 
 def theorem_verdict_from_records(theorem_id: str,
-                                 records: Sequence[PointRecord],
+                                 records: Records,
                                  surface_name: str = "",
                                  tol: Tolerances = DEFAULT_TOLERANCES,
                                  ) -> TheoremVerdict:
@@ -647,7 +738,7 @@ def theorem_verdict_from_records(theorem_id: str,
             f"{', '.join(theorem_ids())}")
     tau = tol.residual
     rel = tol.constancy_rel
-    live = _live(records)
+    live = records.live()
     skipped = len(records) - len(live)
     notes = (f"numerical evidence at tolerance {tau!r} on {len(live)} "
              "sample points; not a proof, and silent beyond the sample")

@@ -7,11 +7,13 @@ JSON or CSV.  Reports are deterministic: identical bytes for the same
 config and build, independent of how the grid is split into blocks, with
 floats written via repr so a JSON round trip preserves every bit.
 
-The JSON ``points`` block is written by a writer compiled from the
-``PointRecord`` fields: one ``%``-template per record layout, filled
-column by column, with bytes equal to what ``json.dumps(indent=2,
-allow_nan=True)`` writes for the records' dicts.  The rest of a payload
-goes through ``json.dumps`` itself.
+Records arrive as columns (``gaussmap.Records``), and the summary, the
+verdicts and both writers read the columns.  The JSON ``points`` block
+is written by a writer compiled from the ``PointRecord`` fields: one
+``%``-template per record layout, filled column by column, with bytes
+equal to what ``json.dumps(indent=2, allow_nan=True)`` writes for the
+records' dicts.  The rest of a payload goes through ``json.dumps``
+itself.
 
 Every report embeds the sign conventions; the numbers are meaningless
 without them.
@@ -31,8 +33,8 @@ from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from . import surfaces as sf
-from .gaussmap import (BLOCK_POINTS, PointRecord, TheoremVerdict, _constancy,
-                       evaluate_grid, theorem_verdict_from_records)
+from .gaussmap import (BLOCK_POINTS, PointRecord, Records, TheoremVerdict,
+                       _constancy, evaluate_grid, theorem_verdict_from_records)
 from .geometry import DEFAULT_TOLERANCES, Tolerances
 from .expr import serialize_expression
 from .surfaces import Domain, SurfaceSpec
@@ -131,7 +133,7 @@ def resolve_surface(cfg: RunConfig) -> SurfaceSpec:
     return spec
 
 
-def evaluate_records(spec: SurfaceSpec, cfg: RunConfig) -> list[PointRecord]:
+def evaluate_records(spec: SurfaceSpec, cfg: RunConfig) -> Records:
     """Row-major records over the grid, evaluated in blocks of
     ``gaussmap.BLOCK_POINTS`` points; the bytes they lead to do not
     depend on the block size."""
@@ -146,52 +148,51 @@ def _stats(values: Sequence[float]) -> dict:
     return {"mean": mean, "sd": sd, "min": min(values), "max": max(values)}
 
 
-def summarize(records: Sequence[PointRecord], tol: Tolerances) -> dict:
-    live = [r for r in records if r.ok]
-    skipped = [r for r in records if not r.ok]
+def summarize(records: Records, tol: Tolerances) -> dict:
+    live = records.live()
+    skipped = [reason for reason, ok
+               in zip(records["skip_reason"], records["ok"]) if not ok]
     out: dict = {
         "points_total": len(records),
         "points_evaluated": len(live),
         "points_skipped": len(skipped),
-        "skip_reasons": sorted({r.skip_reason for r in skipped}),
+        "skip_reasons": sorted(set(skipped)),
     }
     if not live:
         return out
 
-    residuals = {}
-    for name in ("residual_frame", "residual_codazzi", "residual_parallel_H",
-                 "residual_beltrami", "residual_route",
-                 "residual_first_kind", "residual_harmonic"):
-        residuals[name] = max(getattr(r, name) for r in live)
-    out["max_residuals"] = residuals
+    out["max_residuals"] = {
+        name: max(live[name].tolist())
+        for name in ("residual_frame", "residual_codazzi",
+                     "residual_parallel_H", "residual_beltrami",
+                     "residual_route", "residual_first_kind",
+                     "residual_harmonic")}
 
-    out["K_gauss"] = _stats([r.K[0] for r in live])
+    K_gauss, K_formula, K_intrinsic = live.lists("K")
+    out["K_gauss"] = _stats(K_gauss)
     out["K_route_spread"] = max(
-        max(abs(r.K[0] - r.K[1]), abs(r.K[0] - r.K[2])) for r in live)
-    out["h_sq"] = _stats([r.h_sq for r in live])
-    out["RD_max_abs"] = max(abs(r.RD) for r in live)
-    out["f_estimate"] = _stats([r.f_estimate for r in live])
-    out["H_causal_classes"] = sorted({r.H_causal for r in live})
-    out["H_norm_euclid_max"] = max(r.H_norm_euclid for r in live)
+        max(abs(k - f), abs(k - i))
+        for k, f, i in zip(K_gauss, K_formula, K_intrinsic))
+    out["h_sq"] = _stats(live["h_sq"].tolist())
+    out["RD_max_abs"] = max(map(abs, live["RD"].tolist()))
+    out["f_estimate"] = _stats(live["f_estimate"].tolist())
+    out["H_causal_classes"] = sorted(set(live["H_causal"]))
+    out["H_norm_euclid_max"] = max(live["H_norm_euclid"].tolist())
 
-    positions = [r.position_inner for r in live]
+    positions = live["position_inner"].tolist()
     out["position_inner"] = _stats(positions)
     # A quadric containment constant only makes sense if <x, x> is
     # grid-constant; the rule is the one the quadric premises use.
     pos_constant, _ = _constancy(positions, tol.constancy_rel)
     out["position_inner_constant"] = pos_constant
 
-    lem = [r.lemma42 for r in live if r.lemma42 is not None]
-    out["lemma42_max"] = max(lem) if lem else None
-    bil = [r.bilaplacian_norm for r in live
-           if r.bilaplacian_norm is not None]
-    out["bilaplacian_norm_max"] = max(bil) if bil else None
+    for name in ("lemma42", "bilaplacian_norm"):
+        present = [x for x in live[name] if x is not None]
+        out[name + "_max"] = max(present) if present else None
 
-    everywhere = set(live[0].labels)
-    somewhere = set()
-    for r in live:
-        everywhere &= set(r.labels)
-        somewhere |= set(r.labels)
+    labels = live["labels"]
+    everywhere = set(labels[0]).intersection(*labels)
+    somewhere = set().union(*labels)
     if not pos_constant:
         everywhere -= set(QUADRIC_LABELS)
     out["labels_everywhere"] = sorted(everywhere)
@@ -266,32 +267,27 @@ def _csv_text(header: Sequence[str], rows) -> str:
 def _field_kinds() -> dict[str, str]:
     """The kind of each PointRecord field, from its type hint: "float";
     "floats", a tuple of floats as long as its default; "strings", a
-    tuple of str (the labels); or "value", a field that holds None, a
-    bool, a str or a float."""
+    tuple of str (the labels); "bool"; "str"; and "float?" or "str?"
+    for a field that may also hold None."""
     kinds = {}
     for name, hint in typing.get_type_hints(PointRecord).items():
-        item = (typing.get_args(hint)[:1]
-                if typing.get_origin(hint) is tuple else None)
-        kinds[name] = ("float" if hint is float else
-                       "floats" if item == (float,) else
-                       "strings" if item == (str,) else "value")
+        optional = typing.get_origin(hint) is typing.Union
+        if optional:
+            hint = typing.get_args(hint)[0]
+        if typing.get_origin(hint) is tuple:
+            kind = ("floats" if typing.get_args(hint)[0] is float
+                    else "strings")
+        else:
+            kind = hint.__name__
+        kinds[name] = kind + "?" if optional else kind
     return kinds
 
 
-def _blocks(records: Sequence[PointRecord]):
+def _blocks(records: Records):
     """The records in blocks of ``BLOCK_POINTS``: the writers encode one
     block's columns at a time, which bounds the memory they hold."""
     for start in range(0, len(records), BLOCK_POINTS):
-        yield records[start:start + BLOCK_POINTS]
-
-
-def _column(records: Sequence[PointRecord], name: str) -> list:
-    return [getattr(rec, name) for rec in records]
-
-
-def _components(records: Sequence[PointRecord], name: str) -> list:
-    """One column per component of a tuple field."""
-    return list(zip(*_column(records, name), strict=True))
+        yield records.select(slice(start, start + BLOCK_POINTS))
 
 
 def _float_texts(values) -> list[str]:
@@ -304,7 +300,7 @@ def _csv_cells(values) -> list[str]:
     return list(map(_csv_cell, values))
 
 
-def _records_csv(records: Sequence[PointRecord], scalars: Sequence[str],
+def _records_csv(records: Records, scalars: Sequence[str],
                  tuples=()) -> str:
     """One row per record: the scalar fields, the tuple fields expanded
     one column per component, and the labels joined by ';'."""
@@ -313,10 +309,10 @@ def _records_csv(records: Sequence[PointRecord], scalars: Sequence[str],
 
     def columns(block):
         cols = [(_float_texts if kinds[name] == "float" else _csv_cells)(
-                    _column(block, name)) for name in scalars]
+                    *block.lists(name)) for name in scalars]
         for name, _ in tuples:
-            cols.extend(map(_float_texts, _components(block, name)))
-        cols.append([";".join(rec.labels) for rec in block])
+            cols.extend(map(_float_texts, block.lists(name)))
+        cols.append(list(map(";".join, block["labels"])))
         return cols
 
     return _csv_text(header, (row for block in _blocks(records)
@@ -335,23 +331,26 @@ def _json_floats(values) -> list[str]:
     return list(map(nonfinite.get, texts, texts))
 
 
-def _json_value(value) -> str:
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    return _json_floats((value,))[0]
-
-
 def _json_strings(strings: Sequence[str]) -> str:
     if not strings:
         return "[]"
     items = ",\n        ".join(map(encode_basestring_ascii, strings))
     return f"[\n        {items}\n      ]"
+
+
+def _json_texts(kind: str, values: list) -> list[str]:
+    """JSON text of each value of one component of a field of ``kind``."""
+    if kind.endswith("?"):
+        present = iter(_json_texts(kind[:-1],
+                                   [x for x in values if x is not None]))
+        return ["null" if x is None else next(present) for x in values]
+    if kind in ("float", "floats"):
+        return _json_floats(values)
+    if kind == "bool":
+        return ["true" if x else "false" for x in values]
+    if kind == "str":
+        return list(map(encode_basestring_ascii, values))
+    return list(map(_json_strings, values))
 
 
 @functools.cache
@@ -375,8 +374,7 @@ def _record_template(names: tuple[str, ...]) -> str:
     return "    {\n" + ",\n".join(members) + "\n    }"
 
 
-def _points_json(records: Sequence[PointRecord],
-                 names: tuple[str, ...]) -> _JSONText:
+def _points_json(records: Records, names: tuple[str, ...]) -> _JSONText:
     """The ``points`` list of a payload, holding the fields ``names`` of
     each record: a block's columns are encoded at once, then each record
     is one ``template % values``."""
@@ -385,16 +383,8 @@ def _points_json(records: Sequence[PointRecord],
     kinds, template = _field_kinds(), _record_template(names)
     texts = []
     for block in _blocks(records):
-        columns = []
-        for name in names:
-            if kinds[name] == "floats":
-                columns.extend(map(_json_floats, _components(block, name)))
-            elif kinds[name] == "float":
-                columns.append(_json_floats(_column(block, name)))
-            elif kinds[name] == "strings":
-                columns.append(list(map(_json_strings, _column(block, name))))
-            else:
-                columns.append(list(map(_json_value, _column(block, name))))
+        columns = [_json_texts(kinds[name], values) for name in names
+                   for values in block.lists(name)]
         texts.extend(map(template.__mod__, zip(*columns)))
     return _JSONText("[\n" + ",\n".join(texts) + "\n  ]")
 

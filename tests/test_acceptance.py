@@ -15,7 +15,7 @@ from minksurf import report
 from minksurf import surfaces as sf
 
 from conftest import (CATALOG_CASES, WILD_TEXT, build, grid_geometry,
-                      route_agreement)
+                      route_agreement, rows)
 
 
 def announce(n: int, ok: bool, detail: str) -> None:
@@ -24,7 +24,7 @@ def announce(n: int, ok: bool, detail: str) -> None:
 
 
 def records(name, params, grid=(7, 7), order=3):
-    return gm.evaluate_grid(build(name, params), grid=grid, order=order)
+    return rows(gm.evaluate_grid(build(name, params), grid=grid, order=order))
 
 
 def test_criterion_1_flat_trapped_example_quantitative():
@@ -92,10 +92,11 @@ def test_criterion_4_pointwise_first_kind_suite():
 
 
 def test_criterion_5_negative_controls_and_mutations():
-    recs = records("graph", {"phi": "u^3"}, grid=(6, 6))
+    block = gm.evaluate_grid(build("graph", {"phi": "u^3"}), grid=(6, 6))
+    recs = rows(block)
     controls = (min(r.residual_first_kind for r in recs) > 1e-3
                 and min(r.residual_parallel_H for r in recs) > 1e-3)
-    verdict = gm.theorem_verdict_from_records("T4.4", recs, "graph",
+    verdict = gm.theorem_verdict_from_records("T4.4", block, "graph",
                                               ge.DEFAULT_TOLERANCES)
     both_fail = (verdict.consistent and not verdict.side_a.passes
                  and not verdict.side_b.passes)

@@ -12,6 +12,8 @@ from minksurf import jets as jt
 from minksurf import report
 from minksurf import surfaces as sf
 
+from conftest import rows
+
 
 def test_records_match_pointwise_evaluation():
     # 17 x 19 = 323 points: a full block and a ragged one
@@ -20,7 +22,7 @@ def test_records_match_pointwise_evaluation():
                            grid=(17, 19), order=3)
     spec = report.resolve_surface(cfg)
     assert gm.BLOCK_POINTS < 17 * 19 < 2 * gm.BLOCK_POINTS
-    records = report.evaluate_records(spec, cfg)
+    records = rows(report.evaluate_records(spec, cfg))
     alone = [gm.evaluate_point(spec, u, v, cfg.order, cfg.tol)
              for u, v in sf.cell_centers(spec.domain, *cfg.grid)]
     assert records == alone
@@ -32,6 +34,8 @@ def test_records_match_pointwise_evaluation():
     ["analyze", "--catalog", "example52", "--order", "4"],
     ["analyze", "--catalog", "graph", "--param", "phi=log(u)", "--format",
      "csv"],
+    ["classify", "--catalog", "s31-flat"],
+    ["verify", "T4.8", "--catalog", "product"],
 ])
 def test_report_bytes_do_not_depend_on_block_size(argv, monkeypatch, tmp_path):
     def report_bytes(name):
@@ -46,7 +50,7 @@ def test_report_bytes_do_not_depend_on_block_size(argv, monkeypatch, tmp_path):
 
 def test_failure_past_the_immersion_skips_only_its_points(monkeypatch):
     spec = sf.catalog_lookup("product")
-    clean = gm.evaluate_grid(spec, (3, 3))
+    clean = rows(gm.evaluate_grid(spec, (3, 3)))
     bad_u = clean[4].u
     real = gm.laplacian_gauss_formula
 
@@ -56,7 +60,7 @@ def test_failure_past_the_immersion_skips_only_its_points(monkeypatch):
         return real(pg)
 
     monkeypatch.setattr(gm, "laplacian_gauss_formula", failing_on_one_row)
-    got = gm.evaluate_grid(spec, (3, 3))
+    got = rows(gm.evaluate_grid(spec, (3, 3)))
     assert [r.skip_reason for r in got] == [
         "domain-error" if r.u == bad_u else None for r in clean]
     assert [r for r in got if r.ok] == [r for r in clean if r.u != bad_u]

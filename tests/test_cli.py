@@ -6,8 +6,9 @@ import csv
 import io
 import json
 import math
+import signal
 import warnings
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings
@@ -16,8 +17,9 @@ from hypothesis import strategies as st
 from minksurf import cli
 from minksurf import gaussmap as gm
 from minksurf import report
+from minksurf import surfaces as sf
 
-from conftest import WILD_TEXT
+from conftest import WILD_TEXT, records_block
 
 DEGENERATE_TEXT = "x1 = u ; x2 = v ; x3 = u ; x4 = 0"
 
@@ -29,6 +31,25 @@ def run(argv, capsys):
         code = e.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class StillRunning(Exception):
+    """A call outlived its time limit."""
+
+
+@contextmanager
+def time_limit(seconds: float):
+    # StillRunning is no OSError, so cli.main cannot report it as exit 2
+    def expire(signum, frame):
+        raise StillRunning(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestAnalyze:
@@ -117,6 +138,22 @@ class TestAnalyze:
         d = json.loads(out)
         assert d["surface"]["domain"] == [0.0, 1.0, 0.0, 1.0]
         assert all(0.0 < p["u"] < 1.0 for p in d["points"])
+
+    def test_repeated_calls_share_no_values(self, capsys):
+        # one parser serves every call in a process: a call's --param and
+        # --domain must not reach the next call
+        code, _, _ = run(
+            ["analyze", "--catalog", "graph", "--param", "phi=u*v",
+             "--domain", "0,1,0,1", "--grid", "2x2"], capsys)
+        assert code == 0
+        code, out, _ = run(["analyze", "--catalog", "type-i", "--grid", "2x2"],
+                           capsys)
+        assert code == 0
+        surface = json.loads(out)["surface"]
+        entry = sf.catalog_entry("type-i")
+        assert surface["params"] == dict(entry.float_params)
+        assert surface["domain"] == list(entry.domain.as_tuple())
+        assert cli._parser().parse_args(["classify"]).param == []
 
     def test_negative_domain_bound_after_a_space(self, capsys):
         # a bound list that starts with "-" is the value of --domain, in
@@ -232,10 +269,11 @@ class TestClassify:
         # question, "is <x, x> grid-constant", so they must agree on every
         # spread of <x, x>, not only on exact or wildly varying data
         delta = 2.0 * rel_sd  # sd relative to 1 + |mean| = 2
-        records = [gm.PointRecord(u=0.0, v=float(i), ok=True,
-                                  position_inner=1.0 + (-1) ** i * delta,
-                                  labels=("IN-S31",))
-                   for i in range(8)]
+        records = records_block([
+            gm.PointRecord(u=0.0, v=float(i), ok=True,
+                           position_inner=1.0 + (-1) ** i * delta,
+                           labels=("IN-S31",))
+            for i in range(8)])
         tol = report.DEFAULT_TOLERANCES
         summary = report.summarize(records, tol)
         verdict = gm.theorem_verdict_from_records("T3.9", records, tol=tol)
@@ -322,9 +360,12 @@ class TestUsageErrors:
         ["analyze", "--catalog", "plane", "--grid", "2x2", "--out", "/"],
         ["verify", "T4.4", "--catalog", "plane", "--grid", "2x2",
          "--format", "csv"],
+        ["analyze", "--catalog", "graph", "--param", "phi=u^99999999999",
+         "--grid", "2x2"],
     ])
     def test_exit_2_with_stderr_message(self, argv, capsys):
-        code, out, err = run(argv, capsys)
+        with time_limit(30.0):
+            code, out, err = run(argv, capsys)
         assert code == 2
         assert out == ""
         assert err.startswith("error:") or "usage" in err

@@ -63,12 +63,18 @@ class TestParseErrors:
         ("u^(2)", 2),
         ("u^1.5", 2),
         ("u + 1e400", 5),
+        ("u^1001", 3),
+        ("u^-99999999999", 4),
     ])
     def test_parse_error_position(self, text, col):
         with pytest.raises(ex.ParseError) as info:
             ex.parse_expression(text)
         assert info.value.line == 1
         assert info.value.column == col
+
+    def test_exponent_cap_is_inclusive(self):
+        e = ex.parse_expression(f"u^-{ex.MAX_EXPONENT}")
+        assert e.exponent == -ex.MAX_EXPONENT
 
     def test_arity_error(self):
         with pytest.raises(ex.ArityError) as info:

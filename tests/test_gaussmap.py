@@ -19,7 +19,7 @@ from minksurf import linalg as la
 from minksurf import surfaces as sf
 
 from conftest import (CATALOG_CASES, CATALOG_IDS, build, grid_geometry,
-                      point_geometry, route_agreement)
+                      point_geometry, route_agreement, rows)
 
 HARMONIC_HEIGHTS = ("u*v", "u^2 - v^2", "exp(u)*cos(v)")
 
@@ -184,14 +184,14 @@ class TestLemma42:
 
 class TestRecords:
     def test_grid_shape_and_order(self, product_12):
-        recs = gm.evaluate_grid(product_12, grid=(4, 3))
+        recs = rows(gm.evaluate_grid(product_12, grid=(4, 3)))
         assert len(recs) == 12
         assert [(r.u, r.v) for r in recs] == list(
             sf.cell_centers(product_12.domain, 4, 3))
         assert all(r.ok for r in recs)
 
     def test_record_contents(self, product_12):
-        r = gm.evaluate_grid(product_12, grid=(4, 3))[0]
+        r = gm.evaluate_grid(product_12, grid=(4, 3)).point(0)
         assert r.f_estimate == pytest.approx(-0.75, abs=1e-9)
         assert r.h_sq == pytest.approx(-0.75, abs=1e-9)
         assert r.H_causal == "TIMELIKE"

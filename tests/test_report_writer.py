@@ -1,8 +1,10 @@
 """The JSON records writer against the stdlib encoder.
 
 ``report`` writes the ``points`` block of analyze and classify reports
-from a template compiled from the ``PointRecord`` fields.  The oracle
-here is ``json.dumps(payload, indent=2, allow_nan=True) + "\\n"`` on
+from a template compiled from the ``PointRecord`` fields, filled from
+the columns of a ``gaussmap.Records`` block.  The crafted records here
+go to the writer as a block (``records_block``) and to the oracle,
+``json.dumps(payload, indent=2, allow_nan=True) + "\\n"`` on
 ``dataclasses.asdict`` payloads, which shares no code with that writer.
 The CLI rejects non-finite input, so these tests are the only ones that
 put NaN and infinities into a report.
@@ -19,8 +21,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from minksurf import gaussmap as gm
 from minksurf import report
+from minksurf import surfaces as sf
 from minksurf.gaussmap import PointRecord
+
+from conftest import records_block, rows
 
 ANALYZE = tuple(f.name for f in dataclasses.fields(PointRecord))
 CLASSIFY = ("u", "v", "ok", "skip_reason", "labels")
@@ -46,8 +52,12 @@ def oracle(records, names) -> str:
 
 
 def written(records, names) -> str:
+    return written_block(records_block(records), names)
+
+
+def written_block(block, names) -> str:
     return report._to_json(
-        {**HEAD, "points": report._points_json(records, names), **TAIL})
+        {**HEAD, "points": report._points_json(block, names), **TAIL})
 
 
 def assert_floats_round_trip(text, records, names):
@@ -109,7 +119,7 @@ class TestAgainstStdlib:
         non-finite ones sit on skipped points."""
         records = special_records()
         monkeypatch.setattr(report, "evaluate_records",
-                            lambda spec, cfg: records)
+                            lambda spec, cfg: records_block(records))
         command = "analyze" if names == ANALYZE else "classify"
         text = report.run(report.RunConfig(command=command, catalog="plane",
                                            grid=(2, 2))).text
@@ -117,6 +127,20 @@ class TestAgainstStdlib:
         payload["points"] = json.loads(oracle(records, names))["points"]
         assert text == json.dumps(payload, indent=2, allow_nan=True) + "\n"
         assert_floats_round_trip(text, records, names)
+
+
+def test_evaluated_block():
+    """A block from ``evaluate_grid``, skipped rows included, against
+    the oracle fed its rows: ``records_block`` lays out columns as the
+    pipeline does."""
+    spec = dataclasses.replace(sf.catalog_lookup("graph", {"phi": "log(u)"}),
+                               domain=sf.Domain(-1.0, 1.0, -1.0, 1.0))
+    block = gm.evaluate_grid(spec, (4, 3), order=4)
+    records = rows(block)
+    assert {r.skip_reason for r in records} == {None, "domain-error"}
+    for names in (ANALYZE, CLASSIFY):
+        assert written_block(block, names) == oracle(records, names)
+        assert written(records, names) == oracle(records, names)
 
 
 def _field_strategy(name: str, hint, default):
