@@ -141,6 +141,12 @@ class _Token:
     column: int
 
 
+# Numbers are written in ASCII digits only: str.isdigit also takes
+# superscripts and other scripts' digits, which int() and float() either
+# reject or silently read as numbers.
+_DIGITS = frozenset("0123456789")
+
+
 def _tokens(text: str, line0: int = 1, col0: int = 1) -> Iterator[_Token]:
     line, col = line0, col0
     i, n = 0, len(text)
@@ -156,19 +162,19 @@ def _tokens(text: str, line0: int = 1, col0: int = 1) -> Iterator[_Token]:
             col += 1
             continue
         start_col = col
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
+        if ch in _DIGITS or (ch == "." and i + 1 < n and text[i + 1] in _DIGITS):
             j = i
             seen_dot = False
-            while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
+            while j < n and (text[j] in _DIGITS or (text[j] == "." and not seen_dot)):
                 seen_dot = seen_dot or text[j] == "."
                 j += 1
             if j < n and text[j] in "eE":
                 k = j + 1
                 if k < n and text[k] in "+-":
                     k += 1
-                if k < n and text[k].isdigit():
+                if k < n and text[k] in _DIGITS:
                     j = k
-                    while j < n and text[j].isdigit():
+                    while j < n and text[j] in _DIGITS:
                         j += 1
             tok = text[i:j]
             col += j - i
@@ -308,7 +314,7 @@ class _Parser:
 
 
 def _is_integer_literal(text: str) -> bool:
-    return text.isdigit()
+    return text.isascii() and text.isdigit()
 
 
 def parse_expression(text: str, params: Optional[Mapping | frozenset] = None,

@@ -35,7 +35,8 @@ import numpy as np
 
 from . import jets as jt
 from . import linalg as la
-from .geometry import DEFAULT_TOLERANCES, PointGeometry, Tolerances
+from .geometry import (CONSTANCY_REL, DEFAULT_TOLERANCES, PointGeometry,
+                       Tolerances)
 from .linalg import Bivector
 from .surfaces import SurfaceSpec, cell_centers, evaluate_immersion
 
@@ -215,13 +216,14 @@ class PointRecord:
     """Flat snapshot of everything computed at one grid point: one row
     of a ``Records`` block.
 
-    Skipped points carry ok=False and a reason; every numeric field is
-    then zero-filled and must not be interpreted.
+    Each default is the value of a skipped point (ok=False, with a
+    reason; its other values must not be interpreted), and it fixes
+    the field's column in a ``Records`` block.
     """
 
-    u: float
-    v: float
-    ok: bool
+    u: float = 0.0
+    v: float = 0.0
+    ok: bool = False
     skip_reason: Optional[str] = None
     g: tuple[float, float, float] = (0.0, 0.0, 0.0)  # E, F, G
     x: tuple[float, float, float, float] = (0.0,) * 4
@@ -258,64 +260,80 @@ class PointRecord:
     labels: tuple[str, ...] = ()
 
 
-class Records:
-    """The records of a sequence of grid points, one column per
-    ``PointRecord`` field.
+def _objects(values: list) -> np.ndarray:
+    # an object column holding the values themselves (np.array would
+    # make equal-length tuples a 2-d array)
+    return np.fromiter(values, dtype=object, count=len(values))
 
-    A float field is a float64 array with one row per point, of shape
-    (n,) or, for a tuple field, (n, k); every other field (ok,
-    skip_reason, H_causal, lemma42, bilaplacian_norm, labels) is a list.
+
+class Records:
+    """The records of a sequence of grid points, one numpy column per
+    ``PointRecord`` field, with one row per point.
+
+    A field's default fixes its column: a float, or a non-empty tuple of
+    floats, gives a float64 column of shape (n,) or (n, k); a bool gives
+    a bool column; anything else (skip_reason, H_causal, lemma42,
+    bilaplacian_norm, labels) gives an object column.
     """
 
-    def __init__(self, columns: dict):
+    def __init__(self, columns: dict[str, np.ndarray]):
         self.columns = columns
+
+    @staticmethod
+    def of(rows: Sequence[PointRecord]) -> Records:
+        """The block holding ``rows``, in order."""
+        n = len(rows)
+
+        def column(f):
+            values = [getattr(row, f.name) for row in rows]
+            if isinstance(f.default, bool):
+                return np.array(values, dtype=bool)
+            if isinstance(f.default, (float, tuple)) and f.default != ():
+                return np.array(values, dtype=float).reshape(
+                    n, *np.shape(f.default))
+            return _objects(values)
+
+        return Records({f.name: column(f)
+                        for f in dataclasses.fields(PointRecord)})
 
     def __len__(self) -> int:
         return len(self.columns["ok"])
 
-    def __getitem__(self, name: str):
+    def __getitem__(self, name: str) -> np.ndarray:
         return self.columns[name]
 
     @staticmethod
     def join(blocks: Sequence[Records]) -> Records:
         """The rows of each block in turn."""
-        return Records({
-            name: (np.concatenate([b[name] for b in blocks])
-                   if isinstance(col, np.ndarray)
-                   else [x for b in blocks for x in b[name]])
-            for name, col in blocks[0].columns.items()})
+        return Records({name: np.concatenate([b[name] for b in blocks])
+                        for name in blocks[0].columns})
 
     def select(self, rows) -> Records:
-        """The records at ``rows``: a slice, or a list of row indices."""
-        def pick(col):
-            if isinstance(col, np.ndarray) or isinstance(rows, slice):
-                return col[rows]
-            return [col[k] for k in rows]
-        return Records({name: pick(col) for name, col in self.columns.items()})
+        """The records at ``rows``: a slice, row indices or a row mask."""
+        return Records({name: col[rows] for name, col in self.columns.items()})
 
     def lists(self, name: str) -> list[list]:
         """A column as Python lists, one per component of its field;
         floats come out of ``.tolist()`` bit for bit."""
         col = self.columns[name]
-        if not isinstance(col, np.ndarray):
-            return [col]
         return col.T.tolist() if col.ndim == 2 else [col.tolist()]
 
     def live(self) -> Records:
         """The records of the evaluated points."""
         ok = self.columns["ok"]
-        return self if all(ok) else self.select(
-            [k for k, evaluated in enumerate(ok) if evaluated])
+        return self if ok.all() else self.select(ok)
 
     def point(self, k: int) -> PointRecord:
         """Row k as a ``PointRecord``."""
         def cell(col):
-            if not isinstance(col, np.ndarray):
-                return col[k]
-            value = col[k].tolist()
+            value = col[k:k + 1].tolist()[0]
             return tuple(value) if isinstance(value, list) else value
         return PointRecord(**{name: cell(col)
                               for name, col in self.columns.items()})
+
+
+# The one row that every skipped point's record repeats.
+_SKIPPED_ROW = Records.of([PointRecord()])
 
 
 # Points per batch when a grid is evaluated.  Report bytes do not depend
@@ -336,20 +354,13 @@ def _failure(err: Exception) -> str:
 
 
 def _skipped(us: list, vs: list, reasons: list) -> Records:
-    # the records of points that were not evaluated: every field past
-    # skip_reason holds its PointRecord default, zeros for float fields
+    # the records of points that were not evaluated
     n = len(us)
-
-    def fill(default):
-        if isinstance(default, float) or isinstance(default, tuple) and default:
-            return np.zeros((n, *np.shape(default)))
-        return [default] * n
-
-    return Records({"u": np.array(us, dtype=float),
-                    "v": np.array(vs, dtype=float),
-                    "ok": [False] * n, "skip_reason": list(reasons),
-                    **{f.name: fill(f.default)
-                       for f in dataclasses.fields(PointRecord)[4:]}})
+    block = _SKIPPED_ROW.select([0] * n)
+    block.columns.update(u=np.array(us, dtype=float),
+                         v=np.array(vs, dtype=float),
+                         skip_reason=_objects(reasons))
+    return block
 
 
 def _with_skips(us: list, vs: list, reasons: list, block: Records
@@ -362,7 +373,7 @@ def _with_skips(us: list, vs: list, reasons: list, block: Records
     live = [k for k, reason in enumerate(reasons) if reason is None]
     rows = _skipped([us[k] for k in skip], [vs[k] for k in skip],
                     [reasons[k] for k in skip])
-    return Records.join([block, rows]).select(np.argsort(live + skip).tolist())
+    return Records.join([block, rows]).select(np.argsort(live + skip))
 
 
 def _immersion_failure(spec: SurfaceSpec, u: float, v: float,
@@ -432,13 +443,14 @@ def _live_block(pg: PointGeometry, us: list, vs: list
         + [~lemma_applies | np.isfinite(lemma)])
     bilaplacian = cols.pop("bilaplacian_norm", None)
     cols.update(
-        u=np.array(us), v=np.array(vs), ok=[True] * n, skip_reason=[None] * n,
-        H_causal=[c.name for c in per_point(pg.H_causal)],
-        lemma42=[x if applies else None for x, applies
-                 in zip(lemma.tolist(), lemma_applies.tolist())],
-        bilaplacian_norm=([None] * n if bilaplacian is None
-                          else bilaplacian.tolist()),
-        labels=[tuple(sorted(labels)) for labels in pg.classify()])
+        u=np.array(us), v=np.array(vs), ok=np.ones(n, dtype=bool),
+        skip_reason=_objects([None] * n),
+        H_causal=_objects([c.name for c in per_point(pg.H_causal)]),
+        lemma42=_objects([x if applies else None for x, applies
+                          in zip(lemma.tolist(), lemma_applies.tolist())]),
+        bilaplacian_norm=_objects([None] * n if bilaplacian is None
+                                  else bilaplacian.tolist()),
+        labels=_objects([tuple(sorted(labels)) for labels in pg.classify()]))
     return Records(cols), finite
 
 
@@ -459,7 +471,7 @@ def _batch_records(spec: SurfaceSpec, us: list, vs: list, order: int,
         for k, ok in zip(live, finite.tolist()):
             if not ok:
                 reasons[k] = "overflow"
-        block = block.select(np.flatnonzero(finite).tolist())
+        block = block.select(finite)
     return _with_skips(us, vs, reasons, block)
 
 
@@ -477,7 +489,7 @@ def evaluate_batch(spec: SurfaceSpec, points: Sequence[tuple[float, float]],
     us = [float(u) for u, _ in points]
     vs = [float(v) for _, v in points]
     if not us:
-        return _skipped([], [], [])
+        return Records.of([])
     with np.errstate(all="ignore"):
         try:
             return _batch_records(spec, us, vs, order, tol)
@@ -533,8 +545,8 @@ class TheoremVerdict:
     """
 
     theorem_id: str
-    surface: str
     statement: str
+    surface: str
     premise: str
     premise_met: bool
     vacuous: bool
@@ -547,52 +559,52 @@ class TheoremVerdict:
     notes: str
 
 
-def _constancy(values: Sequence[float], rel: float) -> tuple[bool, float]:
-    # sample sd against rel * (1 + |mean|); returns (constant?, sd)
+def _constancy(values: Sequence[float]) -> tuple[bool, float]:
+    # sample sd against CONSTANCY_REL * (1 + |mean|); returns (constant?, sd)
     if len(values) < 2:
         return True, 0.0
     mean = statistics.fmean(values)
     sd = statistics.stdev(values)
-    return sd <= rel * (1.0 + abs(mean)), sd
+    return sd <= CONSTANCY_REL * (1.0 + abs(mean)), sd
 
 
-def _check_harmonic(recs, tau, rel):
+def _check_harmonic(recs, tau):
     worst = max(recs["residual_harmonic"].tolist())
     return SideResult("harmonic Gauss map (max |direct Laplacian|)",
                       worst <= tau, worst)
 
 
-def _check_first_kind(recs, tau, rel):
+def _check_first_kind(recs, tau):
     worst = max(recs["residual_first_kind"].tolist())
     return SideResult("pointwise first-kind Gauss map Laplacian "
                       "(max |direct - h_sq nu|)", worst <= tau, worst)
 
 
-def _check_global_first_kind(recs, tau, rel):
+def _check_global_first_kind(recs, tau):
     worst = max(recs["residual_first_kind"].tolist())
-    const, sd = _constancy(recs["f_estimate"].tolist(), rel)
+    const, sd = _constancy(recs["f_estimate"].tolist())
     return SideResult("global first-kind: pointwise first-kind with "
                       "grid-constant f", worst <= tau and const,
                       max(worst, sd))
 
 
-def _check_flat(recs, tau, rel):
+def _check_flat(recs, tau):
     worst = max(map(abs, recs["K"][:, 0].tolist()))
     return SideResult("flat (max |K|)", worst <= tau, worst)
 
 
-def _check_fnb(recs, tau, rel):
+def _check_fnb(recs, tau):
     worst = max(map(abs, recs["RD"].tolist()))
     return SideResult("flat normal bundle (max |R^D|)", worst <= tau, worst)
 
 
-def _check_parallel(recs, tau, rel):
+def _check_parallel(recs, tau):
     worst = max(recs["residual_parallel_H"].tolist())
     return SideResult("parallel mean curvature vector (max |DH|)",
                       worst <= tau, worst)
 
 
-def _check_lightlike_H(recs, tau, rel):
+def _check_lightlike_H(recs, tau):
     ok = all(c == "LIGHTLIKE" for c in recs["H_causal"])
     worst = max(abs(inner) / (1.0 + norm ** 2) for inner, norm
                 in zip(recs["H_inner"].tolist(),
@@ -601,14 +613,14 @@ def _check_lightlike_H(recs, tau, rel):
                       ok, worst)
 
 
-def _check_K_constant(recs, tau, rel):
-    const, sd = _constancy(recs["K"][:, 0].tolist(), rel)
+def _check_K_constant(recs, tau):
+    const, sd = _constancy(recs["K"][:, 0].tolist())
     return SideResult("grid-constant Gaussian curvature", const, sd)
 
 
 def _and(*checks):
-    def combined(recs, tau, rel):
-        parts = [c(recs, tau, rel) for c in checks]
+    def combined(recs, tau):
+        parts = [c(recs, tau) for c in checks]
         return SideResult(" AND ".join(p.description for p in parts),
                           all(p.passes for p in parts),
                           max(p.residual for p in parts))
@@ -616,43 +628,43 @@ def _and(*checks):
 
 
 def _or(*checks):
-    def combined(recs, tau, rel):
-        parts = [c(recs, tau, rel) for c in checks]
+    def combined(recs, tau):
+        parts = [c(recs, tau) for c in checks]
         best = min(parts, key=lambda p: p.residual)
         return SideResult(" OR ".join(p.description for p in parts),
                           any(p.passes for p in parts), best.residual)
     return combined
 
 
-def _premise_any(recs, tau, rel):
+def _premise_any(recs, tau):
     return True, "space-like sample points exist"
 
 
-def _premise_maximal(recs, tau, rel):
+def _premise_maximal(recs, tau):
     ok = all(x <= tau for x in recs["H_norm_euclid"].tolist())
     return ok, "maximal on the sample (|H| <= tol everywhere)"
 
 
-def _premise_nonmaximal(recs, tau, rel):
+def _premise_nonmaximal(recs, tau):
     ok = all(x > tau for x in recs["H_norm_euclid"].tolist())
     return ok, "non-maximal on the sample (|H| > tol everywhere)"
 
 
-def _premise_lightlike(recs, tau, rel):
+def _premise_lightlike(recs, tau):
     ok = all(c == "LIGHTLIKE" for c in recs["H_causal"])
     return ok, "light-like mean curvature vector on the sample"
 
 
-def _premise_in_s31(recs, tau, rel):
+def _premise_in_s31(recs, tau):
     positions = recs["position_inner"].tolist()
-    const, _ = _constancy(positions, rel)
+    const, _ = _constancy(positions)
     ok = const and all(p > 0 for p in positions)
     return ok, "sample lies in a de Sitter quadric (<x,x> constant > 0)"
 
 
-def _premise_in_h3(recs, tau, rel):
+def _premise_in_h3(recs, tau):
     positions = recs["position_inner"].tolist()
-    const, _ = _constancy(positions, rel)
+    const, _ = _constancy(positions)
     ok = const and all(p < 0 and x0 > 0 for p, x0
                        in zip(positions, recs["x"][:, 0].tolist()))
     return ok, "sample lies in a hyperbolic quadric (<x,x> constant < 0)"
@@ -681,7 +693,7 @@ THEOREMS: dict[str, _TheoremEntry] = {
         "content of the six-type classification)",
         _premise_any, _check_harmonic,
         _and(_check_flat, _check_fnb,
-             _or(lambda recs, tau, rel: SideResult(
+             _or(lambda recs, tau: SideResult(
                      "maximal (max |H|)",
                      max(recs["H_norm_euclid"].tolist()) <= tau,
                      max(recs["H_norm_euclid"].tolist())),
@@ -737,7 +749,6 @@ def theorem_verdict_from_records(theorem_id: str,
             f"unknown theorem id {theorem_id!r}; known: "
             f"{', '.join(theorem_ids())}")
     tau = tol.residual
-    rel = tol.constancy_rel
     live = records.live()
     skipped = len(records) - len(live)
     notes = (f"numerical evidence at tolerance {tau!r} on {len(live)} "
@@ -748,14 +759,14 @@ def theorem_verdict_from_records(theorem_id: str,
         met, premise_text, side_a, side_b = (
             False, "no usable sample points", empty, empty)
     else:
-        met, premise_text = entry.premise(live, tau, rel)
-        side_a = entry.side_a(live, tau, rel)
-        side_b = entry.side_b(live, tau, rel)
+        met, premise_text = entry.premise(live, tau)
+        side_a = entry.side_a(live, tau)
+        side_b = entry.side_b(live, tau)
     # A failed premise makes the statement say nothing here, so the
     # sample cannot contradict it.
     return TheoremVerdict(
-        theorem_id=theorem_id, surface=surface_name,
-        statement=entry.statement, premise=premise_text, premise_met=met,
+        theorem_id=theorem_id, statement=entry.statement,
+        surface=surface_name, premise=premise_text, premise_met=met,
         vacuous=not met, side_a=side_a, side_b=side_b,
         consistent=not met or side_a.passes == side_b.passes,
         tolerance=tau, points=len(live), skipped=skipped, notes=notes)

@@ -24,7 +24,7 @@ batch; every value is bit-for-bit the one the point gets alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -61,28 +61,26 @@ class NotSpacelike(Exception):
         self.eigenvalue_signs = eigenvalue_signs
 
 
+# The scale-aware causal classifier's cutoff, the relative cutoff on
+# grid constancy, and the Gram cutoff below which a point is skipped as
+# degenerate.
+CAUSAL_TOL = 1e-9
+CONSTANCY_REL = 1e-6
+DEGENERATE_TOL = 1e-12
+
+
 @dataclass(frozen=True, slots=True)
 class Tolerances:
-    """Tolerance bundle used across the pipeline.
-
-    causal feeds the scale-aware causal classifier, residual is the
-    absolute cutoff on identity residuals and pointwise predicates,
-    constancy_rel is the relative cutoff on grid constancy, degenerate
-    is the Gram cutoff below which a point is skipped as degenerate.
-    Every field must be finite and positive.
+    """The settable tolerance: residual, the absolute cutoff on identity
+    residuals and pointwise predicates; it must be finite and positive.
     """
 
-    causal: float = 1e-9
     residual: float = 1e-8
-    constancy_rel: float = 1e-6
-    degenerate: float = 1e-12
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"tolerance {f.name} must be finite and "
-                                 f"positive, got {value!r}")
+        if not (math.isfinite(self.residual) and self.residual > 0):
+            raise ValueError(f"tolerance residual must be finite and "
+                             f"positive, got {self.residual!r}")
 
 
 DEFAULT_TOLERANCES = Tolerances()
@@ -202,7 +200,7 @@ class PointGeometry:
         g11, _, det = self._gram
         reasons = np.full(self.batch, None, dtype=object)
         reasons[(g11 <= 0.0) | (det < 0.0)] = "not-spacelike"
-        reasons[abs(det) <= self.tol.degenerate] = "degenerate"
+        reasons[abs(det) <= DEGENERATE_TOL] = "degenerate"
         return reasons
 
     def require_spacelike(self) -> None:
@@ -378,7 +376,7 @@ class PointGeometry:
     @cached_property
     def H_causal(self):
         """CausalClass of H; an object array of them for a batch."""
-        return causal_character(self.H, self.tol.causal)
+        return causal_character(self.H, CAUSAL_TOL)
 
     @cached_property
     def h_sq_jet(self) -> Jet:
@@ -552,7 +550,7 @@ class PointGeometry:
         p = {key: la.minkowski_inner(vec, H) for key, vec in hv.items()}
         scale = tau * (1.0 + np.maximum.reduce([abs(val) for val in p.values()]))
         hn = tau * (1.0 + norm_H)
-        x_causal = causal_character(self.x_values, self.tol.causal)
+        x_causal = causal_character(self.x_values, CAUSAL_TOL)
         return {
             "MAXIMAL": norm_H <= tau,
             "MARGINALLY-TRAPPED": self.H_causal == CausalClass.LIGHTLIKE,

@@ -8,12 +8,13 @@ config and build, independent of how the grid is split into blocks, with
 floats written via repr so a JSON round trip preserves every bit.
 
 Records arrive as columns (``gaussmap.Records``), and the summary, the
-verdicts and both writers read the columns.  The JSON ``points`` block
-is written by a writer compiled from the ``PointRecord`` fields: one
-``%``-template per record layout, filled column by column, with bytes
-equal to what ``json.dumps(indent=2, allow_nan=True)`` writes for the
-records' dicts.  The rest of a payload goes through ``json.dumps``
-itself.
+verdicts and both writers read the columns.  Each writer picks the
+encoder of a column from its dtype: float64, bool, or object, whose
+values are encoded one at a time.  The JSON ``points`` block is one
+``%``-template per record layout, compiled from the column shapes and
+filled column by column, with bytes equal to what ``json.dumps(indent=2,
+allow_nan=True)`` writes for the records' dicts.  The rest of a payload
+goes through ``json.dumps`` itself.
 
 Every report embeds the sign conventions; the numbers are meaningless
 without them.
@@ -27,14 +28,13 @@ import functools
 import io
 import json
 import statistics
-import typing
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from . import surfaces as sf
-from .gaussmap import (BLOCK_POINTS, PointRecord, Records, TheoremVerdict,
-                       _constancy, evaluate_grid, theorem_verdict_from_records)
+from .gaussmap import (BLOCK_POINTS, PointRecord, Records, _constancy,
+                       evaluate_grid, theorem_verdict_from_records)
 from .geometry import DEFAULT_TOLERANCES, Tolerances
 from .expr import serialize_expression
 from .surfaces import Domain, SurfaceSpec
@@ -46,7 +46,6 @@ __all__ = [
     "resolve_surface",
     "evaluate_records",
     "summarize",
-    "run_verify",
     "run_catalog",
     "run",
 ]
@@ -100,6 +99,8 @@ class RunConfig:
         if self.command == "verify" and self.fmt == "csv":
             raise ValueError("verify writes JSON only; --format csv is not "
                              "supported")
+        if self.command == "verify" and not self.theorem:
+            raise ValueError("verify needs a theorem id")
 
 
 @dataclass(frozen=True)
@@ -148,10 +149,9 @@ def _stats(values: Sequence[float]) -> dict:
     return {"mean": mean, "sd": sd, "min": min(values), "max": max(values)}
 
 
-def summarize(records: Records, tol: Tolerances) -> dict:
+def summarize(records: Records) -> dict:
     live = records.live()
-    skipped = [reason for reason, ok
-               in zip(records["skip_reason"], records["ok"]) if not ok]
+    skipped = records["skip_reason"][~records["ok"]].tolist()
     out: dict = {
         "points_total": len(records),
         "points_evaluated": len(live),
@@ -183,7 +183,7 @@ def summarize(records: Records, tol: Tolerances) -> dict:
     out["position_inner"] = _stats(positions)
     # A quadric containment constant only makes sense if <x, x> is
     # grid-constant; the rule is the one the quadric premises use.
-    pos_constant, _ = _constancy(positions, tol.constancy_rel)
+    pos_constant, _ = _constancy(positions)
     out["position_inner_constant"] = pos_constant
 
     for name in ("lemma42", "bilaplacian_norm"):
@@ -263,26 +263,6 @@ def _csv_text(header: Sequence[str], rows) -> str:
     return buf.getvalue()
 
 
-@functools.cache
-def _field_kinds() -> dict[str, str]:
-    """The kind of each PointRecord field, from its type hint: "float";
-    "floats", a tuple of floats as long as its default; "strings", a
-    tuple of str (the labels); "bool"; "str"; and "float?" or "str?"
-    for a field that may also hold None."""
-    kinds = {}
-    for name, hint in typing.get_type_hints(PointRecord).items():
-        optional = typing.get_origin(hint) is typing.Union
-        if optional:
-            hint = typing.get_args(hint)[0]
-        if typing.get_origin(hint) is tuple:
-            kind = ("floats" if typing.get_args(hint)[0] is float
-                    else "strings")
-        else:
-            kind = hint.__name__
-        kinds[name] = kind + "?" if optional else kind
-    return kinds
-
-
 def _blocks(records: Records):
     """The records in blocks of ``BLOCK_POINTS``: the writers encode one
     block's columns at a time, which bounds the memory they hold."""
@@ -305,10 +285,9 @@ def _records_csv(records: Records, scalars: Sequence[str],
     """One row per record: the scalar fields, the tuple fields expanded
     one column per component, and the labels joined by ';'."""
     header = [*scalars, *(col for _, cols in tuples for col in cols), "labels"]
-    kinds = _field_kinds()
 
     def columns(block):
-        cols = [(_float_texts if kinds[name] == "float" else _csv_cells)(
+        cols = [(_float_texts if block[name].dtype == float else _csv_cells)(
                     *block.lists(name)) for name in scalars]
         for name, _ in tuples:
             cols.extend(map(_float_texts, block.lists(name)))
@@ -338,39 +317,40 @@ def _json_strings(strings: Sequence[str]) -> str:
     return f"[\n        {items}\n      ]"
 
 
-def _json_texts(kind: str, values: list) -> list[str]:
-    """JSON text of each value of one component of a field of ``kind``."""
-    if kind.endswith("?"):
-        present = iter(_json_texts(kind[:-1],
-                                   [x for x in values if x is not None]))
-        return ["null" if x is None else next(present) for x in values]
-    if kind in ("float", "floats"):
+def _json_value(value) -> str:
+    """JSON text of one value of an object column."""
+    if value is None:
+        return "null"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, tuple):
+        return _json_strings(value)
+    return _json_floats([value])[0]
+
+
+def _json_texts(dtype, values: list) -> list[str]:
+    """JSON text of each value of one component of a column of ``dtype``."""
+    if dtype == float:
         return _json_floats(values)
-    if kind == "bool":
+    if dtype == bool:
         return ["true" if x else "false" for x in values]
-    if kind == "str":
-        return list(map(encode_basestring_ascii, values))
-    return list(map(_json_strings, values))
+    return list(map(_json_value, values))
 
 
 @functools.cache
-def _record_template(names: tuple[str, ...]) -> str:
+def _record_template(layout: tuple[tuple[str, tuple], ...]) -> str:
     """%-template of one element of the ``points`` list, at its depth in
-    a payload, for a record restricted to the PointRecord fields
-    ``names``: one ``%s`` per component of a "floats" field and one per
+    a payload, for records with the (field name, row shape) ``layout``:
+    one ``%s`` per component of a field whose rows are 1-d, and one per
     other field."""
-    kinds = _field_kinds()
-    defaults = {f.name: f.default for f in dataclasses.fields(PointRecord)}
     members = []
-    for name in names:
+    for name, shape in layout:
         key = encode_basestring_ascii(name)
-        if kinds[name] != "floats":
-            members.append(f"      {key}: %s")
-        elif defaults[name]:
-            slots = ",\n".join(["        %s"] * len(defaults[name]))
+        if shape:
+            slots = ",\n".join(["        %s"] * shape[0])
             members.append(f"      {key}: [\n{slots}\n      ]")
         else:
-            members.append(f"      {key}: []")
+            members.append(f"      {key}: %s")
     return "    {\n" + ",\n".join(members) + "\n    }"
 
 
@@ -380,10 +360,11 @@ def _points_json(records: Records, names: tuple[str, ...]) -> _JSONText:
     is one ``template % values``."""
     if not records:
         return _JSONText("[]")
-    kinds, template = _field_kinds(), _record_template(names)
+    template = _record_template(
+        tuple((name, records[name].shape[1:]) for name in names))
     texts = []
     for block in _blocks(records):
-        columns = [_json_texts(kinds[name], values) for name in names
+        columns = [_json_texts(block[name].dtype, values) for name in names
                    for values in block.lists(name)]
         texts.extend(map(template.__mod__, zip(*columns)))
     return _JSONText("[\n" + ",\n".join(texts) + "\n  ]")
@@ -405,76 +386,40 @@ def _to_json(payload: dict) -> str:
     return "".join(parts)
 
 
-def _verdict_block(verdict: TheoremVerdict) -> dict:
-    return {
-        "theorem_id": verdict.theorem_id,
-        "statement": verdict.statement,
-        "surface": verdict.surface,
-        "premise": verdict.premise,
-        "premise_met": verdict.premise_met,
-        "vacuous": verdict.vacuous,
-        "side_a": dataclasses.asdict(verdict.side_a),
-        "side_b": dataclasses.asdict(verdict.side_b),
-        "consistent": verdict.consistent,
-        "tolerance": verdict.tolerance,
-        "points": verdict.points,
-        "skipped": verdict.skipped,
-        "notes": verdict.notes,
-    }
-
-
-def _analysis_result(cfg: RunConfig) -> RunResult:
-    # analyze writes every record field, classify only the labels
-    labels_only = cfg.command == "classify"
+def _grid_report(cfg: RunConfig) -> RunResult:
+    """The report of analyze (every record field), classify (the labels
+    only) or verify (the verdict in place of the records)."""
     spec = resolve_surface(cfg)
-    source = "catalog" if cfg.catalog is not None else "file"
     records = evaluate_records(spec, cfg)
-    summary = summarize(records, cfg.tol)
+    summary = summarize(records)
     exit_code = 3 if summary["points_evaluated"] == 0 else 0
+    labels_only = cfg.command == "classify"
     if cfg.fmt == "csv":
         if labels_only:
             text = _records_csv(records, _LABEL_COLUMNS)
         else:
             text = _records_csv(records, _CSV_SCALARS, _CSV_TUPLES)
         return RunResult(text=text, exit_code=exit_code)
-    if labels_only:
-        names = (*_LABEL_COLUMNS, "labels")
-    else:
-        names = tuple(f.name for f in dataclasses.fields(PointRecord))
     payload = {
         "schema": SCHEMA_VERSION,
         "command": cfg.command,
         "conventions": CONVENTIONS,
-        "surface": _surface_block(spec, source),
+        "surface": _surface_block(
+            spec, "catalog" if cfg.catalog is not None else "file"),
         "grid": _grid_block(cfg),
-        "points": _points_json(records, names),
-        "summary": summary,
     }
-    return RunResult(text=_to_json(payload), exit_code=exit_code)
-
-
-def run_verify(cfg: RunConfig) -> RunResult:
-    if not cfg.theorem:
-        raise ValueError("verify needs a theorem id")
-    spec = resolve_surface(cfg)
-    source = "catalog" if cfg.catalog is not None else "file"
-    records = evaluate_records(spec, cfg)
-    summary = summarize(records, cfg.tol)
-    verdict = theorem_verdict_from_records(cfg.theorem, records, spec.name,
-                                           cfg.tol)
-    if summary["points_evaluated"] == 0:
-        exit_code = 3
+    if cfg.command == "verify":
+        verdict = theorem_verdict_from_records(cfg.theorem, records,
+                                               spec.name, cfg.tol)
+        payload["verdict"] = dataclasses.asdict(verdict)
+        if exit_code == 0 and not verdict.consistent:
+            exit_code = 1
+    elif labels_only:
+        payload["points"] = _points_json(records, (*_LABEL_COLUMNS, "labels"))
     else:
-        exit_code = 0 if verdict.consistent else 1
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "command": "verify",
-        "conventions": CONVENTIONS,
-        "surface": _surface_block(spec, source),
-        "grid": _grid_block(cfg),
-        "verdict": _verdict_block(verdict),
-        "summary": summary,
-    }
+        payload["points"] = _points_json(
+            records, tuple(f.name for f in dataclasses.fields(PointRecord)))
+    payload["summary"] = summary
     return RunResult(text=_to_json(payload), exit_code=exit_code)
 
 
@@ -512,8 +457,6 @@ def run_catalog(cfg: RunConfig) -> RunResult:
 
 
 def run(cfg: RunConfig) -> RunResult:
-    if cfg.command in ("analyze", "classify"):
-        return _analysis_result(cfg)
-    if cfg.command == "verify":
-        return run_verify(cfg)
-    return run_catalog(cfg)
+    if cfg.command == "catalog":
+        return run_catalog(cfg)
+    return _grid_report(cfg)

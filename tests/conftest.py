@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-import typing
-
 import numpy as np
 import pytest
 
@@ -78,25 +75,6 @@ def route_agreement(spec: sf.SurfaceSpec, grid: tuple[int, int]) -> float:
 def rows(block: gm.Records) -> list[gm.PointRecord]:
     """The records of a block, one ``PointRecord`` per row."""
     return [block.point(k) for k in range(len(block))]
-
-
-def records_block(records) -> gm.Records:
-    """The block of columns holding the ``PointRecord``s ``records``,
-    laid out as ``gaussmap.evaluate_batch`` lays out its own."""
-    hints = typing.get_type_hints(gm.PointRecord)
-    columns = {}
-    for f in dataclasses.fields(gm.PointRecord):
-        values = [getattr(r, f.name) for r in records]
-        hint = hints[f.name]
-        if hint is float:
-            columns[f.name] = np.array(values, dtype=float)
-        elif (typing.get_origin(hint) is tuple
-              and typing.get_args(hint)[0] is float):
-            columns[f.name] = np.array(values, dtype=float).reshape(
-                len(values), len(f.default))
-        else:
-            columns[f.name] = values
-    return gm.Records(columns)
 
 
 def grid_points(spec: sf.SurfaceSpec, nu: int = 5, nv: int = 5):

@@ -19,7 +19,7 @@ from minksurf import gaussmap as gm
 from minksurf import report
 from minksurf import surfaces as sf
 
-from conftest import WILD_TEXT, records_block
+from conftest import WILD_TEXT
 
 DEGENERATE_TEXT = "x1 = u ; x2 = v ; x3 = u ; x4 = 0"
 
@@ -269,13 +269,13 @@ class TestClassify:
         # question, "is <x, x> grid-constant", so they must agree on every
         # spread of <x, x>, not only on exact or wildly varying data
         delta = 2.0 * rel_sd  # sd relative to 1 + |mean| = 2
-        records = records_block([
+        records = gm.Records.of([
             gm.PointRecord(u=0.0, v=float(i), ok=True,
                            position_inner=1.0 + (-1) ** i * delta,
                            labels=("IN-S31",))
             for i in range(8)])
         tol = report.DEFAULT_TOLERANCES
-        summary = report.summarize(records, tol)
+        summary = report.summarize(records)
         verdict = gm.theorem_verdict_from_records("T3.9", records, tol=tol)
         assert summary["position_inner_constant"] is constant
         assert ("IN-S31" in summary["labels_everywhere"]) is constant
@@ -369,6 +369,20 @@ class TestUsageErrors:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") or "usage" in err
+
+    @pytest.mark.parametrize("phi", ["u^\u00b2", "\u0663*u"])
+    def test_non_ascii_digit_is_a_parse_error(self, phi, capsys):
+        # a superscript or Arabic-Indic digit is no number: the error
+        # names the character and its position
+        code, out, err = run(["analyze", "--catalog", "graph", "--param",
+                              f"phi={phi}", "--grid", "2x2"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: unexpected character")
+        assert "column" in err
+
+    def test_verify_needs_a_theorem(self):
+        with pytest.raises(ValueError, match="theorem"):
+            report.RunConfig(command="verify", catalog="plane")
 
     def test_both_sources_rejected(self, tmp_path, capsys):
         f = tmp_path / "s.surf"

@@ -65,6 +65,11 @@ class TestParseErrors:
         ("u + 1e400", 5),
         ("u^1001", 3),
         ("u^-99999999999", 4),
+        ("u^\u00b2", 3),
+        ("\u00b2*u", 1),
+        ("u^\u0661", 3),
+        ("\u0663*u", 1),
+        ("u + 1\u0660", 6),
     ])
     def test_parse_error_position(self, text, col):
         with pytest.raises(ex.ParseError) as info:

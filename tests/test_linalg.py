@@ -14,9 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from minksurf import linalg as la
-from minksurf.geometry import DEFAULT_TOLERANCES
-
-CAUSAL_TOL = DEFAULT_TOLERANCES.causal
+from minksurf.geometry import CAUSAL_TOL
 
 BASIS = tuple(la.AmbientVector(*[1.0 if k == i else 0.0 for k in range(4)])
               for i in range(4))

@@ -1,9 +1,9 @@
 """The JSON records writer against the stdlib encoder.
 
 ``report`` writes the ``points`` block of analyze and classify reports
-from a template compiled from the ``PointRecord`` fields, filled from
-the columns of a ``gaussmap.Records`` block.  The crafted records here
-go to the writer as a block (``records_block``) and to the oracle,
+from a template compiled from the column shapes of a ``gaussmap.Records``
+block, filled from its columns.  The crafted records here go to the
+writer as a block (``gm.Records.of``) and to the oracle,
 ``json.dumps(payload, indent=2, allow_nan=True) + "\\n"`` on
 ``dataclasses.asdict`` payloads, which shares no code with that writer.
 The CLI rejects non-finite input, so these tests are the only ones that
@@ -17,6 +17,7 @@ import json
 import math
 import typing
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,7 +27,7 @@ from minksurf import report
 from minksurf import surfaces as sf
 from minksurf.gaussmap import PointRecord
 
-from conftest import records_block, rows
+from conftest import rows
 
 ANALYZE = tuple(f.name for f in dataclasses.fields(PointRecord))
 CLASSIFY = ("u", "v", "ok", "skip_reason", "labels")
@@ -52,7 +53,7 @@ def oracle(records, names) -> str:
 
 
 def written(records, names) -> str:
-    return written_block(records_block(records), names)
+    return written_block(gm.Records.of(records), names)
 
 
 def written_block(block, names) -> str:
@@ -119,7 +120,7 @@ class TestAgainstStdlib:
         non-finite ones sit on skipped points."""
         records = special_records()
         monkeypatch.setattr(report, "evaluate_records",
-                            lambda spec, cfg: records_block(records))
+                            lambda spec, cfg: gm.Records.of(records))
         command = "analyze" if names == ANALYZE else "classify"
         text = report.run(report.RunConfig(command=command, catalog="plane",
                                            grid=(2, 2))).text
@@ -131,16 +132,47 @@ class TestAgainstStdlib:
 
 def test_evaluated_block():
     """A block from ``evaluate_grid``, skipped rows included, against
-    the oracle fed its rows: ``records_block`` lays out columns as the
-    pipeline does."""
-    spec = dataclasses.replace(sf.catalog_lookup("graph", {"phi": "log(u)"}),
-                               domain=sf.Domain(-1.0, 1.0, -1.0, 1.0))
-    block = gm.evaluate_grid(spec, (4, 3), order=4)
+    the oracle fed its rows, and written again from ``Records.of``."""
+    block = gm.evaluate_grid(_log_graph(), (4, 3), order=4)
     records = rows(block)
     assert {r.skip_reason for r in records} == {None, "domain-error"}
     for names in (ANALYZE, CLASSIFY):
         assert written_block(block, names) == oracle(records, names)
         assert written(records, names) == oracle(records, names)
+
+
+def _log_graph():
+    return dataclasses.replace(sf.catalog_lookup("graph", {"phi": "log(u)"}),
+                               domain=sf.Domain(-1.0, 1.0, -1.0, 1.0))
+
+
+@pytest.mark.parametrize("order", [3, 4])
+def test_records_of_matches_an_evaluated_block(order):
+    """``Records.of`` lays out columns as ``evaluate_batch`` does: the
+    same dtype and shape, and the same repr of every value, so -0.0 and
+    None count."""
+    block = gm.evaluate_grid(_log_graph(), (6, 5), order=order)
+    assert not block["ok"].all()
+    built = gm.Records.of(rows(block))
+    assert built.columns.keys() == block.columns.keys()
+    for name, col in block.columns.items():
+        other = built[name]
+        assert (other.dtype, other.shape) == (col.dtype, col.shape), name
+        assert list(map(repr, other.tolist())) == list(map(repr, col.tolist()))
+
+
+def test_empty_block_has_the_default_widths():
+    """The empty block joins with full ones (``evaluate_batch`` does so
+    when it splits off the points whose immersion fails)."""
+    empty = gm.Records.of([])
+    block = gm.evaluate_grid(_log_graph(), (4, 3))
+    assert len(empty) == 0
+    for f in dataclasses.fields(PointRecord):
+        col, full = empty[f.name], block[f.name]
+        assert (col.dtype, col.shape[1:]) == (full.dtype, full.shape[1:])
+        if col.dtype == float:
+            assert col.shape == (0, *np.shape(f.default)), f.name
+    assert rows(gm.Records.join([empty, block])) == rows(block)
 
 
 def _field_strategy(name: str, hint, default):

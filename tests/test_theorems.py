@@ -13,7 +13,7 @@ from minksurf import gaussmap as gm
 from minksurf import geometry as ge
 from minksurf import surfaces as sf
 
-from conftest import build, records_block
+from conftest import build
 
 
 def verdict(tid, name, params=None, grid=(5, 5)):
@@ -118,7 +118,7 @@ class TestFromRecords:
         assert v2.consistent and not v2.side_a.passes
 
     def test_empty_records_vacuous(self):
-        v = gm.theorem_verdict_from_records("T4.1", records_block([]),
+        v = gm.theorem_verdict_from_records("T4.1", gm.Records.of([]),
                                             surface_name="none")
         assert v.vacuous and v.consistent
         assert v.points == 0
