@@ -10,7 +10,8 @@ Grammar (standard precedence, ^ binds tightest, integer exponents only):
 
 Identifiers are the coordinates u and v, declared parameter names, or
 the function names sin, cos, sinh, cosh, exp, sqrt, log.  An exponent's
-magnitude is at most MAX_EXPONENT.  The AST is a tree of frozen
+magnitude is at most MAX_EXPONENT, and the nesting is bounded by
+MAX_GROUPS and MAX_HEIGHT.  The AST is a tree of frozen
 dataclasses with structural equality, and serialization is canonical:
 parse(serialize(ast)) == ast.
 """
@@ -50,6 +51,13 @@ __all__ = [
 # A jet power multiplies once per unit of its exponent, so the exponent
 # is capped to keep evaluation time bounded.
 MAX_EXPONENT = 1000
+
+# Parsing recurses about five frames per open group (a parenthesis, a
+# function argument or a unary minus), and evaluation, serialization and
+# splicing one frame per level of the tree; these bounds keep all of
+# them inside Python's default recursion limit.
+MAX_GROUPS = 100
+MAX_HEIGHT = 400
 
 
 class ParseError(Exception):
@@ -205,6 +213,7 @@ class _Parser:
         self._toks = list(_tokens(text, line0, col0))
         self._pos = 0
         self._params = params
+        self._groups = 0
 
     @property
     def _cur(self) -> _Token:
@@ -222,46 +231,62 @@ class _Parser:
                 self._cur.line, self._cur.column)
         return self._advance()
 
+    def _node(self, node: Expr, tok: _Token, *heights: int
+              ) -> tuple[Expr, int]:
+        # node, built at tok over subtrees of these heights, and its height
+        height = 1 + max(heights)
+        if height > MAX_HEIGHT:
+            raise ParseError(f"expression is more than {MAX_HEIGHT} levels "
+                             "deep", tok.line, tok.column)
+        return node, height
+
+    def _inside(self, tok: _Token, parse):
+        # parse() in the group that tok opens
+        self._groups += 1
+        if self._groups > MAX_GROUPS:
+            raise ParseError(f"more than {MAX_GROUPS} nested parentheses, "
+                             "functions or minus signs", tok.line, tok.column)
+        result = parse()
+        self._groups -= 1
+        return result
+
     def parse(self) -> Expr:
-        e = self._expr()
+        e, _ = self._expr()
         if self._cur.kind != "end":
             raise ParseError(f"unexpected trailing {self._cur.text!r}",
                              self._cur.line, self._cur.column)
         return e
 
-    def _expr(self) -> Expr:
-        e = self._term()
-        while self._cur.kind in ("+", "-"):
-            op = self._advance()
-            rhs = self._term()
-            e = BinOp(BinFn.ADD if op.kind == "+" else BinFn.SUB, e, rhs)
-        return e
+    # Each method below returns a subtree and its height.  _expr joins
+    # terms by + and - (level 0), and factors by * and / (level 1).
 
-    def _term(self) -> Expr:
-        e = self._factor()
-        while self._cur.kind in ("*", "/"):
+    def _expr(self, level: int = 0) -> tuple[Expr, int]:
+        e, height = self._expr(1) if level == 0 else self._factor()
+        while self._cur.kind in (("+", "-"), ("*", "/"))[level]:
             op = self._advance()
-            rhs = self._factor()
-            e = BinOp(BinFn.MUL if op.kind == "*" else BinFn.DIV, e, rhs)
-        return e
+            rhs, rhs_height = self._expr(1) if level == 0 else self._factor()
+            e, height = self._node(BinOp(BinFn(op.kind), e, rhs), op,
+                                   height, rhs_height)
+        return e, height
 
-    def _factor(self) -> Expr:
+    def _factor(self) -> tuple[Expr, int]:
         if self._cur.kind == "-":
-            self._advance()
-            return Unary(UnaryFn.NEG, self._factor())
+            tok = self._advance()
+            arg, height = self._inside(tok, self._factor)
+            return self._node(Unary(UnaryFn.NEG, arg), tok, height)
         return self._power()
 
-    def _power(self) -> Expr:
-        base = self._atom()
+    def _power(self) -> tuple[Expr, int]:
+        base, height = self._atom()
         if self._cur.kind != "^":
-            return base
+            return base, height
         caret = self._advance()
         negate = False
         if self._cur.kind == "-":
             self._advance()
             negate = True
         tok = self._cur
-        if tok.kind != "number" or not _is_integer_literal(tok.text):
+        if tok.kind != "number" or not tok.text.isdigit():
             raise ParseError("exponent must be an integer literal",
                              caret.line, caret.column)
         digits = tok.text.lstrip("0") or "0"
@@ -270,9 +295,10 @@ class _Parser:
                              tok.line, tok.column)
         self._advance()
         exponent = int(digits)
-        return Pow(base, -exponent if negate else exponent)
+        return self._node(Pow(base, -exponent if negate else exponent),
+                          caret, height)
 
-    def _atom(self) -> Expr:
+    def _atom(self) -> tuple[Expr, int]:
         tok = self._cur
         if tok.kind == "number":
             value = float(tok.text)
@@ -280,10 +306,10 @@ class _Parser:
                 raise ParseError(f"number {tok.text!r} is too large",
                                  tok.line, tok.column)
             self._advance()
-            return Const(value)
+            return Const(value), 1
         if tok.kind == "(":
             self._advance()
-            e = self._expr()
+            e = self._inside(tok, self._expr)
             self._expect(")")
             return e
         if tok.kind == "ident":
@@ -295,26 +321,22 @@ class _Parser:
                         f"function {name!r} requires one parenthesized argument",
                         tok.line, tok.column)
                 self._advance()
-                arg = self._expr()
+                arg, height = self._inside(tok, self._expr)
                 if self._cur.kind == ",":
                     raise ArityError(
                         f"function {name!r} takes exactly one argument",
                         self._cur.line, self._cur.column)
                 self._expect(")")
-                return Unary(UnaryFn(name), arg)
+                return self._node(Unary(UnaryFn(name), arg), tok, height)
             if name in ("u", "v"):
-                return Coord(name)
+                return Coord(name), 1
             if self._params is not None and name not in self._params:
                 raise UnknownIdentifier(f"unknown identifier {name!r}",
                                         tok.line, tok.column)
-            return Param(name)
+            return Param(name), 1
         raise ParseError(
             f"expected a value, found {tok.text or 'end of input'!r}",
             tok.line, tok.column)
-
-
-def _is_integer_literal(text: str) -> bool:
-    return text.isascii() and text.isdigit()
 
 
 def parse_expression(text: str, params: Optional[Mapping | frozenset] = None,
@@ -358,8 +380,10 @@ def serialize_expression(e: Expr) -> str:
         return e.name
     if isinstance(e, Unary):
         if e.fn is UnaryFn.NEG:
+            # "--u", not "-(-u)": the text of a tree within the parser's
+            # bounds stays within them
             inner = serialize_expression(e.arg)
-            if _prec(e.arg) < 3 or isinstance(e.arg, Unary) and e.arg.fn is UnaryFn.NEG:
+            if _prec(e.arg) < 3:
                 inner = f"({inner})"
             return f"-{inner}"
         return f"{e.fn.value}({serialize_expression(e.arg)})"

@@ -102,10 +102,6 @@ class GaussLaplacianDecomposition:
     residual_route: float
 
 
-def _laplacian_bivector(pg: PointGeometry) -> Bivector:
-    return Bivector.of(pg.laplacian(pg.nu_jets.comps).value())
-
-
 def _directional_value(pg: PointGeometry, f, i: int) -> float:
     a, b = pg._dir_coeffs(i)
     return a * f.partial(1, 0) + b * f.partial(0, 1)
@@ -146,7 +142,7 @@ def laplacian_gauss_formula(pg: PointGeometry,
     term_rot = rot.scaled(scales["rotation"])
 
     formula = term_nu + term_norm + term_g3 + term_g4 + term_rot
-    direct = _laplacian_bivector(pg)
+    direct = Bivector.of(pg.laplacian(pg.nu_jets.comps).value())
 
     first_kind = la.euclid_norm(direct - nu_vals.scaled(pg.h_sq))
     harmonic = la.euclid_norm(direct)
@@ -341,48 +337,20 @@ _SKIPPED_ROW = Records.of([PointRecord()])
 BLOCK_POINTS = 256
 
 # Arithmetic failures at a point, and the skip reason each one records.
-_POINT_ERRORS = ((jt.DomainError, "domain-error"),
-                 (jt.DivisionByZeroValue, "singular"),
-                 (ZeroDivisionError, "singular"),
-                 (OverflowError, "overflow"))
-_POINT_ERROR_TYPES = tuple(err for err, _ in _POINT_ERRORS)
+_POINT_ERRORS = {jt.DomainError: "domain-error",
+                 jt.DivisionByZeroValue: "singular",
+                 ZeroDivisionError: "singular",
+                 OverflowError: "overflow"}
 
 
-def _failure(err: Exception) -> str:
-    return next(reason for kind, reason in _POINT_ERRORS
-                if isinstance(err, kind))
-
-
-def _skipped(us: list, vs: list, reasons: list) -> Records:
-    # the records of points that were not evaluated
-    n = len(us)
-    block = _SKIPPED_ROW.select([0] * n)
-    block.columns.update(u=np.array(us, dtype=float),
-                         v=np.array(vs, dtype=float),
-                         skip_reason=_objects(reasons))
-    return block
-
-
-def _with_skips(us: list, vs: list, reasons: list, block: Records
-                ) -> Records:
-    # The records of the points us, vs: the rows of block, in order, at
-    # the points whose reason is None, and skipped rows at the others.
-    skip = [k for k, reason in enumerate(reasons) if reason is not None]
-    if not skip:
-        return block
-    live = [k for k, reason in enumerate(reasons) if reason is None]
-    rows = _skipped([us[k] for k in skip], [vs[k] for k in skip],
-                    [reasons[k] for k in skip])
-    return Records.join([block, rows]).select(np.argsort(live + skip))
-
-
-def _immersion_failure(spec: SurfaceSpec, u: float, v: float,
-                       order: int) -> Optional[str]:
-    try:
-        evaluate_immersion(spec, u, v, order)
-    except _POINT_ERROR_TYPES as err:
-        return _failure(err)
-    return None
+def _failure(err: Exception, n: int) -> tuple[np.ndarray, str]:
+    # The points of an n-point batch that err names (a builtin error from
+    # float arithmetic on constants names all of them), and their reason.
+    points = getattr(err, "points", True)
+    failed = np.broadcast_to(points, np.shape(points)[:-1] + (n,))
+    reason = next(reason for kind, reason in _POINT_ERRORS.items()
+                  if isinstance(err, kind))
+    return failed.reshape(-1, n).any(axis=0), reason
 
 
 def _columns(pg: PointGeometry) -> dict:
@@ -425,10 +393,10 @@ def _columns(pg: PointGeometry) -> dict:
     return cols
 
 
-def _live_block(pg: PointGeometry, us: list, vs: list
-                ) -> tuple[Records, np.ndarray]:
+def _live_block(pg: PointGeometry) -> tuple[Records, np.ndarray]:
     # The records of the points of pg, which all have a space-like
     # metric, and which of them hold only finite values.
+    us, vs = pg.base
     n = len(us)
 
     def per_point(x) -> np.ndarray:
@@ -443,7 +411,7 @@ def _live_block(pg: PointGeometry, us: list, vs: list
         + [~lemma_applies | np.isfinite(lemma)])
     bilaplacian = cols.pop("bilaplacian_norm", None)
     cols.update(
-        u=np.array(us), v=np.array(vs), ok=np.ones(n, dtype=bool),
+        u=us, v=vs, ok=np.ones(n, dtype=bool),
         skip_reason=_objects([None] * n),
         H_causal=_objects([c.name for c in per_point(pg.H_causal)]),
         lemma42=_objects([x if applies else None for x, applies
@@ -454,27 +422,6 @@ def _live_block(pg: PointGeometry, us: list, vs: list
     return Records(cols), finite
 
 
-def _batch_records(spec: SurfaceSpec, us: list, vs: list, order: int,
-                   tol: Tolerances) -> Records:
-    xj = evaluate_immersion(spec, np.array(us), np.array(vs), order)
-    reasons = PointGeometry(xj, tol=tol).skip_reasons.tolist()
-    live = [k for k, reason in enumerate(reasons) if reason is None]
-    if not live:
-        return _skipped(us, vs, reasons)
-    if len(live) < len(us):
-        xj = tuple(c[np.array(live)] for c in xj)
-    lu, lv = [us[k] for k in live], [vs[k] for k in live]
-    pg = PointGeometry(xj, base=(np.array(lu), np.array(lv)), tol=tol)
-    block, finite = _live_block(pg, lu, lv)
-    if not finite.all():
-        # a non-finite value makes its point an overflow skip
-        for k, ok in zip(live, finite.tolist()):
-            if not ok:
-                reasons[k] = "overflow"
-        block = block.select(finite)
-    return _with_skips(us, vs, reasons, block)
-
-
 def evaluate_batch(spec: SurfaceSpec, points: Sequence[tuple[float, float]],
                    order: int = 3, tol: Tolerances = DEFAULT_TOLERANCES
                    ) -> Records:
@@ -483,29 +430,44 @@ def evaluate_batch(spec: SurfaceSpec, points: Sequence[tuple[float, float]],
     Points where the analysis cannot run come back as skipped rows:
     "degenerate" or "not-spacelike" metric, "domain-error" (sqrt or log
     outside its domain), "singular" (division by zero), "overflow" (a
-    float overflow, or any non-finite value in the record).  numpy
-    floating-point warnings are silenced for the batch.
+    float overflow, or any non-finite value in the record).  A failure
+    skips the points it names (``jets.JetError.points``; a float error in
+    a constant subexpression names them all), and the batch runs again
+    without them, so each point gets the reason it would get alone.
+    numpy floating-point warnings are silenced for the batch.
     """
-    us = [float(u) for u, _ in points]
-    vs = [float(v) for _, v in points]
-    if not us:
-        return Records.of([])
+    n = len(points)
+    us = np.array([float(u) for u, _ in points])
+    vs = np.array([float(v) for _, v in points])
+    reasons = np.full(n, None, dtype=object)
+    live = np.arange(n)
+    block, finite = _SKIPPED_ROW.select(slice(0, 0)), np.ones(0, dtype=bool)
+    # Each pass runs the live points as one batch and restarts without the
+    # points it skips, so a mask names points of the batch that raised it.
     with np.errstate(all="ignore"):
-        try:
-            return _batch_records(spec, us, vs, order, tol)
-        except _POINT_ERROR_TYPES as err:
-            if len(us) == 1:
-                return _skipped(us, vs, [_failure(err)])
-            # Find the failing points one at a time through the
-            # immersion, then evaluate the others as a batch.
-            failures = [_immersion_failure(spec, u, v, order)
-                        for u, v in zip(us, vs)]
-    if not any(failures):
-        # the failure lies past the immersion: go point by point
-        return Records.join([evaluate_batch(spec, [point], order, tol)
-                             for point in zip(us, vs)])
-    rest = [(u, v) for u, v, f in zip(us, vs, failures) if f is None]
-    return _with_skips(us, vs, failures, evaluate_batch(spec, rest, order, tol))
+        while live.size:
+            try:
+                pg = PointGeometry(
+                    evaluate_immersion(spec, us[live], vs[live], order),
+                    base=(us[live], vs[live]), tol=tol)
+                failed = pg.skip_reasons != None  # noqa: E711 - elementwise
+                if not failed.any():
+                    block, finite = _live_block(pg)
+                    break
+                reasons[live[failed]] = pg.skip_reasons[failed]
+            except tuple(_POINT_ERRORS) as err:
+                failed, reason = _failure(err, live.size)
+                reasons[live[failed]] = reason
+            live = live[~failed]
+    if live.size == n and finite.all():
+        return block
+    # a non-finite value makes its point an overflow skip
+    reasons[live[~finite]] = "overflow"
+    rows = _SKIPPED_ROW.select(np.zeros(n, dtype=int))
+    for name, col in block.columns.items():
+        rows[name][live[finite]] = col[finite]
+    rows.columns.update(u=us, v=vs, skip_reason=reasons)
+    return rows
 
 
 def evaluate_point(spec: SurfaceSpec, u: float, v: float, order: int = 3,
@@ -568,16 +530,24 @@ def _constancy(values: Sequence[float]) -> tuple[bool, float]:
     return sd <= CONSTANCY_REL * (1.0 + abs(mean)), sd
 
 
-def _check_harmonic(recs, tau):
-    worst = max(recs["residual_harmonic"].tolist())
-    return SideResult("harmonic Gauss map (max |direct Laplacian|)",
-                      worst <= tau, worst)
+def _bound(description: str, name: str, component: Optional[int] = None):
+    # the side "max |column| <= tol" on a record column, or on one
+    # component of it
+    def check(recs, tau):
+        col = recs[name] if component is None else recs[name][:, component]
+        worst = max(map(abs, col.tolist()))
+        return SideResult(description, worst <= tau, worst)
+    return check
 
 
-def _check_first_kind(recs, tau):
-    worst = max(recs["residual_first_kind"].tolist())
-    return SideResult("pointwise first-kind Gauss map Laplacian "
-                      "(max |direct - h_sq nu|)", worst <= tau, worst)
+_check_harmonic = _bound("harmonic Gauss map (max |direct Laplacian|)",
+                         "residual_harmonic")
+_check_first_kind = _bound("pointwise first-kind Gauss map Laplacian "
+                           "(max |direct - h_sq nu|)", "residual_first_kind")
+_check_flat = _bound("flat (max |K|)", "K", 0)
+_check_fnb = _bound("flat normal bundle (max |R^D|)", "RD")
+_check_parallel = _bound("parallel mean curvature vector (max |DH|)",
+                         "residual_parallel_H")
 
 
 def _check_global_first_kind(recs, tau):
@@ -586,22 +556,6 @@ def _check_global_first_kind(recs, tau):
     return SideResult("global first-kind: pointwise first-kind with "
                       "grid-constant f", worst <= tau and const,
                       max(worst, sd))
-
-
-def _check_flat(recs, tau):
-    worst = max(map(abs, recs["K"][:, 0].tolist()))
-    return SideResult("flat (max |K|)", worst <= tau, worst)
-
-
-def _check_fnb(recs, tau):
-    worst = max(map(abs, recs["RD"].tolist()))
-    return SideResult("flat normal bundle (max |R^D|)", worst <= tau, worst)
-
-
-def _check_parallel(recs, tau):
-    worst = max(recs["residual_parallel_H"].tolist())
-    return SideResult("parallel mean curvature vector (max |DH|)",
-                      worst <= tau, worst)
 
 
 def _check_lightlike_H(recs, tau):
@@ -693,10 +647,7 @@ THEOREMS: dict[str, _TheoremEntry] = {
         "content of the six-type classification)",
         _premise_any, _check_harmonic,
         _and(_check_flat, _check_fnb,
-             _or(lambda recs, tau: SideResult(
-                     "maximal (max |H|)",
-                     max(recs["H_norm_euclid"].tolist()) <= tau,
-                     max(recs["H_norm_euclid"].tolist())),
+             _or(_bound("maximal (max |H|)", "H_norm_euclid"),
                  _and(_check_lightlike_H, _check_parallel)))),
     "T3.9": _TheoremEntry(
         "in a de Sitter quadric: flat with light-like parallel mean "

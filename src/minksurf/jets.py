@@ -53,7 +53,13 @@ _SCALARS = (numbers.Real, np.ndarray)
 
 
 class JetError(Exception):
-    """Base class for jet arithmetic failures."""
+    """Base class for jet arithmetic failures.  ``points`` is True where
+    the operation fails: a bool array shaped like the failing operand's
+    values, whose last axis is the batch's point axis, or one bool."""
+
+    def __init__(self, message: str, points=True):
+        super().__init__(message)
+        self.points = points
 
 
 class UnsupportedOrder(JetError):
@@ -307,8 +313,9 @@ class Jet:
         if isinstance(other, Jet):
             return self * reciprocal(other)
         if isinstance(other, _SCALARS):
-            if np.any(np.equal(other, 0.0)):
-                raise DivisionByZeroValue("division by scalar zero")
+            bad = np.equal(other, 0.0)
+            if np.any(bad):
+                raise DivisionByZeroValue("division by scalar zero", bad)
             return self * (1.0 / other)
         return NotImplemented
 
@@ -376,10 +383,24 @@ def stack(jets: Sequence[Jet], axis: int = 0) -> Jet:
                             axis=axis + 1))
 
 
+def _overflows(fn: Callable[[float], float], t: float) -> bool:
+    try:
+        fn(t)
+    except OverflowError:
+        return True
+    return False
+
+
 def _pointwise(fn: Callable[[float], float], x) -> np.ndarray:
     # a math function applied one point at a time, so that its result
-    # does not depend on the batch
-    return np.reshape([fn(t) for t in np.ravel(x).tolist()], np.shape(x))
+    # does not depend on the batch; an OverflowError names its points
+    values = np.ravel(x).tolist()
+    try:
+        return np.reshape([fn(t) for t in values], np.shape(x))
+    except OverflowError as err:
+        err.points = np.reshape([_overflows(fn, t) for t in values],
+                                np.shape(x))
+        raise
 
 
 def _compose(series: Sequence, a: Jet) -> Jet:
@@ -394,8 +415,9 @@ def _compose(series: Sequence, a: Jet) -> Jet:
 
 def reciprocal(a: Jet) -> Jet:
     x0 = a.value()
-    if np.any(x0 == 0.0):
-        raise DivisionByZeroValue("reciprocal of a jet with zero value")
+    bad = x0 == 0.0
+    if np.any(bad):
+        raise DivisionByZeroValue("reciprocal of a jet with zero value", bad)
     series = [(-1.0) ** m / np.float_power(x0, m + 1)
               for m in range(a.order + 1)]
     return _compose(series, a)
@@ -406,7 +428,7 @@ def sqrt(a: Jet) -> Jet:
     bad = x0 <= 0.0
     if np.any(bad):
         raise DomainError(
-            f"sqrt requires a positive value, got {_first(x0, bad)!r}")
+            f"sqrt requires a positive value, got {_first(x0, bad)!r}", bad)
     series = [np.sqrt(x0)]
     for m in range(1, a.order + 1):
         series.append(series[m - 1] * (0.5 - (m - 1)) / (m * x0))
@@ -418,7 +440,7 @@ def log(a: Jet) -> Jet:
     bad = x0 <= 0.0
     if np.any(bad):
         raise DomainError(
-            f"log requires a positive value, got {_first(x0, bad)!r}")
+            f"log requires a positive value, got {_first(x0, bad)!r}", bad)
     series = [_pointwise(math.log, x0)]
     for m in range(1, a.order + 1):
         series.append((-1.0) ** (m + 1) / (m * np.float_power(x0, m)))

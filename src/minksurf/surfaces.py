@@ -60,9 +60,11 @@ class Domain:
     v_max: float
 
     def __post_init__(self):
-        if not all(map(math.isfinite, self.as_tuple())):
-            raise ValueError(
-                f"domain bounds must be finite, got {self.as_tuple()}")
+        # a width is finite only if both of its bounds are
+        widths = (self.u_max - self.u_min, self.v_max - self.v_min)
+        if not all(map(math.isfinite, widths)):
+            raise ValueError(f"domain bounds and widths must be finite, "
+                             f"got {self.as_tuple()}")
         if not (self.u_min < self.u_max and self.v_min < self.v_max):
             raise ValueError(f"empty domain {self!r}")
 

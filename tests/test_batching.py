@@ -3,6 +3,8 @@ is split into batches."""
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,10 @@ from minksurf import report
 from minksurf import surfaces as sf
 
 from conftest import rows
+
+# A surface whose grids mix both metric skip reasons, domain errors and
+# overflows in one block
+MIXED_FILE = Path(__file__).parent / "data" / "mixed_skips.surf"
 
 
 def test_records_match_pointwise_evaluation():
@@ -36,6 +42,7 @@ def test_records_match_pointwise_evaluation():
      "csv"],
     ["classify", "--catalog", "s31-flat"],
     ["verify", "T4.8", "--catalog", "product"],
+    ["analyze", "--surface-file", str(MIXED_FILE), "--order", "4"],
 ])
 def test_report_bytes_do_not_depend_on_block_size(argv, monkeypatch, tmp_path):
     def report_bytes(name):
@@ -56,7 +63,7 @@ def test_failure_past_the_immersion_skips_only_its_points(monkeypatch):
 
     def failing_on_one_row(pg):
         if np.any(pg.base[0] == bad_u):
-            raise jt.DomainError("injected")
+            raise jt.DomainError("injected", pg.base[0] == bad_u)
         return real(pg)
 
     monkeypatch.setattr(gm, "laplacian_gauss_formula", failing_on_one_row)
@@ -64,3 +71,34 @@ def test_failure_past_the_immersion_skips_only_its_points(monkeypatch):
     assert [r.skip_reason for r in got] == [
         "domain-error" if r.u == bad_u else None for r in clean]
     assert [r for r in got if r.ok] == [r for r in clean if r.u != bad_u]
+
+
+def test_constant_division_by_zero_skips_every_point():
+    # a float 1/0 names no points: it fails all of them alike
+    spec = sf.catalog_lookup("graph", {"phi": "u + 1/0"})
+    got = rows(gm.evaluate_grid(spec, (3, 3)))
+    assert [r.skip_reason for r in got] == ["singular"] * 9
+
+
+@pytest.mark.parametrize("order", [3, 4])
+def test_each_point_in_a_mixed_block_gets_its_own_reason(order, monkeypatch):
+    # One block holds every skip reason, and a failure past the immersion
+    # names one row; each record equals the point's record on its own.
+    spec = sf.parse_surface(MIXED_FILE.read_text())
+    clean = gm.evaluate_grid(spec, (15, 15), order)
+    bad_u = clean.live()["u"][0]
+    real = gm.laplacian_gauss_formula
+
+    def failing_on_one_row(pg):
+        if np.any(pg.base[0] == bad_u):
+            raise jt.DivisionByZeroValue("injected", pg.base[0] == bad_u)
+        return real(pg)
+
+    monkeypatch.setattr(gm, "laplacian_gauss_formula", failing_on_one_row)
+    got = rows(gm.evaluate_grid(spec, (15, 15), order))
+    assert {r.skip_reason for r in got} == {
+        None, "degenerate", "not-spacelike", "domain-error", "overflow",
+        "singular"}
+    alone = [gm.evaluate_point(spec, u, v, order)
+             for u, v in sf.cell_centers(spec.domain, 15, 15)]
+    assert repr(got) == repr(alone)

@@ -362,6 +362,18 @@ class TestUsageErrors:
          "--format", "csv"],
         ["analyze", "--catalog", "graph", "--param", "phi=u^99999999999",
          "--grid", "2x2"],
+        # expressions nested past Python's recursion limit
+        ["analyze", "--catalog", "graph", "--param", "phi=" + "-" * 1200 + "u",
+         "--grid", "2x2"],
+        ["analyze", "--catalog", "graph", "--param",
+         "phi=" + "(" * 400 + "u" + ")" * 400, "--grid", "2x2"],
+        ["analyze", "--catalog", "graph", "--param",
+         "phi=" + "+".join(["u"] * 1200), "--grid", "2x2"],
+        # finite bounds whose width overflows
+        ["classify", "--catalog", "plane", "--grid", "2x2",
+         "--domain=-1e308,1e308,0,1"],
+        ["classify", "--catalog", "plane", "--grid", "2x2",
+         "--domain=0,1,-1e308,1e308"],
     ])
     def test_exit_2_with_stderr_message(self, argv, capsys):
         with time_limit(30.0):
@@ -379,6 +391,21 @@ class TestUsageErrors:
         assert code == 2 and out == ""
         assert err.startswith("error: unexpected character")
         assert "column" in err
+
+    @pytest.mark.parametrize("text, position", [
+        ("x1 = 0; x2 = u; x3 = v\nx4 = " + "sin(" * 101 + "u" + ")" * 101,
+         "(line 2, column 406)"),
+        ("domain = [-1e308,1e308]x[0,1]\nx1 = 0; x2 = u; x3 = v; x4 = 0",
+         "(line 1, column 10)"),
+    ], ids=["deep-component", "overflowing-domain"])
+    def test_surface_file_error_names_its_position(self, text, position,
+                                                  tmp_path, capsys):
+        f = tmp_path / "s.surf"
+        f.write_text(text + "\n")
+        code, out, err = run(["classify", "--surface-file", str(f),
+                              "--grid", "2x2"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and position in err
 
     def test_verify_needs_a_theorem(self):
         with pytest.raises(ValueError, match="theorem"):

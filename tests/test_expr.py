@@ -98,6 +98,47 @@ class TestParseErrors:
             ex.eval_float(e, 0.0, 0.0, {})
 
 
+G, H = ex.MAX_GROUPS, ex.MAX_HEIGHT
+
+
+class TestNestingBounds:
+    # texts at the bounds: G open groups, or a tree H nodes high
+    AT_BOUNDS = {
+        "parentheses": "(" * G + "u" + ")" * G,
+        "unary-minus": "-" * G + "u",
+        "right-nested": "u-(" * G + "u" + ")" * G,
+        "functions-over-a-sum": "sin(" * G + "+".join(["u"] * (H - G))
+                                + ")" * G,
+        "sum": "+".join(["u"] * H),
+    }
+
+    @pytest.mark.parametrize("text", AT_BOUNDS.values(), ids=AT_BOUNDS)
+    def test_at_the_bounds_every_pass_runs(self, text):
+        # parse, print, parse the print, and evaluate both ways (strings
+        # compared: AST equality recurses three frames per level)
+        e = ex.parse_expression(text)
+        printed = ex.serialize_expression(e)
+        assert ex.serialize_expression(ex.parse_expression(printed)) == printed
+        u, v = jt.jet_variable("u", 0.5, 4), jt.jet_variable("v", 0.0, 4)
+        assert ex.eval_jet(e, u, v, {}).value() == pytest.approx(
+            ex.eval_float(e, 0.5, 0.0, {}), rel=1e-12)
+
+    def test_nested_negation_prints_without_parentheses(self):
+        assert ex.serialize_expression(ex.parse_expression("-(-u)")) == "--u"
+
+    @pytest.mark.parametrize("text, col", [
+        ("(" * (G + 1) + "u" + ")" * (G + 1), G + 1),
+        ("-" * (G + 1) + "u", G + 1),
+        ("sin(" * (G + 1) + "u" + ")" * (G + 1), 4 * G + 1),
+        ("+".join(["u"] * (H + 1)), 2 * H),
+        ("u" + "*u" * H, 2 * H),
+    ])
+    def test_past_a_bound_is_a_parse_error_at_the_crossing(self, text, col):
+        with pytest.raises(ex.ParseError) as info:
+            ex.parse_expression(text)
+        assert (info.value.line, info.value.column) == (1, col)
+
+
 class TestJetEvaluator:
     exprs = [
         "u^2*v - 3*u + v^3",

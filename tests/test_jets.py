@@ -196,6 +196,33 @@ class TestErrorPaths:
             u ** 0.5
 
 
+# A (2, 5) stack of values that fails each operation at some points:
+# <= 0, == 0, and past the overflow of exp (about 709.78) and of sinh
+# and cosh (about 710.48).
+STACKED = np.array([[0.5, -1.0, 0.0, 2.0, 800.0],
+                    [750.0, 1.0, -720.0, 0.0, 710.0]])
+
+
+@pytest.mark.parametrize("op, bad", [
+    (jt.sqrt, STACKED <= 0.0),
+    (jt.log, STACKED <= 0.0),
+    (jt.reciprocal, STACKED == 0.0),
+    (lambda a: a / STACKED, STACKED == 0.0),
+    (lambda a: a / 0.0, np.ones(STACKED.shape, dtype=bool)),
+    (jt.exp, STACKED > 709.8),
+    (jt.sinh, abs(STACKED) > 710.5),
+    (jt.cosh, abs(STACKED) > 710.5),
+], ids=["sqrt", "log", "reciprocal", "per-point-division", "scalar-division",
+        "exp", "sinh", "cosh"])
+def test_failure_names_its_points(op, bad):
+    # the error's points are True exactly where the operation fails
+    x = jt.Jet.variable("u", STACKED, 3)
+    with pytest.raises((jt.JetError, OverflowError)) as info:
+        op(x)
+    points = np.broadcast_to(info.value.points, STACKED.shape)
+    assert points.tolist() == bad.tolist()
+
+
 class TestBatch:
     @staticmethod
     def mixed(u, v):
