@@ -34,13 +34,10 @@ __all__ = ["main", "build_parser"]
 def _grid_arg(text: str) -> tuple[int, int]:
     try:
         left, right = text.lower().split("x")
-        grid = (int(left), int(right))
+        return int(left), int(right)
     except ValueError as err:
         raise argparse.ArgumentTypeError(
             f"grid must look like 7x7, got {text!r}") from err
-    if grid[0] < 2 or grid[1] < 2:
-        raise argparse.ArgumentTypeError("grid needs at least 2x2 points")
-    return grid
 
 
 def _domain_arg(text: str) -> tuple[float, float, float, float]:

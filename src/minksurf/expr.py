@@ -427,9 +427,15 @@ def free_identifiers(e: Expr) -> frozenset[str]:
 
 
 def _jet_or_float(jet_fn, float_fn):
-    # subtrees with no u/v dependence evaluate to bare floats
+    # subtrees with no u/v dependence evaluate to bare floats; a math
+    # domain error there is a jet domain error at every point
     def apply(a):
-        return jet_fn(a) if isinstance(a, Jet) else float_fn(a)
+        if isinstance(a, Jet):
+            return jet_fn(a)
+        try:
+            return float_fn(a)
+        except ValueError as err:
+            raise jets.DomainError(f"{err} at the constant {a!r}") from None
     return apply
 
 

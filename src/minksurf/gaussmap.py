@@ -91,20 +91,9 @@ class GaussLaplacianDecomposition:
     c_norm: float
     grad_trA3: tuple[float, float]
     grad_trA4: tuple[float, float]
-    omega34: tuple[float, float]
-    term_nu: Bivector
-    term_normal_curvature: Bivector
-    term_grad_trace3: Bivector
-    term_grad_trace4: Bivector
-    term_rotation: Bivector
     residual_first_kind: float
     residual_harmonic: float
     residual_route: float
-
-
-def _directional_value(pg: PointGeometry, f, i: int) -> float:
-    a, b = pg._dir_coeffs(i)
-    return a * f.partial(1, 0) + b * f.partial(0, 1)
 
 
 def laplacian_gauss_formula(pg: PointGeometry,
@@ -126,22 +115,22 @@ def laplacian_gauss_formula(pg: PointGeometry,
     e1, e2, e3, e4 = pg.frame_values
     nu_vals = pg.nu
     # e_i(trace A3) and e_i(trace A4), i = 1, 2
-    d1, d2 = (_directional_value(pg, pg.trace_jets, i) for i in (1, 2))
+    d1, d2 = pg.along(pg.trace_jets)
     grad3, grad4 = (d1[0], d2[0]), (d1[1], d2[1])
     grad3_vec = e1.scaled(grad3[0]) + e2.scaled(grad3[1])
     grad4_vec = e1.scaled(grad4[0]) + e2.scaled(grad4[1])
     w34 = pg.omega34
 
-    term_nu = nu_vals.scaled(pg.h_sq * scales["nu"])
-    term_norm = la.wedge(e1, e2).scaled(2.0 * pg.RD
+    nu_term = nu_vals.scaled(pg.h_sq * scales["nu"])
+    norm_term = la.wedge(e1, e2).scaled(2.0 * pg.RD
                                         * scales["normal_curvature"])
-    term_g3 = la.wedge(grad3_vec, e4).scaled(scales["grad_trace3"])
-    term_g4 = la.wedge(e3, grad4_vec).scaled(scales["grad_trace4"])
+    g3_term = la.wedge(grad3_vec, e4).scaled(scales["grad_trace3"])
+    g4_term = la.wedge(e3, grad4_vec).scaled(scales["grad_trace4"])
     rot = (la.wedge(pg.H, e1).scaled(2.0 * w34[0])
            + la.wedge(pg.H, e2).scaled(2.0 * w34[1]))
-    term_rot = rot.scaled(scales["rotation"])
+    rot_term = rot.scaled(scales["rotation"])
 
-    formula = term_nu + term_norm + term_g3 + term_g4 + term_rot
+    formula = nu_term + norm_term + g3_term + g4_term + rot_term
     direct = Bivector.of(pg.laplacian(pg.nu_jets.comps).value())
 
     first_kind = la.euclid_norm(direct - nu_vals.scaled(pg.h_sq))
@@ -151,10 +140,7 @@ def laplacian_gauss_formula(pg: PointGeometry,
     return GaussLaplacianDecomposition(
         nu=nu_vals, direct=direct, formula=formula,
         c_nu=pg.h_sq, c_norm=2.0 * pg.RD,
-        grad_trA3=grad3, grad_trA4=grad4, omega34=w34,
-        term_nu=term_nu, term_normal_curvature=term_norm,
-        term_grad_trace3=term_g3, term_grad_trace4=term_g4,
-        term_rotation=term_rot,
+        grad_trA3=grad3, grad_trA4=grad4,
         residual_first_kind=first_kind, residual_harmonic=harmonic,
         residual_route=route)
 
@@ -176,8 +162,7 @@ def _lemma42(pg: PointGeometry):
     applies = ~(pg.H_norm_euclid > tau) & ~(abs(pg.RD) > tau)
     f_jet = pg.h_sq_jet
     f0 = f_jet.value()
-    e1f = _directional_value(pg, f_jet, 1)
-    e2f = _directional_value(pg, f_jet, 2)
+    e1f, e2f = pg.along(f_jet)
     w1, w2 = pg.omega12
     best = math.inf
     for eps in (-1.0, 1.0):
@@ -358,7 +343,7 @@ def _columns(pg: PointGeometry) -> dict:
     # (a tuple of them for tuple fields)
     decomp = laplacian_gauss_formula(pg)
     rfk, rharm, f_est = first_kind_residuals(decomp)
-    h = pg.h_jets
+    h = pg._h.value()
     E, F, G = pg.metric_jets
     cols = {
         "g": (E.value(), F.value(), G.value()),
@@ -366,8 +351,7 @@ def _columns(pg: PointGeometry) -> dict:
         "position_inner": pg.position_inner,
         "nu": pg.nu.components(),
         "omega12": pg.omega12, "omega34": pg.omega34,
-        "h3": tuple(h[(3, i, j)].value() for i, j in ((1, 1), (1, 2), (2, 2))),
-        "h4": tuple(h[(4, i, j)].value() for i, j in ((1, 1), (1, 2), (2, 2))),
+        "h3": tuple(h[0]), "h4": tuple(h[1]),  # ij = 11, 12, 22
         "H": pg.H.components(),
         "H_inner": pg.H_inner,
         "H_norm_euclid": pg.H_norm_euclid,

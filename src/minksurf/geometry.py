@@ -155,14 +155,6 @@ class PointGeometry:
         return jt.stack([x.deriv_u(), x.deriv_v()], axis=1)
 
     @cached_property
-    def xu(self) -> AmbientVector:
-        return AmbientVector.of(self._partials[:, 0])
-
-    @cached_property
-    def xv(self) -> AmbientVector:
-        return AmbientVector.of(self._partials[:, 1])
-
-    @cached_property
     def _metric(self) -> Jet:
         """(E, F, G) = (<x_u, x_u>, <x_u, x_v>, <x_v, x_v>) as one stack."""
         d = self._partials
@@ -173,12 +165,6 @@ class PointGeometry:
     def metric_jets(self) -> tuple[Jet, Jet, Jet]:
         g = self._metric
         return g[0], g[1], g[2]
-
-    @cached_property
-    def g(self) -> np.ndarray:
-        """The metric matrix, shape (2, 2, *batch)."""
-        E, F, G = self.metric_jets
-        return np.array([[E.value(), F.value()], [F.value(), G.value()]])
 
     @cached_property
     def metric_det_jet(self) -> Jet:
@@ -269,29 +255,31 @@ class PointGeometry:
         return np.maximum.reduce(
             abs(got - want.reshape(want.shape + (1,) * len(self.batch))))
 
-    def _dir_coeffs(self, i: int):
-        # value-level coefficients of e_i = a du + b dv, i in {1, 2}
-        f = self.frame
-        return f.a[i - 1].value(), f.b[i - 1].value()
+    def along(self, f: Jet) -> np.ndarray:
+        """e_1(f) and e_2(f), the derivatives of a jet (or of each jet of a
+        stack) along the tangent frame, as values on a new leading axis:
+        e_i(f) = a_i f_u + b_i f_v."""
+        shape = (2,) + (1,) * (len(f.batch) - len(self.batch)) + self.batch
+        a, b = (np.reshape([c.value() for c in coeffs], shape)
+                for coeffs in (self.frame.a, self.frame.b))
+        return a * f.partial(1, 0) + b * f.partial(0, 1)
 
-    def omega(self, A: int, B: int, i: int) -> float:
-        """Connection form omega_AB(e_i) = <flat-derivative of e_A along e_i, e_B>.
-
-        Antisymmetric in (A, B) by metric compatibility; indices are
-        1-based frame labels, i in {1, 2}.
-        """
-        eA = self.frame.e[A - 1].comps
-        a, b = self._dir_coeffs(i)
-        w = AmbientVector.of(a * eA.partial(1, 0) + b * eA.partial(0, 1))
-        return la.minkowski_inner(w, self.frame_values[B - 1])
+    # Connection forms omega_AB(e_i) = <flat derivative of e_A along e_i,
+    # e_B>, i = 1, 2; antisymmetric in (A, B) by metric compatibility.
 
     @cached_property
     def omega12(self) -> tuple[float, float]:
-        return (self.omega(1, 2, 1), self.omega(1, 2, 2))
+        d = np.moveaxis(self.along(self.frame.e[0].comps), 0, 1)
+        w = la.minkowski_inner(AmbientVector.of(d), AmbientVector.of(
+            self.frame_values[1].comps[:, None]))
+        return w[0], w[1]
 
     @cached_property
     def omega34(self) -> tuple[float, float]:
-        return (self.omega(3, 4, 1), self.omega(3, 4, 2))
+        d = np.moveaxis(self.along(self.frame.e[2].comps), 0, 1)
+        w = la.minkowski_inner(AmbientVector.of(d), AmbientVector.of(
+            self.frame_values[3].comps[:, None]))
+        return w[0], w[1]
 
     # -- second fundamental form ----------------------------------------
 
@@ -326,15 +314,6 @@ class PointGeometry:
         return t[:, 0] + t[:, 1] + t[:, 2]
 
     @cached_property
-    def h_jets(self) -> dict[tuple[int, int, int], Jet]:
-        """h^beta_ij as jets, keyed (beta, i, j)."""
-        out: dict[tuple[int, int, int], Jet] = {}
-        for b, beta in enumerate((3, 4)):
-            for q, (i, j) in enumerate(((1, 1), (1, 2), (2, 2))):
-                out[(beta, i, j)] = out[(beta, j, i)] = self._h[b, q]
-        return out
-
-    @cached_property
     def shape_operators(self) -> tuple[np.ndarray, np.ndarray]:
         """(A3, A4) in the tangent frame, shape (*batch, 2, 2); symmetric
         by construction."""
@@ -346,14 +325,6 @@ class PointGeometry:
     def trace_jets(self) -> Jet:
         """trace A3 and trace A4 as one stack."""
         return self._h[:, 0] + self._h[:, 2]
-
-    def h_vector(self, i: int, j: int) -> AmbientVector:
-        """h(e_i, e_j) as an ambient vector of values."""
-        h = self.h_jets
-        e3, e4 = self.frame_values[2], self.frame_values[3]
-        # h = sum_beta eps_beta h^beta_ij e_beta
-        return (e3.scaled(h[(3, i, j)].value())
-                + e4.scaled(-h[(4, i, j)].value()))
 
     @cached_property
     def H_jets(self) -> AmbientVector:
@@ -438,18 +409,14 @@ class PointGeometry:
     def residual_parallel_H(self):
         """Euclidean size of the normal part of the ambient derivative of H,
         summed over both tangent directions; zero iff DH = 0."""
-        H = self.H_jets.comps
-        du, dv = H.partial(1, 0), H.partial(0, 1)
-        e1v, e2v = self.frame_values[0], self.frame_values[1]
-        total = 0.0
-        for i in (1, 2):
-            a, b = self._dir_coeffs(i)
-            w = AmbientVector.of(a * du + b * dv)
-            tang1 = la.minkowski_inner(w, e1v)
-            tang2 = la.minkowski_inner(w, e2v)
-            normal = w - e1v.scaled(tang1) - e2v.scaled(tang2)
-            total += la.euclid_norm(normal)
-        return total
+        # the derivatives along e_1 and e_2 on the axis after the components
+        w = AmbientVector.of(np.moveaxis(self.along(self.H_jets.comps), 0, 1))
+        e1v, e2v = (AmbientVector.of(e.comps[:, None])
+                    for e in self.frame_values[:2])
+        tang1 = la.minkowski_inner(w, e1v)
+        tang2 = la.minkowski_inner(w, e2v)
+        normal = la.euclid_norm(w - e1v.scaled(tang1) - e2v.scaled(tang2))
+        return normal[0] + normal[1]
 
     def codazzi_residual(self, omega12_shift: float = 0.0):
         """Max defect of the covariant symmetry h^beta_{ij,k} = h^beta_{jk,i}
@@ -457,13 +424,9 @@ class PointGeometry:
         # h^beta_{jk,i} as an array indexed [beta, i, j, k, *batch]: the flat
         # derivative along e_i of the coefficient, a normal-connection
         # rotation, and two Levi-Civita correction terms.
-        f = self.frame
         sym = [[0, 1], [1, 2]]  # h_jk in the (11, 12, 22) stack
-        h, hu, hv = (x[:, sym] for x in (
-            self._h.value(), self._h.partial(1, 0), self._h.partial(0, 1)))
-        a = np.array([f.a[0].value(), f.a[1].value()])[None, :, None, None]
-        b = np.array([f.b[0].value(), f.b[1].value()])[None, :, None, None]
-        flat = a * hu[:, None] + b * hv[:, None]
+        h = self._h.value()[:, sym]
+        flat = np.moveaxis(self.along(self._h)[:, :, sym], 0, 1)
         # sum_gamma eps_gamma h^gamma_jk omega_{gamma beta}(e_i); the
         # gamma = beta term vanishes, and both cross terms reduce to
         # +h^other omega_34 since eps_4 omega_43 = +omega_34.
@@ -546,9 +509,15 @@ class PointGeometry:
         """
         tau = self.tol.residual
         H, norm_H = self.H, self.H_norm_euclid
-        hv = {(i, j): self.h_vector(i, j) for i in (1, 2) for j in (1, 2)}
-        p = {key: la.minkowski_inner(vec, H) for key, vec in hv.items()}
-        scale = tau * (1.0 + np.maximum.reduce([abs(val) for val in p.values()]))
+        h = self._h.value()
+        e3, e4 = (e.comps[:, None] for e in self.frame_values[2:])
+        # h(e_i, e_j) = h^3_ij e3 - h^4_ij e4 by ij = 11, 12, 22, and its
+        # umbilicity defect h(e_i, e_j) - delta_ij H
+        hv = h[0] * e3 + -h[1] * e4
+        p = la.minkowski_inner(AmbientVector.of(hv),
+                               AmbientVector.of(H.comps[:, None]))
+        scale = tau * (1.0 + np.maximum.reduce(abs(p)))
+        defect = hv - np.stack([H.comps, np.zeros_like(H.comps), H.comps], 1)
         hn = tau * (1.0 + norm_H)
         x_causal = causal_character(self.x_values, CAUSAL_TOL)
         return {
@@ -557,11 +526,10 @@ class PointGeometry:
             "FLAT": abs(self.K_gauss) <= tau,
             "FLAT-NORMAL-BUNDLE": abs(self.RD) <= tau,
             "PARALLEL-H": self.residual_parallel_H <= tau,
-            "PSEUDO-UMBILICAL": ((abs(p[(1, 2)]) <= scale)
-                                 & (abs(p[(1, 1)] - p[(2, 2)]) <= scale)),
-            "TOTALLY-UMBILICAL": np.logical_and.reduce([
-                la.euclid_norm(hv[(i, j)] - H if i == j else hv[(i, j)]) <= hn
-                for i in (1, 2) for j in (1, 2)]),
+            "PSEUDO-UMBILICAL": ((abs(p[1]) <= scale)
+                                 & (abs(p[0] - p[2]) <= scale)),
+            "TOTALLY-UMBILICAL": np.logical_and.reduce(
+                la.euclid_norm(AmbientVector.of(defect)) <= hn),
             "IN-LIGHTCONE": ((x_causal == CausalClass.ZERO)
                              | (x_causal == CausalClass.LIGHTLIKE)),
             "IN-S31": x_causal == CausalClass.SPACELIKE,
@@ -588,8 +556,12 @@ class PointGeometry:
 # -- contract-level operation wrappers -------------------------------------
 
 def second_fundamental_form(pg: PointGeometry):
-    """h coefficients (values), and the two shape operator matrices."""
-    h = {key: jet.value() for key, jet in pg.h_jets.items()}
+    """h coefficients (values) keyed (beta, i, j), and the two shape
+    operator matrices."""
+    values = pg._h.value()
+    ij = {(1, 1): 0, (1, 2): 1, (2, 1): 1, (2, 2): 2}
+    h = {(beta, i, j): values[b, q]
+         for b, beta in enumerate((3, 4)) for (i, j), q in ij.items()}
     A3, A4 = pg.shape_operators
     return h, A3, A4
 

@@ -142,8 +142,6 @@ def evaluate_records(spec: SurfaceSpec, cfg: RunConfig) -> Records:
 
 
 def _stats(values: Sequence[float]) -> dict:
-    if not values:
-        return {"mean": None, "sd": None, "min": None, "max": None}
     mean = statistics.fmean(values)
     sd = statistics.stdev(values) if len(values) > 1 else 0.0
     return {"mean": mean, "sd": sd, "min": min(values), "max": max(values)}

@@ -234,7 +234,8 @@ class _CatalogEntry:
     name: str
     components: tuple[str, str, str, str]
     float_params: tuple[tuple[str, Optional[float]], ...] = ()
-    expr_params: tuple[str, ...] = ()  # spliced verbatim, e.g. the graph height
+    # each is a whole component, spliced verbatim, e.g. the graph height
+    expr_params: tuple[str, ...] = ()
     domain: Domain = DEFAULT_DOMAIN
     tags: frozenset = frozenset()
     notes: str = ""
@@ -397,24 +398,11 @@ def catalog_lookup(name: str,
     components = []
     for src in entry.components:
         ast = parse_expression(src, declared)
-        components.append(_splice(ast, splices))
+        components.append(splices.get(ast.name, ast)
+                          if isinstance(ast, ex.Param) else ast)
     return SurfaceSpec(
         name=name, components=tuple(components), params=bound,
         domain=entry.domain, expected_tags=entry.tags, notes=entry.notes)
-
-
-def _splice(e: Expr, splices: Mapping[str, Expr]) -> Expr:
-    if not splices:
-        return e
-    if isinstance(e, ex.Param) and e.name in splices:
-        return splices[e.name]
-    if isinstance(e, ex.Unary):
-        return ex.Unary(e.fn, _splice(e.arg, splices))
-    if isinstance(e, ex.BinOp):
-        return ex.BinOp(e.fn, _splice(e.lhs, splices), _splice(e.rhs, splices))
-    if isinstance(e, ex.Pow):
-        return ex.Pow(_splice(e.base, splices), e.exponent)
-    return e
 
 
 # -- evaluation -------------------------------------------------------------

@@ -198,6 +198,10 @@ class TestPointFailures:
         ("exp(1000*u)", "2x2", 0, "overflow", 2),
         ("log(u-5)", "2x2", 3, "domain-error", 4),
         ("sin(1e200*u*1e200)", "2x2", 3, "overflow", 4),
+        # a float error in a constant subexpression names every point
+        ("u+1/0", "2x2", 3, "singular", 4),
+        ("u+sqrt(0-1)", "2x2", 3, "domain-error", 4),
+        ("u+log(0)", "2x2", 3, "domain-error", 4),
     ])
     def test_skip_reason(self, phi, grid, code, reason, skipped, capsys):
         got, out, err = run(["analyze", "--catalog", "graph", "--param",
@@ -211,6 +215,12 @@ class TestPointFailures:
             assert p["ok"] == (p["skip_reason"] is None)
             if p["ok"]:
                 assert all(math.isfinite(x) for x in p["K"] + p["H"])
+
+    def test_constant_sqrt_of_zero_is_valid(self, capsys):
+        code, out, err = run(["classify", "--catalog", "graph", "--param",
+                              "phi=u+sqrt(0)", "--grid", "2x2"], capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["summary"]["points_skipped"] == 0
 
     _ATOMS = st.sampled_from(["u", "v", "0", "1", "2.5", "1000"])
     _PHI = st.recursive(_ATOMS, lambda inner: st.one_of(
@@ -333,6 +343,16 @@ class TestCatalogCommand:
         assert names == ["example52", "graph", "h3-flat", "plane",
                          "product", "s31-flat", "type-i", "type-ii"]
 
+    def test_csv_rows(self, capsys):
+        code, out, _ = run(["catalog", "--format", "csv"], capsys)
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == ["name", "float_params", "expression_params",
+                           "domain", "tags"]
+        assert [r[0] for r in rows[1:]] == list(sf.catalog_names())
+        graph = next(r for r in rows[1:] if r[0] == "graph")
+        assert graph[2] == "phi"
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
@@ -381,6 +401,13 @@ class TestUsageErrors:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") or "usage" in err
+
+    @pytest.mark.parametrize("grid", ["1x5", "5x1"])
+    def test_grid_needs_two_points_per_axis(self, grid, capsys):
+        code, out, err = run(["classify", "--catalog", "plane", "--grid",
+                              grid], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: grid needs at least 2 points per axis\n"
 
     @pytest.mark.parametrize("phi", ["u^\u00b2", "\u0663*u"])
     def test_non_ascii_digit_is_a_parse_error(self, phi, capsys):

@@ -51,18 +51,18 @@ class TestMetric:
         for u, v in probe_points(spec):
             pg = ge.PointGeometry(sf.evaluate_immersion(spec, u, v, 3))
             pg.require_spacelike()
-            g = pg.g
+            g11, g12, g22 = (j.value() for j in pg.metric_jets)
             E, F, G = EFG(u, v)
-            assert g[0, 0] == pytest.approx(E, rel=1e-12)
-            assert g[0, 1] == pytest.approx(F, abs=1e-12)
-            assert g[1, 0] == pytest.approx(F, abs=1e-12)
-            assert g[1, 1] == pytest.approx(G, rel=1e-12)
+            assert g11 == pytest.approx(E, rel=1e-12)
+            assert g12 == pytest.approx(F, abs=1e-12)
+            assert g22 == pytest.approx(G, rel=1e-12)
 
     def test_metric_is_symmetric_positive(self, catalog_spec):
         for u, v in probe_points(catalog_spec):
             pg = ge.PointGeometry(sf.evaluate_immersion(catalog_spec, u, v, 3))
             pg.require_spacelike()
-            g = pg.g
+            E, F, G = (j.value() for j in pg.metric_jets)
+            g = np.array([[E, F], [F, G]])
             assert g[0, 1] == g[1, 0]
             assert np.linalg.det(g) > 0.0 and g[0, 0] > 0.0
 
@@ -84,8 +84,8 @@ class TestFrame:
         u, v = probe_points(catalog_spec)[0]
         pg = point_geometry(catalog_spec, u, v)
         e1, e2, e3, e4 = pg.frame_values
-        xu = la.AmbientVector(*(getattr(pg.xu, f).value() for f in ("c0", "c1", "c2", "c3")))
-        xv = la.AmbientVector(*(getattr(pg.xv, f).value() for f in ("c0", "c1", "c2", "c3")))
+        # x_u and x_v, the columns of the (4, 2) stack of partials
+        xu, xv = (la.AmbientVector.of(pg._partials.value()[:, k]) for k in (0, 1))
         for n in (e3, e4):
             assert abs(la.minkowski_inner(n, xu)) < 1e-10
             assert abs(la.minkowski_inner(n, xv)) < 1e-10
@@ -326,7 +326,7 @@ class TestErrorPaths:
         zero = u * 0.0
         pg = ge.PointGeometry((u, v, zero, zero))
         assert pg.skip_reasons.item() == "not-spacelike"
-        assert pg.g[0, 0] == pytest.approx(-1.0)
+        assert pg.metric_jets[0].value() == pytest.approx(-1.0)
 
     @pytest.mark.parametrize("name", ["causal", "residual", "constancy_rel",
                                       "degenerate"])

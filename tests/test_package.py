@@ -1,11 +1,13 @@
 """Package surface: every name a submodule lists in ``__all__`` exists,
-so ``from minksurf.<module> import *`` works, and no module imports a
-name it does not use."""
+so ``from minksurf.<module> import *`` works, no module imports a name it
+does not use, and every package name the benchmark harness in
+``perfbench/`` uses still exists and takes its arguments."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 import pathlib
 import pkgutil
 
@@ -57,3 +59,61 @@ def test_no_unused_imports(path):
 
 def test_unused_import_check_flags_one():
     assert unused_imports("import math\nimport os\nos.sep\n") == ["math (line 1)"]
+
+
+# -- names the benchmark harness uses ----------------------------------------
+
+PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
+
+
+def package_uses(tree: ast.AST) -> list[tuple[str, str, ast.AST]]:
+    """(module, attribute, node) for each ``module.name`` a module reads
+    after ``from minksurf import module``, the one import form perfbench
+    uses."""
+    modules = {alias.asname or alias.name: alias.name
+               for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "minksurf"
+               for alias in node.names}
+    return [(modules[node.value.id], node.attr, node)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id in modules]
+
+
+def missing_names(source: str) -> list[str]:
+    """Package names a source uses that are gone, and calls whose
+    arguments no longer bind to the callee's signature."""
+    tree = ast.parse(source)
+    calls = {id(node.func): node for node in ast.walk(tree)
+             if isinstance(node, ast.Call)}
+    out = []
+    for module, name, node in package_uses(tree):
+        target = getattr(importlib.import_module(f"minksurf.{module}"),
+                         name, None)
+        if target is None:
+            out.append(f"{module}.{name}")
+            continue
+        call = calls.get(id(node))
+        if (call is None or any(isinstance(a, ast.Starred) for a in call.args)
+                or any(k.arg is None for k in call.keywords)):
+            continue
+        try:
+            inspect.signature(target).bind(
+                *call.args, **{k.arg: k.value for k in call.keywords})
+        except TypeError:
+            out.append(f"{module}.{name} (line {call.lineno})")
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", PERFBENCH, ids=lambda p: p.name)
+def test_perfbench_names_exist(path):
+    assert missing_names(path.read_text(encoding="utf-8")) == []
+
+
+def test_perfbench_check_flags_a_missing_name():
+    source = ("from minksurf import geometry, gaussmap as gm\n"
+              "geometry.second_fundamental_form(pg)\n"
+              "gm.evaluate_point(spec, 0.0, 0.0, 3, tol, extra)\n"
+              "geometry.nonexistent\n")
+    assert missing_names(source) == ["gaussmap.evaluate_point (line 3)",
+                                     "geometry.nonexistent"]

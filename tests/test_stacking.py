@@ -4,16 +4,21 @@ A vector or bivector of jets is one jet whose batch has a leading
 component axis, and each linalg operation on it is one product.  These
 tests write every operation out component by component on scalar jets,
 as the formulas read, and require the stacked result to carry the same
-coefficient bytes (so a -0.0 for a 0.0 counts as a difference).
+coefficient bytes (so a -0.0 for a 0.0 counts as a difference).  Frame
+derivatives, which the geometry takes along both directions at once, are
+written out one direction at a time in the same way.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from minksurf import gaussmap as gm
 from minksurf import geometry as ge
 from minksurf import jets as jt
 from minksurf import linalg as la
@@ -196,6 +201,24 @@ def jet_bytes(jets) -> list[bytes]:
     return [j.coeffs.tobytes() for j in jets]
 
 
+def value_bytes(x) -> bytes:
+    return np.asarray(x).tobytes()
+
+
+# The index of h^beta_ij in the (11, 12, 22) axis of the _h stack.
+IJ = {(1, 1): 0, (1, 2): 1, (2, 1): 1, (2, 2): 2}
+
+
+def h_jet(pg: ge.PointGeometry, beta: int, i: int, j: int) -> jt.Jet:
+    return pg._h[beta - 3, IJ[i, j]]
+
+
+def directional(pg: ge.PointGeometry, f: jt.Jet, i: int):
+    """e_i(f) = a_i f_u + b_i f_v, one direction at a time."""
+    a, b = pg.frame.a[i - 1].value(), pg.frame.b[i - 1].value()
+    return a * f.partial(1, 0) + b * f.partial(0, 1)
+
+
 def frame_loop(pg: ge.PointGeometry):
     """Metric, frame and second fundamental form, component by component."""
     xu = [c.deriv_u() for c in pg.xjets]
@@ -236,27 +259,28 @@ def test_geometry_stacks(pg):
     got = dict(metric=pg.metric_jets, det=[pg.metric_det_jet],
                e=[c for e in pg.frame.e for c in e.components()],
                nu=pg.nu_jets.components(),
-               h=[pg.h_jets[key] for key in sorted(pg.h_jets)],
+               h=[h_jet(pg, *key) for key in sorted(
+                   (beta, *ij) for beta in (3, 4) for ij in IJ)],
                H=pg.H_jets.components(), h_sq=[pg.h_sq_jet])
     for name in want:
         assert jet_bytes(got[name]) == jet_bytes(want[name]), name
 
 
 def codazzi_loop(pg: ge.PointGeometry, shift: float):
-    h = pg.h_jets
+    def h(beta, j, k):
+        return h_jet(pg, beta, j, k)
 
     def cov(i, j, k, beta):
         # h^beta_{jk,i}
-        a, b = pg._dir_coeffs(i)
-        flat = a * h[beta, j, k].partial(1, 0) + b * h[beta, j, k].partial(0, 1)
+        flat = directional(pg, h(beta, j, k), i)
         w12 = pg.omega12[i - 1] + shift
-        rot = h[7 - beta, j, k].value() * pg.omega34[i - 1]
+        rot = h(7 - beta, j, k).value() * pg.omega34[i - 1]
 
         def w_tan(p, q):
             return 0.0 if p == q else (w12 if (p, q) == (1, 2) else -w12)
 
-        levi = sum(w_tan(j, ell) * h[beta, ell, k].value()
-                   + w_tan(k, ell) * h[beta, j, ell].value() for ell in (1, 2))
+        levi = sum(w_tan(j, ell) * h(beta, ell, k).value()
+                   + w_tan(k, ell) * h(beta, j, ell).value() for ell in (1, 2))
         return flat + rot - levi
 
     worst = 0.0
@@ -286,3 +310,94 @@ def test_residual_arrays(pg):
                 == np.asarray(codazzi_loop(pg, shift)).tobytes())
     assert (np.asarray(pg.residual_frame).tobytes()
             == np.asarray(frame_residual_loop(pg)).tobytes())
+
+
+# -- frame derivatives against one direction at a time ----------------------------
+
+def omega_loop(pg: ge.PointGeometry, A: int, B: int, i: int):
+    """omega_AB(e_i) = <flat derivative of e_A along e_i, e_B>."""
+    w = la.AmbientVector.of(directional(pg, pg.frame.e[A - 1].comps, i))
+    return la.minkowski_inner(w, pg.frame_values[B - 1])
+
+
+def parallel_H_loop(pg: ge.PointGeometry):
+    e1v, e2v = pg.frame_values[0], pg.frame_values[1]
+    total = 0.0
+    for i in (1, 2):
+        w = la.AmbientVector.of(directional(pg, pg.H_jets.comps, i))
+        tang1 = la.minkowski_inner(w, e1v)
+        tang2 = la.minkowski_inner(w, e2v)
+        normal = w - e1v.scaled(tang1) - e2v.scaled(tang2)
+        total += la.euclid_norm(normal)
+    return total
+
+
+def lemma42_loop(pg: ge.PointGeometry):
+    f_jet = pg.h_sq_jet
+    f0 = f_jet.value()
+    e1f, e2f = directional(pg, f_jet, 1), directional(pg, f_jet, 2)
+    w1, w2 = omega_loop(pg, 1, 2, 1), omega_loop(pg, 1, 2, 2)
+    best = math.inf
+    for eps in (-1.0, 1.0):
+        r = np.maximum(abs(e1f + 4.0 * eps * w2 * f0),
+                       abs(e2f - 4.0 * eps * w1 * f0))
+        best = np.minimum(best, r)
+    return best
+
+
+def label_masks_loop(pg: ge.PointGeometry):
+    """The label predicates with h(e_i, e_j) one vector per index pair."""
+    tau = pg.tol.residual
+    H, norm_H = pg.H, pg.H_norm_euclid
+    e3, e4 = pg.frame_values[2], pg.frame_values[3]
+    hv = {(i, j): (e3.scaled(h_jet(pg, 3, i, j).value())
+                   + e4.scaled(-h_jet(pg, 4, i, j).value()))
+          for i in (1, 2) for j in (1, 2)}
+    p = {key: la.minkowski_inner(vec, H) for key, vec in hv.items()}
+    scale = tau * (1.0 + np.maximum.reduce([abs(val) for val in p.values()]))
+    hn = tau * (1.0 + norm_H)
+    x_causal = la.causal_character(pg.x_values, ge.CAUSAL_TOL)
+    return {
+        "MAXIMAL": norm_H <= tau,
+        "MARGINALLY-TRAPPED": pg.H_causal == la.CausalClass.LIGHTLIKE,
+        "FLAT": abs(pg.K_gauss) <= tau,
+        "FLAT-NORMAL-BUNDLE": abs(pg.RD) <= tau,
+        "PARALLEL-H": pg.residual_parallel_H <= tau,
+        "PSEUDO-UMBILICAL": ((abs(p[(1, 2)]) <= scale)
+                             & (abs(p[(1, 1)] - p[(2, 2)]) <= scale)),
+        "TOTALLY-UMBILICAL": np.logical_and.reduce([
+            la.euclid_norm(hv[(i, j)] - H if i == j else hv[(i, j)]) <= hn
+            for i in (1, 2) for j in (1, 2)]),
+        "IN-LIGHTCONE": ((x_causal == la.CausalClass.ZERO)
+                         | (x_causal == la.CausalClass.LIGHTLIKE)),
+        "IN-S31": x_causal == la.CausalClass.SPACELIKE,
+        "IN-H3": ((x_causal == la.CausalClass.TIMELIKE)
+                  & (pg.x_values.c0 > 0)),
+    }
+
+
+@pytest.mark.parametrize("pg", GEOMETRIES)
+def test_frame_derivatives(pg):
+    for f in (pg.h_sq_jet, pg.trace_jets, pg.frame.e[0].comps, pg._h):
+        got = pg.along(f)
+        assert [value_bytes(x) for x in got] == [
+            value_bytes(directional(pg, f, i)) for i in (1, 2)]
+    for name, (A, B) in (("omega12", (1, 2)), ("omega34", (3, 4))):
+        assert [value_bytes(x) for x in getattr(pg, name)] == [
+            value_bytes(omega_loop(pg, A, B, i)) for i in (1, 2)], name
+    assert (value_bytes(pg.residual_parallel_H)
+            == value_bytes(parallel_H_loop(pg)))
+    d = gm.laplacian_gauss_formula(pg)
+    for beta, grad in enumerate((d.grad_trA3, d.grad_trA4)):
+        assert [value_bytes(x) for x in grad] == [
+            value_bytes(directional(pg, pg.trace_jets, i)[beta])
+            for i in (1, 2)]
+    assert value_bytes(gm._lemma42(pg)[1]) == value_bytes(lemma42_loop(pg))
+
+
+@pytest.mark.parametrize("pg", GEOMETRIES)
+def test_label_masks(pg):
+    got, want = pg.label_masks(), label_masks_loop(pg)
+    assert list(got) == list(want)
+    for name in want:
+        assert value_bytes(got[name]) == value_bytes(want[name]), name
