@@ -11,17 +11,29 @@ Grammar (standard precedence, ^ binds tightest, integer exponents only):
 Identifiers are the coordinates u and v, declared parameter names, or
 the function names sin, cos, sinh, cosh, exp, sqrt, log.  An exponent's
 magnitude is at most MAX_EXPONENT, and the nesting is bounded by
-MAX_GROUPS and MAX_HEIGHT.  The AST is a tree of frozen
-dataclasses with structural equality, and serialization is canonical:
-parse(serialize(ast)) == ast.
+MAX_GROUPS and MAX_HEIGHT.
+
+A parsed expression is a plan: a tuple of steps ``(op, *args)`` in
+evaluation order, whose last step is the value.  A step's operands are
+indices of earlier steps:
+
+    ("const", x)          a non-negative number literal
+    ("name", s)           u, v or a parameter
+    ("neg", i), (f, i)    unary minus, or one of the FUNCTION_NAMES
+    (o, i, j)             o one of + - * /
+    ("^", i, n)           an integer power
+
+Evaluation, printing and equality (plain tuple equality) loop over the
+steps, so none of them recurses.  Serialization is canonical:
+parse(serialize(plan)) == plan.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from enum import Enum
-from typing import Iterator, Mapping, Optional, Union
+from typing import Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -30,14 +42,6 @@ from .jets import Jet
 
 __all__ = [
     "Expr",
-    "Const",
-    "Coord",
-    "Param",
-    "Unary",
-    "BinOp",
-    "Pow",
-    "UnaryFn",
-    "BinFn",
     "ParseError",
     "UnknownIdentifier",
     "ArityError",
@@ -53,11 +57,16 @@ __all__ = [
 MAX_EXPONENT = 1000
 
 # Parsing recurses about five frames per open group (a parenthesis, a
-# function argument or a unary minus), and evaluation, serialization and
-# splicing one frame per level of the tree; these bounds keep all of
-# them inside Python's default recursion limit.
+# function argument or a unary minus), and MAX_GROUPS keeps it inside
+# Python's default recursion limit.  No other pass recurses; MAX_HEIGHT
+# stays so that the set of accepted texts does not change.
 MAX_GROUPS = 100
 MAX_HEIGHT = 400
+
+Expr = tuple[tuple, ...]
+
+# The elementary functions; each has the same name in math and in jets.
+FUNCTION_NAMES = ("sin", "cos", "sinh", "cosh", "exp", "sqrt", "log")
 
 
 class ParseError(Exception):
@@ -75,65 +84,6 @@ class UnknownIdentifier(ParseError):
 
 class ArityError(ParseError):
     """A function used without its single parenthesized argument."""
-
-
-class UnaryFn(Enum):
-    NEG = "neg"
-    SIN = "sin"
-    COS = "cos"
-    SINH = "sinh"
-    COSH = "cosh"
-    EXP = "exp"
-    SQRT = "sqrt"
-    LOG = "log"
-
-
-# The elementary functions; each has the same name in math and in jets.
-FUNCTION_NAMES = tuple(fn.value for fn in UnaryFn if fn is not UnaryFn.NEG)
-
-
-class BinFn(Enum):
-    ADD = "+"
-    SUB = "-"
-    MUL = "*"
-    DIV = "/"
-
-
-@dataclass(frozen=True, slots=True)
-class Const:
-    value: float
-
-
-@dataclass(frozen=True, slots=True)
-class Coord:
-    name: str  # "u" or "v"
-
-
-@dataclass(frozen=True, slots=True)
-class Param:
-    name: str
-
-
-@dataclass(frozen=True, slots=True)
-class Unary:
-    fn: UnaryFn
-    arg: "Expr"
-
-
-@dataclass(frozen=True, slots=True)
-class BinOp:
-    fn: BinFn
-    lhs: "Expr"
-    rhs: "Expr"
-
-
-@dataclass(frozen=True, slots=True)
-class Pow:
-    base: "Expr"
-    exponent: int
-
-
-Expr = Union[Const, Coord, Param, Unary, BinOp, Pow]
 
 
 # -- lexer --------------------------------------------------------------
@@ -214,6 +164,7 @@ class _Parser:
         self._pos = 0
         self._params = params
         self._groups = 0
+        self._steps: list[tuple] = []
 
     @property
     def _cur(self) -> _Token:
@@ -231,14 +182,16 @@ class _Parser:
                 self._cur.line, self._cur.column)
         return self._advance()
 
-    def _node(self, node: Expr, tok: _Token, *heights: int
-              ) -> tuple[Expr, int]:
-        # node, built at tok over subtrees of these heights, and its height
-        height = 1 + max(heights)
+    def _node(self, tok: _Token, step: tuple, *heights: int
+              ) -> tuple[int, int]:
+        # append step, built at tok over subtrees of these heights;
+        # return its index and height
+        height = 1 + max(heights, default=0)
         if height > MAX_HEIGHT:
             raise ParseError(f"expression is more than {MAX_HEIGHT} levels "
                              "deep", tok.line, tok.column)
-        return node, height
+        self._steps.append(step)
+        return len(self._steps) - 1, height
 
     def _inside(self, tok: _Token, parse):
         # parse() in the group that tok opens
@@ -251,35 +204,35 @@ class _Parser:
         return result
 
     def parse(self) -> Expr:
-        e, _ = self._expr()
+        self._expr()
         if self._cur.kind != "end":
             raise ParseError(f"unexpected trailing {self._cur.text!r}",
                              self._cur.line, self._cur.column)
-        return e
+        return tuple(self._steps)
 
-    # Each method below returns a subtree and its height.  _expr joins
-    # terms by + and - (level 0), and factors by * and / (level 1).
+    # Each method below returns the index of a subtree's last step and
+    # the subtree's height.  _expr joins terms by + and - (level 0), and
+    # factors by * and / (level 1).
 
-    def _expr(self, level: int = 0) -> tuple[Expr, int]:
-        e, height = self._expr(1) if level == 0 else self._factor()
+    def _expr(self, level: int = 0) -> tuple[int, int]:
+        i, height = self._expr(1) if level == 0 else self._factor()
         while self._cur.kind in (("+", "-"), ("*", "/"))[level]:
             op = self._advance()
-            rhs, rhs_height = self._expr(1) if level == 0 else self._factor()
-            e, height = self._node(BinOp(BinFn(op.kind), e, rhs), op,
-                                   height, rhs_height)
-        return e, height
+            j, rhs_height = self._expr(1) if level == 0 else self._factor()
+            i, height = self._node(op, (op.kind, i, j), height, rhs_height)
+        return i, height
 
-    def _factor(self) -> tuple[Expr, int]:
+    def _factor(self) -> tuple[int, int]:
         if self._cur.kind == "-":
             tok = self._advance()
-            arg, height = self._inside(tok, self._factor)
-            return self._node(Unary(UnaryFn.NEG, arg), tok, height)
+            i, height = self._inside(tok, self._factor)
+            return self._node(tok, ("neg", i), height)
         return self._power()
 
-    def _power(self) -> tuple[Expr, int]:
-        base, height = self._atom()
+    def _power(self) -> tuple[int, int]:
+        i, height = self._atom()
         if self._cur.kind != "^":
-            return base, height
+            return i, height
         caret = self._advance()
         negate = False
         if self._cur.kind == "-":
@@ -295,10 +248,10 @@ class _Parser:
                              tok.line, tok.column)
         self._advance()
         exponent = int(digits)
-        return self._node(Pow(base, -exponent if negate else exponent),
-                          caret, height)
+        return self._node(caret, ("^", i, -exponent if negate else exponent),
+                          height)
 
-    def _atom(self) -> tuple[Expr, int]:
+    def _atom(self) -> tuple[int, int]:
         tok = self._cur
         if tok.kind == "number":
             value = float(tok.text)
@@ -306,12 +259,12 @@ class _Parser:
                 raise ParseError(f"number {tok.text!r} is too large",
                                  tok.line, tok.column)
             self._advance()
-            return Const(value), 1
+            return self._node(tok, ("const", value))
         if tok.kind == "(":
             self._advance()
-            e = self._inside(tok, self._expr)
+            found = self._inside(tok, self._expr)
             self._expect(")")
-            return e
+            return found
         if tok.kind == "ident":
             self._advance()
             name = tok.text
@@ -321,19 +274,18 @@ class _Parser:
                         f"function {name!r} requires one parenthesized argument",
                         tok.line, tok.column)
                 self._advance()
-                arg, height = self._inside(tok, self._expr)
+                i, height = self._inside(tok, self._expr)
                 if self._cur.kind == ",":
                     raise ArityError(
                         f"function {name!r} takes exactly one argument",
                         self._cur.line, self._cur.column)
                 self._expect(")")
-                return self._node(Unary(UnaryFn(name), arg), tok, height)
-            if name in ("u", "v"):
-                return Coord(name), 1
-            if self._params is not None and name not in self._params:
+                return self._node(tok, (name, i), height)
+            if (name not in ("u", "v") and self._params is not None
+                    and name not in self._params):
                 raise UnknownIdentifier(f"unknown identifier {name!r}",
                                         tok.line, tok.column)
-            return Param(name), 1
+            return self._node(tok, ("name", name))
         raise ParseError(
             f"expected a value, found {tok.text or 'end of input'!r}",
             tok.line, tok.column)
@@ -341,7 +293,7 @@ class _Parser:
 
 def parse_expression(text: str, params: Optional[Mapping | frozenset] = None,
                      line0: int = 1, col0: int = 1) -> Expr:
-    """Parse one expression.
+    """Parse one expression into its plan.
 
     When ``params`` is given, identifiers other than u, v, the function
     names, and the listed parameters raise UnknownIdentifier with their
@@ -354,16 +306,6 @@ def parse_expression(text: str, params: Optional[Mapping | frozenset] = None,
 
 # -- serialization -------------------------------------------------------
 
-def _prec(e: Expr) -> int:
-    if isinstance(e, BinOp):
-        return 1 if e.fn in (BinFn.ADD, BinFn.SUB) else 2
-    if isinstance(e, Unary) and e.fn is UnaryFn.NEG:
-        return 3
-    if isinstance(e, Pow):
-        return 4
-    return 5
-
-
 def _fmt_const(value: float) -> str:
     if value == int(value) and abs(value) < 1e15:
         return str(int(value))
@@ -371,63 +313,48 @@ def _fmt_const(value: float) -> str:
 
 
 def serialize_expression(e: Expr) -> str:
-    """Canonical text form; parses back to an equal AST."""
-    if isinstance(e, Const):
-        return _fmt_const(e.value)
-    if isinstance(e, Coord):
-        return e.name
-    if isinstance(e, Param):
-        return e.name
-    if isinstance(e, Unary):
-        if e.fn is UnaryFn.NEG:
-            # "--u", not "-(-u)": the text of a tree within the parser's
+    """Canonical text form; parses back to an equal plan."""
+    # the text of each step, and its precedence: 1 for + -, 2 for * /,
+    # 3 for a unary minus, 4 for a power, 5 for an atom
+    texts: list[str] = []
+    precs: list[int] = []
+
+    def operand(i: int, least: int) -> str:
+        return texts[i] if precs[i] >= least else f"({texts[i]})"
+
+    for op, a, *rest in e:
+        if op == "const":
+            text, prec = _fmt_const(a), 5
+        elif op == "name":
+            text, prec = a, 5
+        elif op == "neg":
+            # "--u", not "-(-u)": the text of a plan within the parser's
             # bounds stays within them
-            inner = serialize_expression(e.arg)
-            if _prec(e.arg) < 3:
-                inner = f"({inner})"
-            return f"-{inner}"
-        return f"{e.fn.value}({serialize_expression(e.arg)})"
-    if isinstance(e, BinOp):
-        lhs = serialize_expression(e.lhs)
-        rhs = serialize_expression(e.rhs)
-        my = _prec(e)
-        if _prec(e.lhs) < my:
-            lhs = f"({lhs})"
-        # Right operand needs parens at equal precedence too: '-' and '/'
-        # are left-associative, and a leading '-' in rhs must not fuse.
-        if _prec(e.rhs) <= my:
-            rhs = f"({rhs})"
-        return f"{lhs} {e.fn.value} {rhs}"
-    if isinstance(e, Pow):
-        base = serialize_expression(e.base)
-        if _prec(e.base) <= 4:
-            base = f"({base})"
-        return f"{base}^{e.exponent}"
-    raise TypeError(f"not an expression node: {e!r}")  # pragma: no cover
+            text, prec = "-" + operand(a, 3), 3
+        elif op == "^":
+            text, prec = f"{operand(a, 5)}^{rest[0]}", 4
+        elif op in FUNCTION_NAMES:
+            text, prec = f"{op}({texts[a]})", 5
+        else:
+            prec = 1 if op in "+-" else 2
+            # the right operand needs parentheses at equal precedence too:
+            # '-' and '/' are left-associative, and a leading '-' in it
+            # must not fuse
+            text = f"{operand(a, prec)} {op} {operand(rest[0], prec + 1)}"
+        texts.append(text)
+        precs.append(prec)
+    return texts[-1]
 
 
 # -- evaluation ----------------------------------------------------------
 
 def free_identifiers(e: Expr) -> frozenset[str]:
     """Coordinate and parameter names appearing in the expression."""
-    out: set[str] = set()
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (Coord, Param)):
-            out.add(node.name)
-        elif isinstance(node, Unary):
-            stack.append(node.arg)
-        elif isinstance(node, BinOp):
-            stack.append(node.lhs)
-            stack.append(node.rhs)
-        elif isinstance(node, Pow):
-            stack.append(node.base)
-    return frozenset(out)
+    return frozenset(step[1] for step in e if step[0] == "name")
 
 
 def _jet_or_float(jet_fn, float_fn):
-    # subtrees with no u/v dependence evaluate to bare floats; a math
+    # steps with no u/v dependence evaluate to bare floats; a math
     # domain error there is a jet domain error at every point
     def apply(a):
         if isinstance(a, Jet):
@@ -439,46 +366,41 @@ def _jet_or_float(jet_fn, float_fn):
     return apply
 
 
-_FLOAT_FNS = {**{UnaryFn(name): getattr(math, name) for name in FUNCTION_NAMES},
-              UnaryFn.SIN: jets.float_sin, UnaryFn.COS: jets.float_cos}
+_ARITH = {"neg": operator.neg, "+": operator.add, "-": operator.sub,
+          "*": operator.mul, "/": operator.truediv}
 
-_JET_FNS = {fn: _jet_or_float(getattr(jets, fn.value), float_fn)
-            for fn, float_fn in _FLOAT_FNS.items()}
+_FLOAT_FNS = {**{name: getattr(math, name) for name in FUNCTION_NAMES},
+              "sin": jets.float_sin, "cos": jets.float_cos}
+
+_FLOAT_STEPS = {**_ARITH, **_FLOAT_FNS}
+
+_JET_STEPS = {**_ARITH, **{name: _jet_or_float(getattr(jets, name), float_fn)
+                           for name, float_fn in _FLOAT_FNS.items()}}
 
 
-def _eval(e: Expr, env: Mapping[str, object], fns: Mapping) -> object:
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, (Coord, Param)):
-        try:
-            return env[e.name]
-        except KeyError:
-            raise KeyError(f"unbound identifier {e.name!r}") from None
-    if isinstance(e, Unary):
-        arg = _eval(e.arg, env, fns)
-        if e.fn is UnaryFn.NEG:
-            return -arg
-        return fns[e.fn](arg)
-    if isinstance(e, BinOp):
-        lhs = _eval(e.lhs, env, fns)
-        rhs = _eval(e.rhs, env, fns)
-        if e.fn is BinFn.ADD:
-            return lhs + rhs
-        if e.fn is BinFn.SUB:
-            return lhs - rhs
-        if e.fn is BinFn.MUL:
-            return lhs * rhs
-        return lhs / rhs
-    if isinstance(e, Pow):
-        return _eval(e.base, env, fns) ** e.exponent
-    raise TypeError(f"not an expression node: {e!r}")  # pragma: no cover
+def _run(e: Expr, env: Mapping[str, object], steps: Mapping) -> object:
+    values: list = []
+    for op, a, *rest in e:
+        if op == "const":
+            value = a
+        elif op == "name":
+            try:
+                value = env[a]
+            except KeyError:
+                raise KeyError(f"unbound identifier {a!r}") from None
+        elif op == "^":
+            value = values[a] ** rest[0]
+        else:
+            value = steps[op](values[a], *[values[j] for j in rest])
+        values.append(value)
+    return values[-1]
 
 
 def eval_jet(e: Expr, u: Jet, v: Jet, params: Mapping[str, float]) -> Jet:
     """Evaluate in jet arithmetic; constants are widened to the jet order
     and to the batch of u."""
     env = {"u": u, "v": v, **params}
-    out = _eval(e, env, _JET_FNS)
+    out = _run(e, env, _JET_STEPS)
     if isinstance(out, Jet):
         return out
     return Jet.constant(np.full(u.batch, float(out)), u.order)
@@ -487,5 +409,5 @@ def eval_jet(e: Expr, u: Jet, v: Jet, params: Mapping[str, float]) -> Jet:
 def eval_float(e: Expr, u: float, v: float, params: Mapping[str, float]) -> float:
     """Plain float evaluation, used by the finite-difference oracle."""
     env = {"u": float(u), "v": float(v), **params}
-    out = _eval(e, env, _FLOAT_FNS)
+    out = _run(e, env, _FLOAT_STEPS)
     return float(out)

@@ -79,9 +79,10 @@ DEFAULT_DOMAIN = Domain(-1.0, 1.0, -1.0, 1.0)
 class SurfaceSpec:
     """Four component expressions plus parameters and a sample domain.
 
-    Components are ASTs over the coordinates u, v and the keys of
-    ``params``.  ``expected_tags`` are regression-fixture labels for
-    catalog entries; they make no claim about user surfaces.
+    Components are expression plans (see ``expr``) over the coordinates
+    u, v and the keys of ``params``.  ``expected_tags`` are
+    regression-fixture labels for catalog entries; they make no claim
+    about user surfaces.
     """
 
     name: str
@@ -353,14 +354,16 @@ def catalog_entry(name: str) -> _CatalogEntry:
 
 
 def catalog_lookup(name: str,
-                   params: Optional[Mapping[str, Union[float, str, Expr]]] = None,
+                   params: Optional[Mapping[str, Union[float, str]]] = None,
                    ) -> SurfaceSpec:
     """Instantiate a catalog surface.
 
     Numeric parameters default per entry when omitted.  The graph entry
     takes its height function as the expression-valued parameter ``phi``
-    (a string or an AST over u and v) and has no default: the family is
-    too wide for one representative to be silently assumed.
+    (a text over u and v, or a number, which is parsed from its repr)
+    and has no default: the family is too wide for one representative
+    to be silently assumed.  Such a parameter replaces each component
+    whose whole text is its name.
     """
     entry = catalog_entry(name)
     supplied = dict(params or {})
@@ -370,17 +373,11 @@ def catalog_lookup(name: str,
         if pname not in supplied:
             raise MissingParameter(f"surface {name!r} requires parameter {pname!r}")
         raw = supplied.pop(pname)
-        if isinstance(raw, str):
-            ast = parse_expression(raw, frozenset())
-        elif isinstance(raw, (int, float)):
-            ast = ex.Const(_require_finite(pname, float(raw)))
-        else:
-            ast = raw
-        loose = ex.free_identifiers(ast) - {"u", "v"}
-        if loose:
-            raise ex.UnknownIdentifier(
-                f"{pname} may only reference u and v, found {sorted(loose)}", 0, 0)
-        splices[pname] = ast
+        if not isinstance(raw, str):
+            # every plan constant is a literal the parser made, so the
+            # plan survives a round trip through its text
+            raw = repr(_require_finite(pname, float(raw)))
+        splices[pname] = parse_expression(raw, frozenset())
 
     bound: dict[str, float] = {}
     for pname, default in entry.float_params:
@@ -395,13 +392,10 @@ def catalog_lookup(name: str,
             f"surface {name!r} does not take parameter(s) {sorted(supplied)}")
 
     declared = frozenset(bound) | frozenset(splices)
-    components = []
-    for src in entry.components:
-        ast = parse_expression(src, declared)
-        components.append(splices.get(ast.name, ast)
-                          if isinstance(ast, ex.Param) else ast)
+    components = tuple(splices.get(src, parse_expression(src, declared))
+                       for src in entry.components)
     return SurfaceSpec(
-        name=name, components=tuple(components), params=bound,
+        name=name, components=components, params=bound,
         domain=entry.domain, expected_tags=entry.tags, notes=entry.notes)
 
 

@@ -167,6 +167,22 @@ class TestAnalyze:
         assert json.loads(spaced[1])["surface"]["domain"] == [
             -1e-10, 1e-10, -1e-10, 1e-10]
 
+    @pytest.mark.parametrize("phi", [-1.5, -0.0, 1e-07, 2])
+    def test_numeric_height_survives_its_text(self, phi, tmp_path, capsys):
+        # a number is parsed from its repr, so the surface text of the
+        # catalog entry gives the same plans and the same points
+        spec = sf.catalog_lookup("graph", {"phi": phi})
+        f = tmp_path / "graph.surf"
+        f.write_text(sf.serialize_surface(spec), encoding="utf-8")
+        assert sf.parse_surface(f.read_text(encoding="utf-8")) == spec
+        blocks = []
+        for source in (["--catalog", "graph", "--param", f"phi={phi!r}"],
+                       ["--surface-file", str(f)]):
+            code, out, _ = run(["analyze", *source, "--grid", "3x3"], capsys)
+            assert code == 0
+            blocks.append(out[out.index('"points"'):out.index('"summary"')])
+        assert blocks[0] == blocks[1]
+
     def test_order_four(self, capsys):
         code, out, _ = run(
             ["analyze", "--catalog", "type-i", "--param", "b=0.5",

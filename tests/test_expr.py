@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import inspect
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -79,7 +81,7 @@ class TestParseErrors:
 
     def test_exponent_cap_is_inclusive(self):
         e = ex.parse_expression(f"u^-{ex.MAX_EXPONENT}")
-        assert e.exponent == -ex.MAX_EXPONENT
+        assert e[-1] == ("^", 0, -ex.MAX_EXPONENT)
 
     def test_arity_error(self):
         with pytest.raises(ex.ArityError) as info:
@@ -114,14 +116,39 @@ class TestNestingBounds:
 
     @pytest.mark.parametrize("text", AT_BOUNDS.values(), ids=AT_BOUNDS)
     def test_at_the_bounds_every_pass_runs(self, text):
-        # parse, print, parse the print, and evaluate both ways (strings
-        # compared: AST equality recurses three frames per level)
+        # parse, print, parse the print, and evaluate both ways
         e = ex.parse_expression(text)
         printed = ex.serialize_expression(e)
-        assert ex.serialize_expression(ex.parse_expression(printed)) == printed
+        again = ex.parse_expression(printed)
+        assert again == e
+        assert ex.serialize_expression(again) == printed
         u, v = jt.jet_variable("u", 0.5, 4), jt.jet_variable("v", 0.0, 4)
         assert ex.eval_jet(e, u, v, {}).value() == pytest.approx(
             ex.eval_float(e, 0.5, 0.0, {}), rel=1e-12)
+
+    LONG = {
+        "sum": "+".join(["u"] * H),
+        "product": "*".join(["u"] * H),
+        "difference": "u" + "-v" * (H - 1),
+    }
+
+    @pytest.mark.parametrize("text", LONG.values(), ids=LONG)
+    def test_no_pass_recurses(self, text):
+        # trees H levels high, with the recursion limit 60 frames above
+        # this test's own depth
+        uj, vj = jt.jet_variable("u", 0.5, 3), jt.jet_variable("v", 0.25, 3)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+        try:
+            e = ex.parse_expression(text)
+            again = ex.parse_expression(ex.serialize_expression(e))
+            equal = again == e
+            value = ex.eval_float(e, 0.5, 0.25, {})
+            jet = ex.eval_jet(e, uj, vj, {})
+        finally:
+            sys.setrecursionlimit(limit)
+        assert equal
+        assert jet.value() == pytest.approx(value, rel=1e-12)
 
     def test_nested_negation_prints_without_parentheses(self):
         assert ex.serialize_expression(ex.parse_expression("-(-u)")) == "--u"
@@ -206,6 +233,13 @@ class TestRoundTripProperty:
         assert ex.parse_expression(printed) == e
         # printing is a fixpoint after one pass
         assert ex.serialize_expression(ex.parse_expression(printed)) == printed
+
+    @given(text=small_exprs())
+    @settings(max_examples=80)
+    def test_operands_point_to_earlier_steps(self, text):
+        for k, (op, *args) in enumerate(ex.parse_expression(text)):
+            operands = {"const": [], "name": [], "^": args[:1]}.get(op, args)
+            assert all(0 <= i < k for i in operands)
 
     @given(text=small_exprs())
     @settings(max_examples=40)
