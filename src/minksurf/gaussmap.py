@@ -1,7 +1,7 @@
 """Gauss map analysis: two Laplacian routes, term decomposition, verdicts.
 
 The Gauss map of a space-like surface takes values in the unit bivectors
-(<nu, nu> = -1).  Its Laplacian can be computed two independent ways:
+(<nu, nu> = -1).  Its Laplacian is computed two ways:
 
   * directly, by applying the metric Laplacian to each of the six
     bivector components of the jet-valued Gauss map;
@@ -11,8 +11,15 @@ The Gauss map of a space-like surface takes values in the unit bivectors
     a normal-connection rotation term.
 
 Agreement of the two routes is the strongest single correctness check in
-the package, since the routes share no code beyond the jet algebra.  On
-top of the decomposition sit the harmonicity / pointwise-first-kind
+the package, but the routes are not independent.  Both start from the
+same immersion jets and metric, read the same adapted frame and Gauss
+map (the direct route differentiates ``nu_jets``, the structural route
+scales its value), and run on the same jet algebra and ``linalg``
+products; only the direct route applies the metric Laplace operator.
+An error in what they share passes both alike; ROADMAP item 3 asks for
+an oracle that shares none of it.
+
+On top of the decomposition sit the harmonicity / pointwise-first-kind
 residuals, a gradient relation satisfied by maximal surfaces with flat
 normal bundle, and grid-level verdict checks for a small registry of
 if-and-only-if statements.
@@ -37,7 +44,6 @@ from . import jets as jt
 from . import linalg as la
 from .geometry import (CONSTANCY_REL, DEFAULT_TOLERANCES, PointGeometry,
                        Tolerances)
-from .linalg import Bivector
 from .surfaces import SurfaceSpec, cell_centers, evaluate_immersion
 
 __all__ = [
@@ -84,9 +90,9 @@ class GaussLaplacianDecomposition:
     = |direct|.
     """
 
-    nu: Bivector
-    direct: Bivector
-    formula: Bivector
+    nu: np.ndarray
+    direct: np.ndarray
+    formula: np.ndarray
     c_nu: float
     c_norm: float
     grad_trA3: tuple[float, float]
@@ -117,23 +123,23 @@ def laplacian_gauss_formula(pg: PointGeometry,
     # e_i(trace A3) and e_i(trace A4), i = 1, 2
     d1, d2 = pg.along(pg.trace_jets)
     grad3, grad4 = (d1[0], d2[0]), (d1[1], d2[1])
-    grad3_vec = e1.scaled(grad3[0]) + e2.scaled(grad3[1])
-    grad4_vec = e1.scaled(grad4[0]) + e2.scaled(grad4[1])
+    grad3_vec = grad3[0] * e1 + grad3[1] * e2
+    grad4_vec = grad4[0] * e1 + grad4[1] * e2
     w34 = pg.omega34
 
-    nu_term = nu_vals.scaled(pg.h_sq * scales["nu"])
-    norm_term = la.wedge(e1, e2).scaled(2.0 * pg.RD
-                                        * scales["normal_curvature"])
-    g3_term = la.wedge(grad3_vec, e4).scaled(scales["grad_trace3"])
-    g4_term = la.wedge(e3, grad4_vec).scaled(scales["grad_trace4"])
-    rot = (la.wedge(pg.H, e1).scaled(2.0 * w34[0])
-           + la.wedge(pg.H, e2).scaled(2.0 * w34[1]))
-    rot_term = rot.scaled(scales["rotation"])
+    nu_term = pg.h_sq * scales["nu"] * nu_vals
+    norm_term = (2.0 * pg.RD * scales["normal_curvature"]
+                 * la.wedge(e1, e2))
+    g3_term = scales["grad_trace3"] * la.wedge(grad3_vec, e4)
+    g4_term = scales["grad_trace4"] * la.wedge(e3, grad4_vec)
+    rot = (2.0 * w34[0] * la.wedge(pg.H, e1)
+           + 2.0 * w34[1] * la.wedge(pg.H, e2))
+    rot_term = scales["rotation"] * rot
 
     formula = nu_term + norm_term + g3_term + g4_term + rot_term
-    direct = Bivector.of(pg.laplacian(pg.nu_jets.comps).value())
+    direct = pg.laplacian(pg.nu_jets).value()
 
-    first_kind = la.euclid_norm(direct - nu_vals.scaled(pg.h_sq))
+    first_kind = la.euclid_norm(direct - pg.h_sq * nu_vals)
     harmonic = la.euclid_norm(direct)
     route = la.euclid_norm(direct - formula) / (1.0 + la.euclid_norm(direct))
 
@@ -347,20 +353,20 @@ def _columns(pg: PointGeometry) -> dict:
     E, F, G = pg.metric_jets
     cols = {
         "g": (E.value(), F.value(), G.value()),
-        "x": pg.x_values.components(),
+        "x": tuple(pg.x_values),
         "position_inner": pg.position_inner,
-        "nu": pg.nu.components(),
+        "nu": tuple(pg.nu),
         "omega12": pg.omega12, "omega34": pg.omega34,
         "h3": tuple(h[0]), "h4": tuple(h[1]),  # ij = 11, 12, 22
-        "H": pg.H.components(),
+        "H": tuple(pg.H),
         "H_inner": pg.H_inner,
         "H_norm_euclid": pg.H_norm_euclid,
         "h_sq": pg.h_sq,
         "K": (pg.K_gauss, pg.K_formula, pg.K_intrinsic),
         "RD": pg.RD,
-        "laplacian_x": pg.laplacian_x.components(),
-        "dnu_direct": decomp.direct.components(),
-        "dnu_formula": decomp.formula.components(),
+        "laplacian_x": tuple(pg.laplacian_x),
+        "dnu_direct": tuple(decomp.direct),
+        "dnu_formula": tuple(decomp.formula),
         "c_nu": decomp.c_nu, "c_norm": decomp.c_norm,
         "grad_trA3": decomp.grad_trA3, "grad_trA4": decomp.grad_trA4,
         "residual_frame": pg.residual_frame,
@@ -505,11 +511,24 @@ class TheoremVerdict:
     notes: str
 
 
+def _mean(values: Sequence[float]) -> float:
+    """statistics.fmean, bit for bit, where it returns.  Its sum can leave
+    the float range although the mean of finite values cannot; then the
+    n values are scaled by 2^-k < 1/n, which keeps their sum in range,
+    and the mean is scaled back."""
+    try:
+        return statistics.fmean(values)
+    except OverflowError:
+        k = len(values).bit_length()
+        scaled = statistics.fmean([math.ldexp(x, -k) for x in values])
+        return math.ldexp(scaled, k)
+
+
 def _constancy(values: Sequence[float]) -> tuple[bool, float]:
     # sample sd against CONSTANCY_REL * (1 + |mean|); returns (constant?, sd)
     if len(values) < 2:
         return True, 0.0
-    mean = statistics.fmean(values)
+    mean = _mean(values)
     sd = statistics.stdev(values)
     return sd <= CONSTANCY_REL * (1.0 + abs(mean)), sd
 

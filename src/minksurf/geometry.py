@@ -33,8 +33,7 @@ import numpy as np
 from . import jets as jt
 from . import linalg as la
 from .jets import Jet, OrderExceeded
-from .linalg import (AmbientVector, Bivector, CausalClass, DegeneratePlane,
-                     causal_character)
+from .linalg import CausalClass, DegeneratePlane, causal_character
 
 __all__ = [
     "Tolerances",
@@ -85,11 +84,6 @@ class Tolerances:
 
 DEFAULT_TOLERANCES = Tolerances()
 
-def _values(v):
-    # the values of a vector or bivector of jets
-    return type(v).of(v.comps.value())
-
-
 # Operands of the products a_i a_j, a_i b_j, b_i a_j, b_i b_j (in blocks
 # of three, ij = 11, 12, 22) in the stack (a_1, a_2, b_1, b_2).
 _H_LEFT = [0, 0, 1, 0, 0, 1, 2, 2, 3, 2, 2, 3]
@@ -113,10 +107,10 @@ class Frame:
     nu = e[2] ^ e[3] is the Gauss map value.
     """
 
-    e: tuple[AmbientVector, AmbientVector, AmbientVector, AmbientVector]
+    e: tuple[Jet, Jet, Jet, Jet]
     a: tuple[Jet, Jet]
     b: tuple[Jet, Jet]
-    nu: Bivector
+    nu: Jet
 
 
 class PointGeometry:
@@ -141,25 +135,24 @@ class PointGeometry:
     # -- first fundamental form ---------------------------------------
 
     @cached_property
-    def x(self) -> AmbientVector:
-        return AmbientVector(*self.xjets)
+    def x(self) -> Jet:
+        return jt.stack(self.xjets)
 
     @cached_property
-    def x_values(self) -> AmbientVector:
-        return _values(self.x)
+    def x_values(self) -> np.ndarray:
+        return self.x.value()
 
     @cached_property
     def _partials(self) -> Jet:
         """x_u and x_v as one stack of shape (4, 2, *batch)."""
-        x = self.x.comps
+        x = self.x
         return jt.stack([x.deriv_u(), x.deriv_v()], axis=1)
 
     @cached_property
     def _metric(self) -> Jet:
         """(E, F, G) = (<x_u, x_u>, <x_u, x_v>, <x_v, x_v>) as one stack."""
         d = self._partials
-        return la.minkowski_inner(AmbientVector.of(d[:, [0, 0, 1]]),
-                                  AmbientVector.of(d[:, [0, 1, 1]]))
+        return la.minkowski_inner(d[:, [0, 0, 1]], d[:, [0, 1, 1]])
 
     @cached_property
     def metric_jets(self) -> tuple[Jet, Jet, Jet]:
@@ -212,13 +205,13 @@ class PointGeometry:
     # -- adapted frame --------------------------------------------------
 
     @cached_property
-    def nu_jets(self) -> Bivector:
+    def nu_jets(self) -> Jet:
         """The Gauss map value as a jet-valued unit bivector."""
         return self.frame.nu
 
     @cached_property
-    def nu(self) -> Bivector:
-        return _values(self.nu_jets)
+    def nu(self) -> np.ndarray:
+        return self.nu_jets.value()
 
     @cached_property
     def frame(self) -> Frame:
@@ -235,22 +228,20 @@ class PointGeometry:
         b2 = inv_mu
         # a1 x_u, a2 x_u and b2 x_v; e1 is the first, e2 the sum of the others
         p = jt.stack([a1, a2, b2])[None] * self._partials[:, [0, 0, 1]]
-        e1 = AmbientVector.of(p[:, 0])
-        e2 = AmbientVector.of(p[:, 1] + p[:, 2])
+        e1, e2 = p[:, 0], p[:, 1] + p[:, 2]
         e3, e4, nu = la.normal_frame(e1, e2, jt.sqrt)
         return Frame(e=(e1, e2, e3, e4), a=(a1, a2), b=(b1, b2), nu=nu)
 
     @cached_property
-    def frame_values(self) -> tuple[AmbientVector, ...]:
-        return tuple(_values(e) for e in self.frame.e)
+    def frame_values(self) -> tuple[np.ndarray, ...]:
+        return tuple(e.value() for e in self.frame.e)
 
     @cached_property
     def residual_frame(self) -> float:
         """Max deviation of the frame Gram matrix from diag(1, 1, 1, -1)."""
-        vals = np.stack([e.comps for e in self.frame_values], axis=1)
+        vals = np.stack(self.frame_values, axis=1)
         i, j = np.triu_indices(4)
-        got = la.minkowski_inner(AmbientVector.of(vals[:, i]),
-                                 AmbientVector.of(vals[:, j]))
+        got = la.minkowski_inner(vals[:, i], vals[:, j])
         want = np.diag([1.0, 1.0, 1.0, -1.0])[i, j]
         return np.maximum.reduce(
             abs(got - want.reshape(want.shape + (1,) * len(self.batch))))
@@ -269,16 +260,14 @@ class PointGeometry:
 
     @cached_property
     def omega12(self) -> tuple[float, float]:
-        d = np.moveaxis(self.along(self.frame.e[0].comps), 0, 1)
-        w = la.minkowski_inner(AmbientVector.of(d), AmbientVector.of(
-            self.frame_values[1].comps[:, None]))
+        d = np.moveaxis(self.along(self.frame.e[0]), 0, 1)
+        w = la.minkowski_inner(d, self.frame_values[1][:, None])
         return w[0], w[1]
 
     @cached_property
     def omega34(self) -> tuple[float, float]:
-        d = np.moveaxis(self.along(self.frame.e[2].comps), 0, 1)
-        w = la.minkowski_inner(AmbientVector.of(d), AmbientVector.of(
-            self.frame_values[3].comps[:, None]))
+        d = np.moveaxis(self.along(self.frame.e[2]), 0, 1)
+        w = la.minkowski_inner(d, self.frame_values[3][:, None])
         return w[0], w[1]
 
     # -- second fundamental form ----------------------------------------
@@ -286,7 +275,7 @@ class PointGeometry:
     @cached_property
     def _normals(self) -> Jet:
         """e3 and e4 as one stack of shape (4, 2, *batch)."""
-        return jt.stack([self.frame.e[2].comps, self.frame.e[3].comps], axis=1)
+        return jt.stack(self.frame.e[2:], axis=1)
 
     @cached_property
     def _h(self) -> Jet:
@@ -304,8 +293,7 @@ class PointGeometry:
         du, dv = d.deriv_u(), d.deriv_v()
         second = jt.stack([du[:, 0], dv[:, 0], dv[:, 1]], axis=1)
         # <x_uu, e_b>, <x_uv, e_b>, <x_vv, e_b> by beta, shape (2, 3, *batch)
-        p = la.minkowski_inner(AmbientVector.of(second[:, None]),
-                               AmbientVector.of(self._normals[:, :, None]))
+        p = la.minkowski_inner(second[:, None], self._normals[:, :, None])
         ab = jt.stack([f.a[0], f.a[1], f.b[0], f.b[1]])
         c = ab[_H_LEFT] * ab[_H_RIGHT]
         # the three coefficients of each h_ij, shape (3, 3, *batch)
@@ -327,14 +315,14 @@ class PointGeometry:
         return self._h[:, 0] + self._h[:, 2]
 
     @cached_property
-    def H_jets(self) -> AmbientVector:
+    def H_jets(self) -> Jet:
         """Mean curvature vector as jets: (trA3 e3 - trA4 e4) / 2."""
         t = (self.trace_jets * 0.5)[None] * self._normals
-        return AmbientVector.of(t[:, 0] - t[:, 1])
+        return t[:, 0] - t[:, 1]
 
     @cached_property
-    def H(self) -> AmbientVector:
-        return _values(self.H_jets)
+    def H(self) -> np.ndarray:
+        return self.H_jets.value()
 
     @cached_property
     def H_inner(self):
@@ -410,12 +398,11 @@ class PointGeometry:
         """Euclidean size of the normal part of the ambient derivative of H,
         summed over both tangent directions; zero iff DH = 0."""
         # the derivatives along e_1 and e_2 on the axis after the components
-        w = AmbientVector.of(np.moveaxis(self.along(self.H_jets.comps), 0, 1))
-        e1v, e2v = (AmbientVector.of(e.comps[:, None])
-                    for e in self.frame_values[:2])
+        w = np.moveaxis(self.along(self.H_jets), 0, 1)
+        e1v, e2v = (e[:, None] for e in self.frame_values[:2])
         tang1 = la.minkowski_inner(w, e1v)
         tang2 = la.minkowski_inner(w, e2v)
-        normal = la.euclid_norm(w - e1v.scaled(tang1) - e2v.scaled(tang2))
+        normal = la.euclid_norm(w - tang1 * e1v - tang2 * e2v)
         return normal[0] + normal[1]
 
     def codazzi_residual(self, omega12_shift: float = 0.0):
@@ -476,26 +463,25 @@ class PointGeometry:
         return -(invW[extra] * div)
 
     @cached_property
-    def laplacian_x_jets(self) -> AmbientVector:
+    def laplacian_x_jets(self) -> Jet:
         self.require_spacelike()
-        return AmbientVector.of(self.laplacian(self.x.comps))
+        return self.laplacian(self.x)
 
     @cached_property
-    def laplacian_x(self) -> AmbientVector:
-        return _values(self.laplacian_x_jets)
+    def laplacian_x(self) -> np.ndarray:
+        return self.laplacian_x_jets.value()
 
     @cached_property
     def residual_beltrami(self):
         """Euclidean defect of Delta x + 2 H = 0."""
-        return la.euclid_norm(self.laplacian_x + self.H.scaled(2.0))
+        return la.euclid_norm(self.laplacian_x + 2.0 * self.H)
 
     @cached_property
-    def bilaplacian_x(self) -> AmbientVector:
+    def bilaplacian_x(self) -> np.ndarray:
         if self.order < 4:
             raise OrderExceeded(
                 "the bilaplacian needs order-4 jets of the immersion")
-        return AmbientVector.of(
-            self.laplacian(self.laplacian_x_jets.comps).value())
+        return self.laplacian(self.laplacian_x_jets).value()
 
     # -- classification -----------------------------------------------------
 
@@ -510,14 +496,13 @@ class PointGeometry:
         tau = self.tol.residual
         H, norm_H = self.H, self.H_norm_euclid
         h = self._h.value()
-        e3, e4 = (e.comps[:, None] for e in self.frame_values[2:])
+        e3, e4 = (e[:, None] for e in self.frame_values[2:])
         # h(e_i, e_j) = h^3_ij e3 - h^4_ij e4 by ij = 11, 12, 22, and its
         # umbilicity defect h(e_i, e_j) - delta_ij H
         hv = h[0] * e3 + -h[1] * e4
-        p = la.minkowski_inner(AmbientVector.of(hv),
-                               AmbientVector.of(H.comps[:, None]))
+        p = la.minkowski_inner(hv, H[:, None])
         scale = tau * (1.0 + np.maximum.reduce(abs(p)))
-        defect = hv - np.stack([H.comps, np.zeros_like(H.comps), H.comps], 1)
+        defect = hv - np.stack([H, np.zeros_like(H), H], 1)
         hn = tau * (1.0 + norm_H)
         x_causal = causal_character(self.x_values, CAUSAL_TOL)
         return {
@@ -529,12 +514,12 @@ class PointGeometry:
             "PSEUDO-UMBILICAL": ((abs(p[1]) <= scale)
                                  & (abs(p[0] - p[2]) <= scale)),
             "TOTALLY-UMBILICAL": np.logical_and.reduce(
-                la.euclid_norm(AmbientVector.of(defect)) <= hn),
+                la.euclid_norm(defect) <= hn),
             "IN-LIGHTCONE": ((x_causal == CausalClass.ZERO)
                              | (x_causal == CausalClass.LIGHTLIKE)),
             "IN-S31": x_causal == CausalClass.SPACELIKE,
             "IN-H3": ((x_causal == CausalClass.TIMELIKE)
-                      & (self.x_values.c0 > 0)),
+                      & (self.x_values[0] > 0)),
         }
 
     def classify(self):
@@ -587,7 +572,7 @@ def parallel_H_residual(pg: PointGeometry):
 
 
 def position_laplacian(pg: PointGeometry,
-                       ) -> tuple[AmbientVector, Optional[float]]:
+                       ) -> tuple[np.ndarray, Optional[float]]:
     """Delta x (values) and, when order-4 jets are available, the Euclidean
     norm of Delta^2 x; None marks the bilaplacian as absent at order 3."""
     if pg.order < 4:

@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 
 from . import surfaces as sf
 from .gaussmap import (BLOCK_POINTS, PointRecord, Records, _constancy,
-                       evaluate_grid, theorem_verdict_from_records)
+                       _mean, evaluate_grid, theorem_verdict_from_records)
 from .geometry import DEFAULT_TOLERANCES, Tolerances
 from .expr import serialize_expression
 from .surfaces import Domain, SurfaceSpec
@@ -142,7 +142,7 @@ def evaluate_records(spec: SurfaceSpec, cfg: RunConfig) -> Records:
 
 
 def _stats(values: Sequence[float]) -> dict:
-    mean = statistics.fmean(values)
+    mean = _mean(values)
     sd = statistics.stdev(values) if len(values) > 1 else 0.0
     return {"mean": mean, "sd": sd, "min": min(values), "max": max(values)}
 

@@ -8,6 +8,8 @@ from __future__ import annotations
 import math
 import time
 
+import numpy as np
+
 from minksurf import gaussmap as gm
 from minksurf import geometry as ge
 from minksurf import linalg as la
@@ -125,7 +127,7 @@ def test_criterion_6_self_consistency_invariants():
             kg, kf, ki = r.K
             scale = 1.0 + abs(kg)
             worst["K"] = max(worst["K"], abs(kg - kf) / scale, abs(kg - ki) / scale)
-            nu = la.Bivector(*r.nu)
+            nu = np.array(r.nu)
             worst["nu"] = max(worst["nu"], abs(la.bivector_inner(nu, nu) + 1.0))
     ok = (worst["codazzi"] <= 1e-8 and worst["K"] <= 1e-8
           and worst["nu"] <= 1e-10 and worst["frame"] <= 1e-10

@@ -262,6 +262,24 @@ class TestPointFailures:
         assert err.getvalue() == "" or err.getvalue().startswith("error: ")
 
 
+class TestHugeValues:
+    # <x, x> is about 1.69e308 at every point: finite, but the sum of two
+    # such values is not
+    HUGE = ["--catalog", "product", "--param", "a=1", "--param", "b=1.3e154",
+            "--grid", "3x3"]
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze"], ["analyze", "--format", "csv"], ["classify"],
+        ["classify", "--format", "csv"], ["verify", "T3.9"],
+        ["verify", "T4.3"]], ids=" ".join)
+    def test_summary_mean_does_not_overflow(self, argv, capsys):
+        code, out, err = run(argv + self.HUGE, capsys)
+        assert (code, err) == (0, "")
+        if argv == ["analyze"]:
+            stats = json.loads(out)["summary"]["position_inner"]
+            assert stats["min"] <= stats["mean"] <= stats["max"]
+
+
 class TestClassify:
     def test_quadric_label_kept_when_constant(self, capsys):
         code, out, _ = run(

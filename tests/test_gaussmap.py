@@ -11,7 +11,12 @@ feeds at least one of the two routes.
 
 from __future__ import annotations
 
+import statistics
+
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from minksurf import gaussmap as gm
 from minksurf import geometry as ge
@@ -22,6 +27,25 @@ from conftest import (CATALOG_CASES, CATALOG_IDS, build, grid_geometry,
                       point_geometry, route_agreement, rows)
 
 HARMONIC_HEIGHTS = ("u*v", "u^2 - v^2", "exp(u)*cos(v)")
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(st.lists(finite_floats, min_size=1, max_size=20))
+@example([1.69e308] * 9)  # fmean's sum overflows on both
+@example([1.7e308, 1.7e308, -1.7e308])
+def test_mean_is_fmean_or_finite(values):
+    # fmean's bits wherever fmean returns; a finite mean where it overflows
+    try:
+        want = statistics.fmean(values)
+    except OverflowError:
+        got, lo, hi = gm._mean(values), min(values), max(values)
+        # within the values, up to the rounding of the sum and the division
+        assert lo - 1e-15 * abs(lo) <= got <= hi + 1e-15 * abs(hi)
+    else:
+        got = gm._mean(values)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def term_group(pg, term: str):
@@ -89,13 +113,12 @@ class TestDecomposition:
         pg = point_geometry(wild_spec, 0.4, -0.3)
         d = gm.laplacian_gauss_formula(pg)
         total = [0.0] * 6
-        fields = ("p12", "p13", "p14", "p23", "p24", "p34")
         for t in gm.TERM_NAMES:
             group = term_group(pg, t)
-            for k, f in enumerate(fields):
-                total[k] += getattr(group, f)
-        for k, f in enumerate(fields):
-            assert total[k] == pytest.approx(getattr(d.formula, f), rel=1e-12, abs=1e-12)
+            for k in range(6):
+                total[k] += group[k]
+        for k in range(6):
+            assert total[k] == pytest.approx(d.formula[k], rel=1e-12, abs=1e-12)
 
     def test_direct_route_standalone(self):
         spec = build("product", {"a": 1.0, "b": 2.0})

@@ -1,10 +1,11 @@
-"""Stacked-component jets against per-component jet arithmetic.
+"""Stacked components against per-component arithmetic.
 
-A vector or bivector of jets is one jet whose batch has a leading
-component axis, and each linalg operation on it is one product.  These
-tests write every operation out component by component on scalar jets,
-as the formulas read, and require the stacked result to carry the same
-coefficient bytes (so a -0.0 for a 0.0 counts as a difference).  Frame
+A vector or bivector is one stack with a leading component axis: a jet
+whose batch has that axis, or a float array.  Each linalg operation on
+it is one product.  These tests write every operation out component by
+component on scalar jets (and on their float values), as the formulas
+read, and require the stacked result to carry the same bytes (so a -0.0
+for a 0.0 counts as a difference).  Frame
 derivatives, which the geometry takes along both directions at once, are
 written out one direction at a time in the same way.
 """
@@ -40,11 +41,25 @@ def random_jets(rng, order: int, batch: tuple, n: int) -> list[jt.Jet]:
     return [jt.Jet(order, c) for c in coeffs]
 
 
-def same_bytes(stacked: jt.Jet, parts: list[jt.Jet]) -> bool:
+def same_bytes(stacked, parts: list) -> bool:
+    """Whether component n of the stack (a jet or a float array) has the
+    bytes of parts[n], for every n."""
+    if not isinstance(stacked, jt.Jet):
+        return (np.shape(stacked)[:1] == (len(parts),)
+                and all(np.asarray(stacked[n]).tobytes()
+                        == np.asarray(p).tobytes()
+                        for n, p in enumerate(parts)))
     return (stacked.batch[:1] == (len(parts),)
             and all(stacked.order == p.order
                     and stacked.coeffs[:, n].tobytes() == p.coeffs.tobytes()
                     for n, p in enumerate(parts)))
+
+
+def kinds(parts: list[jt.Jet]):
+    """The scalar jets, then their float values, each with their stack."""
+    yield parts, jt.stack(parts)
+    values = [p.value() for p in parts]
+    yield values, np.stack(values)
 
 
 # -- the component formulas ---------------------------------------------------
@@ -70,11 +85,11 @@ def hodge(p):
     return [p[5], -p[4], p[3], -p[2], p[1], -p[0]]
 
 
-def normal_frame(e1, e2):
+def normal_frame(e1, e2, sqrt=jt.sqrt):
     a, b = e1[0], e2[0]
     t_n = [a * x + b * y for x, y in zip(e1, e2)]
     t_n[0] = t_n[0] + 1.0
-    inv = 1.0 / jt.sqrt(1.0 + a * a + b * b)
+    inv = 1.0 / sqrt(1.0 + a * a + b * b)
     e4 = [inv * c for c in t_n]
     nu = hodge(wedge(e1, e2))
     return contract(e4, nu), e4, nu
@@ -88,61 +103,60 @@ def laplacian(pg: ge.PointGeometry, f: jt.Jet) -> jt.Jet:
     return -(inv_w * ((P * fu + Q * fv).deriv_u() + (Q * fu + R * fv).deriv_v()))
 
 
-def vector(parts):
-    return la.AmbientVector(*parts)
-
-
 # -- stacked against component by component -------------------------------------
 
 @settings(max_examples=25, deadline=None)
 @given(ORDERS, BATCHES, SEEDS)
 def test_minkowski_inner(order, batch, seed):
-    a, b = (random_jets(np.random.default_rng(seed), order, batch, 8)[s]
-            for s in (slice(0, 4), slice(4, 8)))
-    got = la.minkowski_inner(vector(a), vector(b))
-    assert got.coeffs.tobytes() == inner(a, b).coeffs.tobytes()
+    parts = random_jets(np.random.default_rng(seed), order, batch, 8)
+    for p, stack in kinds(parts):
+        got = la.minkowski_inner(stack[:4], stack[4:])
+        assert same_bytes(got[None], [inner(p[:4], p[4:])])
 
 
 @settings(max_examples=25, deadline=None)
 @given(ORDERS, BATCHES, SEEDS)
 def test_wedge(order, batch, seed):
     parts = random_jets(np.random.default_rng(seed), order, batch, 8)
-    a, b = parts[:4], parts[4:]
-    assert same_bytes(la.wedge(vector(a), vector(b)).comps, wedge(a, b))
+    for p, stack in kinds(parts):
+        assert same_bytes(la.wedge(stack[:4], stack[4:]), wedge(p[:4], p[4:]))
 
 
 @settings(max_examples=25, deadline=None)
 @given(ORDERS, BATCHES, SEEDS)
 def test_contract(order, batch, seed):
     parts = random_jets(np.random.default_rng(seed), order, batch, 10)
-    x, p = parts[:4], parts[4:]
-    got = la.contract(vector(x), la.Bivector(*p))
-    assert same_bytes(got.comps, contract(x, p))
+    for p, stack in kinds(parts):
+        got = la.contract(stack[:4], stack[4:])
+        assert same_bytes(got, contract(p[:4], p[4:]))
 
 
 @settings(max_examples=25, deadline=None)
 @given(ORDERS, BATCHES, SEEDS)
 def test_scaled(order, batch, seed):
+    # a stack scaled by a per-point factor s is s[None] * stack
     parts = random_jets(np.random.default_rng(seed), order, batch, 5)
-    s, v = parts[0], parts[1:]
-    assert same_bytes(vector(v).scaled(s).comps, [s * c for c in v])
+    for p, stack in kinds(parts):
+        s, v = p[0], p[1:]
+        assert same_bytes(s[None] * stack[1:], [s * c for c in v])
 
 
 @settings(max_examples=25, deadline=None)
 @given(ORDERS, BATCHES, SEEDS)
 def test_hodge_dual(order, batch, seed):
-    p = random_jets(np.random.default_rng(seed), order, batch, 6)
-    assert same_bytes(la.hodge_dual(la.Bivector(*p)).comps, hodge(p))
+    parts = random_jets(np.random.default_rng(seed), order, batch, 6)
+    for p, stack in kinds(parts):
+        assert same_bytes(la.hodge_dual(stack), hodge(p))
 
 
 @settings(max_examples=25, deadline=None)
 @given(ORDERS, BATCHES, SEEDS)
 def test_normal_frame(order, batch, seed):
     parts = random_jets(np.random.default_rng(seed), order, batch, 8)
-    e1, e2 = parts[:4], parts[4:]
-    got = la.normal_frame(vector(e1), vector(e2), jt.sqrt)
-    for g, want in zip(got, normal_frame(e1, e2)):
-        assert same_bytes(g.comps, want)
+    for (p, stack), sqrt in zip(kinds(parts), (jt.sqrt, np.sqrt)):
+        got = la.normal_frame(stack[:4], stack[4:], sqrt)
+        for g, want in zip(got, normal_frame(p[:4], p[4:], sqrt)):
+            assert same_bytes(g, want)
 
 
 @settings(max_examples=25, deadline=None)
@@ -257,11 +271,11 @@ def frame_loop(pg: ge.PointGeometry):
 def test_geometry_stacks(pg):
     want = frame_loop(pg)
     got = dict(metric=pg.metric_jets, det=[pg.metric_det_jet],
-               e=[c for e in pg.frame.e for c in e.components()],
-               nu=pg.nu_jets.components(),
+               e=[e[k] for e in pg.frame.e for k in range(4)],
+               nu=[pg.nu_jets[k] for k in range(6)],
                h=[h_jet(pg, *key) for key in sorted(
                    (beta, *ij) for beta in (3, 4) for ij in IJ)],
-               H=pg.H_jets.components(), h_sq=[pg.h_sq_jet])
+               H=[pg.H_jets[k] for k in range(4)], h_sq=[pg.h_sq_jet])
     for name in want:
         assert jet_bytes(got[name]) == jet_bytes(want[name]), name
 
@@ -316,7 +330,7 @@ def test_residual_arrays(pg):
 
 def omega_loop(pg: ge.PointGeometry, A: int, B: int, i: int):
     """omega_AB(e_i) = <flat derivative of e_A along e_i, e_B>."""
-    w = la.AmbientVector.of(directional(pg, pg.frame.e[A - 1].comps, i))
+    w = directional(pg, pg.frame.e[A - 1], i)
     return la.minkowski_inner(w, pg.frame_values[B - 1])
 
 
@@ -324,10 +338,10 @@ def parallel_H_loop(pg: ge.PointGeometry):
     e1v, e2v = pg.frame_values[0], pg.frame_values[1]
     total = 0.0
     for i in (1, 2):
-        w = la.AmbientVector.of(directional(pg, pg.H_jets.comps, i))
+        w = directional(pg, pg.H_jets, i)
         tang1 = la.minkowski_inner(w, e1v)
         tang2 = la.minkowski_inner(w, e2v)
-        normal = w - e1v.scaled(tang1) - e2v.scaled(tang2)
+        normal = w - tang1 * e1v - tang2 * e2v
         total += la.euclid_norm(normal)
     return total
 
@@ -350,8 +364,8 @@ def label_masks_loop(pg: ge.PointGeometry):
     tau = pg.tol.residual
     H, norm_H = pg.H, pg.H_norm_euclid
     e3, e4 = pg.frame_values[2], pg.frame_values[3]
-    hv = {(i, j): (e3.scaled(h_jet(pg, 3, i, j).value())
-                   + e4.scaled(-h_jet(pg, 4, i, j).value()))
+    hv = {(i, j): (h_jet(pg, 3, i, j).value() * e3
+                   + -h_jet(pg, 4, i, j).value() * e4)
           for i in (1, 2) for j in (1, 2)}
     p = {key: la.minkowski_inner(vec, H) for key, vec in hv.items()}
     scale = tau * (1.0 + np.maximum.reduce([abs(val) for val in p.values()]))
@@ -372,13 +386,13 @@ def label_masks_loop(pg: ge.PointGeometry):
                          | (x_causal == la.CausalClass.LIGHTLIKE)),
         "IN-S31": x_causal == la.CausalClass.SPACELIKE,
         "IN-H3": ((x_causal == la.CausalClass.TIMELIKE)
-                  & (pg.x_values.c0 > 0)),
+                  & (pg.x_values[0] > 0)),
     }
 
 
 @pytest.mark.parametrize("pg", GEOMETRIES)
 def test_frame_derivatives(pg):
-    for f in (pg.h_sq_jet, pg.trace_jets, pg.frame.e[0].comps, pg._h):
+    for f in (pg.h_sq_jet, pg.trace_jets, pg.frame.e[0], pg._h):
         got = pg.along(f)
         assert [value_bytes(x) for x in got] == [
             value_bytes(directional(pg, f, i)) for i in (1, 2)]
