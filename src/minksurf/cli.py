@@ -118,6 +118,10 @@ def _parser() -> argparse.ArgumentParser:
 def _config_from_args(args: argparse.Namespace) -> rp.RunConfig:
     if args.command == "catalog":
         return rp.RunConfig(command="catalog", fmt=args.fmt, out=args.out)
+    keys = [key for key, _ in args.param]
+    repeated = [key for i, key in enumerate(keys) if key in keys[:i]]
+    if repeated:
+        raise ValueError(f"duplicate parameter {repeated[0]!r}")
     tol = DEFAULT_TOLERANCES
     if args.tol is not None:
         tol = dataclasses.replace(tol, residual=args.tol)

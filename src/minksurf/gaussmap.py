@@ -36,6 +36,7 @@ import dataclasses
 import math
 import statistics
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -75,6 +76,8 @@ class UnknownTheorem(Exception):
 
 TERM_NAMES = ("nu", "normal_curvature", "grad_trace3", "grad_trace4",
               "rotation")
+
+QUADRIC_LABELS = frozenset({"IN-S31", "IN-H3", "IN-LIGHTCONE"})
 
 
 @dataclass(frozen=True)
@@ -164,8 +167,7 @@ def first_kind_residuals(decomp: GaussLaplacianDecomposition,
 
 def _lemma42(pg: PointGeometry):
     # (where the relation applies, its residual) at each point
-    tau = pg.tol.residual
-    applies = ~(pg.H_norm_euclid > tau) & ~(abs(pg.RD) > tau)
+    applies = pg.label_masks["MAXIMAL"] & pg.label_masks["FLAT-NORMAL-BUNDLE"]
     f_jet = pg.h_sq_jet
     f0 = f_jet.value()
     e1f, e2f = pg.along(f_jet)
@@ -304,6 +306,22 @@ class Records:
         floats come out of ``.tolist()`` bit for bit."""
         col = self.columns[name]
         return col.T.tolist() if col.ndim == 2 else [col.tolist()]
+
+    @cached_property
+    def position_constant(self) -> bool:
+        """Whether <x, x> is grid-constant (``_constancy``)."""
+        return _constancy(self["position_inner"].tolist())[0]
+
+    @cached_property
+    def label_extent(self) -> tuple[frozenset, frozenset]:
+        """The labels held at every point and at some point.  A quadric
+        label counts as held everywhere only if <x, x> is grid-constant.
+        Premises, label-backed verdict sides and the summary read this."""
+        labels = self["labels"].tolist() or [()]
+        everywhere = set(labels[0]).intersection(*labels)
+        if everywhere & QUADRIC_LABELS and not self.position_constant:
+            everywhere -= QUADRIC_LABELS
+        return frozenset(everywhere), frozenset().union(*labels)
 
     def live(self) -> Records:
         """The records of the evaluated points."""
@@ -533,24 +551,28 @@ def _constancy(values: Sequence[float]) -> tuple[bool, float]:
     return sd <= CONSTANCY_REL * (1.0 + abs(mean)), sd
 
 
-def _bound(description: str, name: str, component: Optional[int] = None):
-    # the side "max |column| <= tol" on a record column, or on one
-    # component of it
+def _side(description: str, name: str, label: Optional[str] = None,
+          component: Optional[int] = None):
+    # the side with residual max |column| (or |one component|); it passes
+    # where the label holds everywhere, or with no label where max <= tol
     def check(recs, tau):
         col = recs[name] if component is None else recs[name][:, component]
         worst = max(map(abs, col.tolist()))
-        return SideResult(description, worst <= tau, worst)
+        passes = (worst <= tau if label is None
+                  else label in recs.label_extent[0])
+        return SideResult(description, passes, worst)
     return check
 
 
-_check_harmonic = _bound("harmonic Gauss map (max |direct Laplacian|)",
-                         "residual_harmonic")
-_check_first_kind = _bound("pointwise first-kind Gauss map Laplacian "
-                           "(max |direct - h_sq nu|)", "residual_first_kind")
-_check_flat = _bound("flat (max |K|)", "K", 0)
-_check_fnb = _bound("flat normal bundle (max |R^D|)", "RD")
-_check_parallel = _bound("parallel mean curvature vector (max |DH|)",
-                         "residual_parallel_H")
+_check_harmonic = _side("harmonic Gauss map (max |direct Laplacian|)",
+                        "residual_harmonic")
+_check_first_kind = _side("pointwise first-kind Gauss map Laplacian "
+                          "(max |direct - h_sq nu|)", "residual_first_kind")
+_check_flat = _side("flat (max |K|)", "K", "FLAT", 0)
+_check_fnb = _side("flat normal bundle (max |R^D|)", "RD",
+                   "FLAT-NORMAL-BUNDLE")
+_check_parallel = _side("parallel mean curvature vector (max |DH|)",
+                        "residual_parallel_H", "PARALLEL-H")
 
 
 def _check_global_first_kind(recs, tau):
@@ -562,7 +584,7 @@ def _check_global_first_kind(recs, tau):
 
 
 def _check_lightlike_H(recs, tau):
-    ok = all(c == "LIGHTLIKE" for c in recs["H_causal"])
+    ok = "MARGINALLY-TRAPPED" in recs.label_extent[0]
     worst = max(abs(inner) / (1.0 + norm ** 2) for inner, norm
                 in zip(recs["H_inner"].tolist(),
                        recs["H_norm_euclid"].tolist()))
@@ -593,44 +615,24 @@ def _or(*checks):
     return combined
 
 
-def _premise_any(recs, tau):
-    return True, "space-like sample points exist"
-
-
-def _premise_maximal(recs, tau):
-    ok = all(x <= tau for x in recs["H_norm_euclid"].tolist())
-    return ok, "maximal on the sample (|H| <= tol everywhere)"
-
-
-def _premise_nonmaximal(recs, tau):
-    ok = all(x > tau for x in recs["H_norm_euclid"].tolist())
-    return ok, "non-maximal on the sample (|H| > tol everywhere)"
-
-
-def _premise_lightlike(recs, tau):
-    ok = all(c == "LIGHTLIKE" for c in recs["H_causal"])
-    return ok, "light-like mean curvature vector on the sample"
-
-
-def _premise_in_s31(recs, tau):
-    positions = recs["position_inner"].tolist()
-    const, _ = _constancy(positions)
-    ok = const and all(p > 0 for p in positions)
-    return ok, "sample lies in a de Sitter quadric (<x,x> constant > 0)"
-
-
-def _premise_in_h3(recs, tau):
-    positions = recs["position_inner"].tolist()
-    const, _ = _constancy(positions)
-    ok = const and all(p < 0 and x0 > 0 for p, x0
-                       in zip(positions, recs["x"][:, 0].tolist()))
-    return ok, "sample lies in a hyperbolic quadric (<x,x> constant < 0)"
+# A premise is (text, label, held): the label holds at every point
+# (held) or at none; no label is the premise that live points exist.
+_ANY = ("space-like sample points exist", None, True)
+_MAXIMAL = ("maximal on the sample (|H| <= tol everywhere)", "MAXIMAL", True)
+_NONMAXIMAL = ("non-maximal on the sample (|H| > tol everywhere)",
+               "MAXIMAL", False)
+_LIGHTLIKE = ("light-like mean curvature vector on the sample",
+              "MARGINALLY-TRAPPED", True)
+_IN_S31 = ("sample lies in a de Sitter quadric (<x,x> constant > 0)",
+           "IN-S31", True)
+_IN_H3 = ("sample lies in a hyperbolic quadric (<x,x> constant < 0)",
+          "IN-H3", True)
 
 
 @dataclass(frozen=True)
 class _TheoremEntry:
     statement: str
-    premise: Callable
+    premise: tuple[str, Optional[str], bool]
     side_a: Callable
     side_b: Callable
 
@@ -638,50 +640,50 @@ class _TheoremEntry:
 THEOREMS: dict[str, _TheoremEntry] = {
     "T3.4": _TheoremEntry(
         "maximal: harmonic Gauss map iff flat with flat normal bundle",
-        _premise_maximal, _check_harmonic, _and(_check_flat, _check_fnb)),
+        _MAXIMAL, _check_harmonic, _and(_check_flat, _check_fnb)),
     "T3.5": _TheoremEntry(
         "non-maximal: harmonic Gauss map iff flat with light-like "
         "parallel mean curvature vector",
-        _premise_nonmaximal, _check_harmonic,
+        _NONMAXIMAL, _check_harmonic,
         _and(_check_flat, _check_lightlike_H, _check_parallel)),
     "T3.7": _TheoremEntry(
         "harmonic Gauss map iff flat, flat normal bundle, and either "
         "maximal or light-like parallel mean curvature (the checkable "
         "content of the six-type classification)",
-        _premise_any, _check_harmonic,
+        _ANY, _check_harmonic,
         _and(_check_flat, _check_fnb,
-             _or(_bound("maximal (max |H|)", "H_norm_euclid"),
+             _or(_side("maximal (max |H|)", "H_norm_euclid", "MAXIMAL"),
                  _and(_check_lightlike_H, _check_parallel)))),
     "T3.9": _TheoremEntry(
         "in a de Sitter quadric: flat with light-like parallel mean "
         "curvature iff harmonic Gauss map",
-        _premise_in_s31,
+        _IN_S31,
         _and(_check_flat, _check_lightlike_H, _check_parallel),
         _check_harmonic),
     "T3.10": _TheoremEntry(
         "in a hyperbolic quadric: flat with light-like parallel mean "
         "curvature iff harmonic Gauss map",
-        _premise_in_h3,
+        _IN_H3,
         _and(_check_flat, _check_lightlike_H, _check_parallel),
         _check_harmonic),
     "T4.1": _TheoremEntry(
         "maximal: pointwise first-kind Gauss map iff flat normal bundle",
-        _premise_maximal, _check_first_kind, _check_fnb),
+        _MAXIMAL, _check_first_kind, _check_fnb),
     "T4.3": _TheoremEntry(
         "maximal: global first-kind Gauss map iff harmonic Gauss map",
-        _premise_maximal, _check_global_first_kind, _check_harmonic),
+        _MAXIMAL, _check_global_first_kind, _check_harmonic),
     "T4.4": _TheoremEntry(
         "non-maximal: pointwise first-kind Gauss map iff parallel mean "
         "curvature vector",
-        _premise_nonmaximal, _check_first_kind, _check_parallel),
+        _NONMAXIMAL, _check_first_kind, _check_parallel),
     "T4.6": _TheoremEntry(
         "light-like mean curvature: global first-kind Gauss map iff "
         "harmonic Gauss map",
-        _premise_lightlike, _check_global_first_kind, _check_harmonic),
+        _LIGHTLIKE, _check_global_first_kind, _check_harmonic),
     "T4.8": _TheoremEntry(
         "non-maximal: global first-kind Gauss map iff parallel mean "
         "curvature vector and grid-constant Gaussian curvature",
-        _premise_nonmaximal, _check_global_first_kind,
+        _NONMAXIMAL, _check_global_first_kind,
         _and(_check_parallel, _check_K_constant)),
 }
 # The catalog-facing id of the same six-type statement.
@@ -713,7 +715,10 @@ def theorem_verdict_from_records(theorem_id: str,
         met, premise_text, side_a, side_b = (
             False, "no usable sample points", empty, empty)
     else:
-        met, premise_text = entry.premise(live, tau)
+        premise_text, label, held = entry.premise
+        everywhere, somewhere = live.label_extent
+        met = label is None or (label in everywhere if held
+                                else label not in somewhere)
         side_a = entry.side_a(live, tau)
         side_b = entry.side_b(live, tau)
     # A failed premise makes the statement say nothing here, so the

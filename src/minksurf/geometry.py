@@ -60,9 +60,9 @@ class NotSpacelike(Exception):
         self.eigenvalue_signs = eigenvalue_signs
 
 
-# The scale-aware causal classifier's cutoff, the relative cutoff on
-# grid constancy, and the Gram cutoff below which a point is skipped as
-# degenerate.
+# The causal cutoff of the position's quadric classes (H's classes are
+# decided at Tolerances.residual), the relative cutoff on grid constancy,
+# and the Gram cutoff below which a point is skipped as degenerate.
 CAUSAL_TOL = 1e-9
 CONSTANCY_REL = 1e-6
 DEGENERATE_TOL = 1e-12
@@ -71,7 +71,8 @@ DEGENERATE_TOL = 1e-12
 @dataclass(frozen=True, slots=True)
 class Tolerances:
     """The settable tolerance: residual, the absolute cutoff on identity
-    residuals and pointwise predicates; it must be finite and positive.
+    residuals and pointwise predicates, H's causal class included; it
+    must be finite and positive.
     """
 
     residual: float = 1e-8
@@ -334,8 +335,9 @@ class PointGeometry:
 
     @cached_property
     def H_causal(self):
-        """CausalClass of H; an object array of them for a batch."""
-        return causal_character(self.H, CAUSAL_TOL)
+        """CausalClass of H at the residual tolerance; an object array of
+        them for a batch.  ZERO is the MAXIMAL label."""
+        return causal_character(self.H, self.tol.residual)
 
     @cached_property
     def h_sq_jet(self) -> Jet:
@@ -485,13 +487,14 @@ class PointGeometry:
 
     # -- classification -----------------------------------------------------
 
+    @cached_property
     def label_masks(self) -> dict[str, np.ndarray]:
         """Per label, where its pointwise predicate holds at the residual
-        tolerance.
+        tolerance; verdict premises and sides read these labels.
 
         Quadric labels (IN-S31, IN-H3, IN-LIGHTCONE) state the sign class
         of <x, x> at each point; whether the whole surface lies in one
-        quadric is a grid-level question answered by the report layer.
+        quadric is a grid-level question (``Records.label_extent``).
         """
         tau = self.tol.residual
         H, norm_H = self.H, self.H_norm_euclid
@@ -506,7 +509,7 @@ class PointGeometry:
         hn = tau * (1.0 + norm_H)
         x_causal = causal_character(self.x_values, CAUSAL_TOL)
         return {
-            "MAXIMAL": norm_H <= tau,
+            "MAXIMAL": self.H_causal == CausalClass.ZERO,
             "MARGINALLY-TRAPPED": self.H_causal == CausalClass.LIGHTLIKE,
             "FLAT": abs(self.K_gauss) <= tau,
             "FLAT-NORMAL-BUNDLE": abs(self.RD) <= tau,
@@ -525,7 +528,7 @@ class PointGeometry:
     def classify(self):
         """Pointwise predicate labels, each decided at the residual
         tolerance: a frozenset for one point, a list of them for a batch."""
-        masks = self.label_masks()
+        masks = self.label_masks
         if not self.batch:
             return frozenset(name for name, on in masks.items() if on)
         rows = zip(*(np.broadcast_to(on, self.batch).ravel().tolist()

@@ -33,8 +33,8 @@ from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
 
 from . import surfaces as sf
-from .gaussmap import (BLOCK_POINTS, PointRecord, Records, _constancy,
-                       _mean, evaluate_grid, theorem_verdict_from_records)
+from .gaussmap import (BLOCK_POINTS, PointRecord, Records, _mean,
+                       evaluate_grid, theorem_verdict_from_records)
 from .geometry import DEFAULT_TOLERANCES, Tolerances
 from .expr import serialize_expression
 from .surfaces import Domain, SurfaceSpec
@@ -66,8 +66,6 @@ CONVENTIONS = {
     "grid": "points at cell centers of the domain rectangle, row-major in "
             "u then v",
 }
-
-QUADRIC_LABELS = ("IN-S31", "IN-H3", "IN-LIGHTCONE")
 
 
 @dataclass(frozen=True)
@@ -177,22 +175,14 @@ def summarize(records: Records) -> dict:
     out["H_causal_classes"] = sorted(set(live["H_causal"]))
     out["H_norm_euclid_max"] = max(live["H_norm_euclid"].tolist())
 
-    positions = live["position_inner"].tolist()
-    out["position_inner"] = _stats(positions)
-    # A quadric containment constant only makes sense if <x, x> is
-    # grid-constant; the rule is the one the quadric premises use.
-    pos_constant, _ = _constancy(positions)
-    out["position_inner_constant"] = pos_constant
+    out["position_inner"] = _stats(live["position_inner"].tolist())
+    out["position_inner_constant"] = live.position_constant
 
     for name in ("lemma42", "bilaplacian_norm"):
         present = [x for x in live[name] if x is not None]
         out[name + "_max"] = max(present) if present else None
 
-    labels = live["labels"]
-    everywhere = set(labels[0]).intersection(*labels)
-    somewhere = set().union(*labels)
-    if not pos_constant:
-        everywhere -= set(QUADRIC_LABELS)
+    everywhere, somewhere = live.label_extent
     out["labels_everywhere"] = sorted(everywhere)
     out["labels_somewhere"] = sorted(somewhere)
     return out

@@ -4,10 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from minksurf import gaussmap as gm
 from minksurf import geometry as ge
 from minksurf import surfaces as sf
+
+# Every run draws the same examples, and no example is failed for its
+# wall time, which varies with the host's load.
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.load_profile("tier1")
 
 # Every catalog entry with concrete parameter choices.  graph has no default
 # height function, so it appears with a representative paraboloid height.

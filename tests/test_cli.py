@@ -397,6 +397,8 @@ class TestUsageErrors:
         ["analyze", "--catalog", "plane", "--domain", "1,2,3"],
         ["analyze", "--catalog", "plane", "--domain", "--out", "x"],
         ["analyze", "--catalog", "plane", "--param", "novalue"],
+        ["analyze", "--catalog", "product", "--param", "a=1", "--param",
+         "a=2", "--grid", "2x2"],
         ["verify", "T4.4", "--catalog", "example52", "--grid", "3x3",
          "--tol", "nan"],
         ["verify", "T4.4", "--catalog", "example52", "--grid", "3x3",
@@ -435,6 +437,14 @@ class TestUsageErrors:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") or "usage" in err
+
+    def test_repeated_param_is_an_error(self, capsys):
+        # as a surface file's repeated "param a" is; not last-wins
+        code, out, err = run(["analyze", "--catalog", "product", "--param",
+                              "a=1", "--param", "a=2", "--grid", "2x2"],
+                             capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: duplicate parameter 'a'\n"
 
     @pytest.mark.parametrize("grid", ["1x5", "5x1"])
     def test_grid_needs_two_points_per_axis(self, grid, capsys):

@@ -411,7 +411,7 @@ def test_frame_derivatives(pg):
 
 @pytest.mark.parametrize("pg", GEOMETRIES)
 def test_label_masks(pg):
-    got, want = pg.label_masks(), label_masks_loop(pg)
+    got, want = pg.label_masks, label_masks_loop(pg)
     assert list(got) == list(want)
     for name in want:
         assert value_bytes(got[name]) == value_bytes(want[name]), name
