@@ -27,7 +27,10 @@ if-and-only-if statements.
 Grids are evaluated in blocks of points, each block as one batch of
 jets (see ``evaluate_batch``), and their records come back as columns
 (``Records``); a record's bytes do not depend on the block it was
-computed in.
+computed in.  Only the bilaplacian needs order-4 jets: at order 4 the
+immersion is evaluated once, every other field comes from its jets
+truncated to order 3 (``RECORD_ORDER``), and a second ``PointGeometry``
+on the full jets computes Delta^2 x alone.
 """
 
 from __future__ import annotations
@@ -263,6 +266,10 @@ class Records:
     floats, gives a float64 column of shape (n,) or (n, k); a bool gives
     a bool column; anything else (skip_reason, H_causal, lemma42,
     bilaplacian_norm, labels) gives an object column.
+
+    Nothing mutates a block once ``evaluate_batch`` has returned it, so
+    what is derived from its columns (``live``, ``position_constant``,
+    ``label_extent``) is computed once per block and kept.
     """
 
     def __init__(self, columns: dict[str, np.ndarray]):
@@ -325,6 +332,10 @@ class Records:
 
     def live(self) -> Records:
         """The records of the evaluated points."""
+        return self._live
+
+    @cached_property
+    def _live(self) -> Records:
         ok = self.columns["ok"]
         return self if ok.all() else self.select(ok)
 
@@ -340,6 +351,12 @@ class Records:
 # The one row that every skipped point's record repeats.
 _SKIPPED_ROW = Records.of([PointRecord()])
 
+
+# The jet order of every record field but bilaplacian_norm.  At order 4
+# those fields come from the immersion jets truncated to it, at order-3
+# cost, and match an order-3 run bit for bit (tests/test_gaussmap.py);
+# only bilaplacian_norm reads the full jets.
+RECORD_ORDER = 3
 
 # Points per batch when a grid is evaluated.  Report bytes do not depend
 # on it; it bounds the memory a batch of jets takes.
@@ -363,8 +380,8 @@ def _failure(err: Exception, n: int) -> tuple[np.ndarray, str]:
 
 
 def _columns(pg: PointGeometry) -> dict:
-    # every numeric record field of the points of pg, as per-point values
-    # (a tuple of them for tuple fields)
+    # every numeric record field of the points of pg but bilaplacian_norm,
+    # as per-point values (a tuple of them for tuple fields)
     decomp = laplacian_gauss_formula(pg)
     rfk, rharm, f_est = first_kind_residuals(decomp)
     h = pg._h.value()
@@ -396,14 +413,14 @@ def _columns(pg: PointGeometry) -> dict:
         "residual_harmonic": rharm,
         "f_estimate": f_est,
     }
-    if pg.order >= 4:
-        cols["bilaplacian_norm"] = la.euclid_norm(pg.bilaplacian_x)
     return cols
 
 
-def _live_block(pg: PointGeometry) -> tuple[Records, np.ndarray]:
+def _live_block(pg: PointGeometry, full: Optional[PointGeometry],
+                ) -> tuple[Records, np.ndarray]:
     # The records of the points of pg, which all have a space-like
-    # metric, and which of them hold only finite values.
+    # metric, and which of them hold only finite values; full, the same
+    # points at order 4, gives bilaplacian_norm.
     us, vs = pg.base
     n = len(us)
 
@@ -413,6 +430,9 @@ def _live_block(pg: PointGeometry) -> tuple[Records, np.ndarray]:
     cols = {name: (np.stack([per_point(x) for x in col], axis=1)
                    if isinstance(col, tuple) else np.array(per_point(col)))
             for name, col in _columns(pg).items()}
+    if full is not None:
+        cols["bilaplacian_norm"] = per_point(
+            la.euclid_norm(full.bilaplacian_x))
     lemma_applies, lemma = (per_point(x) for x in _lemma42(pg))
     finite = np.logical_and.reduce(
         [np.isfinite(col).reshape(n, -1).all(axis=1) for col in cols.values()]
@@ -455,12 +475,15 @@ def evaluate_batch(spec: SurfaceSpec, points: Sequence[tuple[float, float]],
     with np.errstate(all="ignore"):
         while live.size:
             try:
-                pg = PointGeometry(
-                    evaluate_immersion(spec, us[live], vs[live], order),
-                    base=(us[live], vs[live]), tol=tol)
+                base = (us[live], vs[live])
+                xjets = evaluate_immersion(spec, *base, order)
+                pg = PointGeometry([x.truncated(RECORD_ORDER) for x in xjets],
+                                   base, tol)
                 failed = pg.skip_reasons != None  # noqa: E711 - elementwise
                 if not failed.any():
-                    block, finite = _live_block(pg)
+                    full = (PointGeometry(xjets, base, tol)
+                            if order > RECORD_ORDER else None)
+                    block, finite = _live_block(pg, full)
                     break
                 reasons[live[failed]] = pg.skip_reasons[failed]
             except tuple(_POINT_ERRORS) as err:

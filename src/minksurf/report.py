@@ -8,9 +8,11 @@ config and build, independent of how the grid is split into blocks, with
 floats written via repr so a JSON round trip preserves every bit.
 
 Records arrive as columns (``gaussmap.Records``), and the summary, the
-verdicts and both writers read the columns.  Each writer picks the
-encoder of a column from its dtype: float64, bool, or object, whose
-values are encoded one at a time.  The JSON ``points`` block is one
+verdicts and both writers read the columns.  Both writers encode
+``BLOCK_POINTS`` rows at a time through one encoder (``_block_texts``):
+the float64 columns of a block are stacked and ``float.__repr__`` runs
+once per distinct bit pattern, and bool and object values are encoded
+one at a time.  The JSON ``points`` block is one
 ``%``-template per record layout, compiled from the column shapes and
 filled column by column, with bytes equal to what ``json.dumps(indent=2,
 allow_nan=True)`` writes for the records' dicts.  The rest of a payload
@@ -31,6 +33,8 @@ import statistics
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence
+
+import numpy as np
 
 from . import surfaces as sf
 from .gaussmap import (BLOCK_POINTS, PointRecord, Records, _mean,
@@ -258,14 +262,39 @@ def _blocks(records: Records):
         yield records.select(slice(start, start + BLOCK_POINTS))
 
 
-def _float_texts(values) -> list[str]:
-    """``float.__repr__`` of each value: the text of a float in both the
-    CSV and the JSON reports (JSON then renames the non-finite ones)."""
-    return list(map(float.__repr__, values))
+# JSON's names of the non-finite floats, as ``allow_nan=True`` writes
+# them, by their ``float.__repr__``.
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _csv_cells(values) -> list[str]:
-    return list(map(_csv_cell, values))
+def _block_texts(block: Records, names: Sequence[str], encode,
+                 rename: Optional[dict] = None) -> list[list[str]]:
+    """The text of each component of the columns ``names`` of one block,
+    component by component in order; at least one column is float64.
+
+    ``float.__repr__`` is a function of a float's bits, so the float64
+    columns are stacked and each distinct bit pattern is encoded once,
+    then looked up in ``rename`` (JSON's non-finite names); keying by
+    bits, never by value, keeps -0.0 apart from 0.0.  Every other
+    column's values go through ``encode`` one at a time."""
+    stacked = np.concatenate([block[name].reshape(len(block), -1)
+                              for name in names
+                              if block[name].dtype == float], axis=1)
+    bits, inverse = np.unique(stacked.view(np.int64), return_inverse=True)
+    distinct = list(map(float.__repr__, bits.view(float).tolist()))
+    if rename:
+        distinct = list(map(rename.get, distinct, distinct))
+    table = np.array(distinct, dtype=object)
+    texts = iter(table[inverse.reshape(stacked.shape).T].tolist())
+    out = []
+    for name in names:
+        col = block[name]
+        if col.dtype == float:
+            out.extend(next(texts) for _ in range(col[0].size))
+        else:
+            out.extend(list(map(encode, values))
+                       for values in block.lists(name))
+    return out
 
 
 def _records_csv(records: Records, scalars: Sequence[str],
@@ -273,12 +302,10 @@ def _records_csv(records: Records, scalars: Sequence[str],
     """One row per record: the scalar fields, the tuple fields expanded
     one column per component, and the labels joined by ';'."""
     header = [*scalars, *(col for _, cols in tuples for col in cols), "labels"]
+    names = [*scalars, *(name for name, _ in tuples)]
 
     def columns(block):
-        cols = [(_float_texts if block[name].dtype == float else _csv_cells)(
-                    *block.lists(name)) for name in scalars]
-        for name, _ in tuples:
-            cols.extend(map(_float_texts, block.lists(name)))
+        cols = _block_texts(block, names, _csv_cell)
         cols.append(list(map(";".join, block["labels"])))
         return cols
 
@@ -290,14 +317,6 @@ class _JSONText(str):
     """JSON text that ``_to_json`` writes as it is."""
 
 
-def _json_floats(values) -> list[str]:
-    """JSON text of floats: ``float.__repr__``, and NaN/Infinity/-Infinity
-    for the non-finite ones, as ``allow_nan=True`` writes them."""
-    texts = _float_texts(values)
-    nonfinite = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-    return list(map(nonfinite.get, texts, texts))
-
-
 def _json_strings(strings: Sequence[str]) -> str:
     if not strings:
         return "[]"
@@ -306,23 +325,17 @@ def _json_strings(strings: Sequence[str]) -> str:
 
 
 def _json_value(value) -> str:
-    """JSON text of one value of an object column."""
+    """JSON text of one value of a bool or object column."""
     if value is None:
         return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if isinstance(value, tuple):
         return _json_strings(value)
-    return _json_floats([value])[0]
-
-
-def _json_texts(dtype, values: list) -> list[str]:
-    """JSON text of each value of one component of a column of ``dtype``."""
-    if dtype == float:
-        return _json_floats(values)
-    if dtype == bool:
-        return ["true" if x else "false" for x in values]
-    return list(map(_json_value, values))
+    text = float.__repr__(value)
+    return _JSON_NONFINITE.get(text, text)
 
 
 @functools.cache
@@ -352,8 +365,7 @@ def _points_json(records: Records, names: tuple[str, ...]) -> _JSONText:
         tuple((name, records[name].shape[1:]) for name in names))
     texts = []
     for block in _blocks(records):
-        columns = [_json_texts(block[name].dtype, values) for name in names
-                   for values in block.lists(name)]
+        columns = _block_texts(block, names, _json_value, _JSON_NONFINITE)
         texts.extend(map(template.__mod__, zip(*columns)))
     return _JSONText("[\n" + ",\n".join(texts) + "\n  ]")
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -36,6 +38,11 @@ CATALOG_IDS = tuple(name for name, _ in CATALOG_CASES)
 WILD_TEXT = (
     "x1 = u^2/5 + v^2/10 ; x2 = u ; x3 = v ; x4 = u*v/10"
 )
+
+
+# A surface whose grids mix both metric skip reasons, domain errors and
+# overflows in one block
+MIXED_FILE = Path(__file__).parent / "data" / "mixed_skips.surf"
 
 
 def build(name: str, params: dict) -> sf.SurfaceSpec:

@@ -3,8 +3,6 @@ is split into batches."""
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -14,11 +12,7 @@ from minksurf import jets as jt
 from minksurf import report
 from minksurf import surfaces as sf
 
-from conftest import rows
-
-# A surface whose grids mix both metric skip reasons, domain errors and
-# overflows in one block
-MIXED_FILE = Path(__file__).parent / "data" / "mixed_skips.surf"
+from conftest import MIXED_FILE, rows
 
 
 def test_records_match_pointwise_evaluation():
@@ -43,6 +37,8 @@ def test_records_match_pointwise_evaluation():
     ["classify", "--catalog", "s31-flat"],
     ["verify", "T4.8", "--catalog", "product"],
     ["analyze", "--surface-file", str(MIXED_FILE), "--order", "4"],
+    ["analyze", "--surface-file", str(MIXED_FILE), "--order", "4",
+     "--format", "csv"],
 ])
 def test_report_bytes_do_not_depend_on_block_size(argv, monkeypatch, tmp_path):
     def report_bytes(name):

@@ -23,8 +23,8 @@ from minksurf import geometry as ge
 from minksurf import linalg as la
 from minksurf import surfaces as sf
 
-from conftest import (CATALOG_CASES, CATALOG_IDS, build, grid_geometry,
-                      point_geometry, route_agreement, rows)
+from conftest import (CATALOG_CASES, CATALOG_IDS, MIXED_FILE, build,
+                      grid_geometry, point_geometry, route_agreement, rows)
 
 HARMONIC_HEIGHTS = ("u*v", "u^2 - v^2", "exp(u)*cos(v)")
 
@@ -234,6 +234,30 @@ class TestRecords:
         r = gm.evaluate_point(build("type-i", {"b": 0.0}), 0.4, -0.3, order=4)
         assert r.bilaplacian_norm is not None
         assert r.bilaplacian_norm <= 1e-8
+
+    @pytest.mark.parametrize("spec,grid", [
+        *((sf.catalog_lookup(name, {"phi": "u^2-v^2+sin(u)*exp(v)"}
+                             if name == "graph" else None), (9, 7))
+          for name in sf.catalog_names()),
+        (sf.parse_surface(MIXED_FILE.read_text()), (15, 15)),
+    ], ids=[*sf.catalog_names(), "mixed-skips"])
+    def test_order_four_records_are_order_three_ones(self, spec, grid):
+        # every column but bilaplacian_norm, skip_reason included; floats
+        # by bit pattern, so that -0.0 and NaN payloads count
+        o3, o4 = (gm.evaluate_grid(spec, grid, order) for order in (3, 4))
+        assert o3.columns.keys() == o4.columns.keys()
+        for name, col in o3.columns.items():
+            if name == "bilaplacian_norm":
+                continue
+            if col.dtype == float:
+                assert np.array_equal(col.view(np.int64),
+                                      o4[name].view(np.int64)), name
+            else:
+                assert (list(map(repr, col.tolist()))
+                        == list(map(repr, o4[name].tolist()))), name
+        assert set(o3["bilaplacian_norm"]) == {None}
+        assert ([x is None for x in o4["bilaplacian_norm"]]
+                == (~o4["ok"]).tolist())
 
     def test_skip_reasons(self):
         timelike = sf.parse_surface("x1 = 2*u ; x2 = u ; x3 = v ; x4 = 0")

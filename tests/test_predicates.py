@@ -137,6 +137,28 @@ def test_label_logic(surface, tau):
             theorem_id
 
 
+def test_verify_tests_constancy_once(monkeypatch, tmp_path):
+    """The summary and the verdict of one verify run read one live
+    selection of the records, so on a grid with skipped points the
+    grid constancy of <x, x> (a statistics.stdev) is computed once."""
+    calls = []
+    real = gm._constancy
+
+    def counted(values):
+        calls.append(len(values))
+        return real(values)
+
+    monkeypatch.setattr(gm, "_constancy", counted)
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "T3.9", "--catalog", "graph",
+                     "--param", "phi=log(u)", "--domain=-1,1,-1,1",
+                     "--grid", "4x4", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    assert payload["summary"]["points_skipped"] == 8
+    assert "IN-S31" in payload["summary"]["labels_somewhere"]
+    assert calls == [8]
+
+
 # -- catalog tags ---------------------------------------------------------
 
 # tag -> the label it claims everywhere on the sample

@@ -12,7 +12,9 @@ put NaN and infinities into a report.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
+import io
 import json
 import math
 import typing
@@ -206,3 +208,84 @@ def test_schema_conformant_records(records):
         text = written(records, names)
         assert text == oracle(records, names)
         assert_floats_round_trip(text, records, names)
+
+
+# -- the float encoder, by bit pattern ---------------------------------------
+
+# -0.0 beside 0.0, NaNs with different payloads and signs (a signaling one
+# among them), the infinities, subnormals, and 1.0
+SPECIAL_BITS = (0x0, 0x8000000000000000, 0x7FF8000000000000,
+                0xFFF8000000000000, 0x7FF0000000000001, 0x7FF8000000000ABC,
+                0xFFF0000000000ABC, 0x7FF0000000000000, 0xFFF0000000000000,
+                0x1, 0x000FFFFFFFFFFFFF, 0x800FFFFFFFFFFFFF,
+                0x3FF0000000000000)
+_BITS = st.sampled_from(SPECIAL_BITS) | st.integers(0, 2**64 - 1)
+
+
+@st.composite
+def _float_blocks(draw):
+    """A block whose float64 columns hold drawn bit patterns: all equal,
+    all distinct, or drawn from a small pool."""
+    n = draw(st.integers(1, 4))
+    block = gm.Records.of([PointRecord(ok=True, labels=("FLAT",))] * n)
+    names = [name for name, col in block.columns.items()
+             if col.dtype == float]
+    size = sum(block[name].size for name in names)
+    mode = draw(st.sampled_from(("equal", "distinct", "pool")))
+    if mode == "equal":
+        bits = [draw(_BITS)] * size
+    elif mode == "distinct":
+        bits = draw(st.lists(_BITS, min_size=size, max_size=size,
+                             unique=True))
+    else:
+        pool = draw(st.lists(_BITS, min_size=1, max_size=6))
+        bits = draw(st.lists(st.sampled_from(pool), min_size=size,
+                             max_size=size))
+    values = np.array(bits, dtype=np.uint64).view(float)
+    start = 0
+    for name in names:
+        shape = block[name].shape
+        block.columns[name] = values[start:start + block[name].size].reshape(
+            shape)
+        start += block[name].size
+    return block
+
+
+def csv_oracle(records) -> str:
+    """The analyze CSV with each value's own text: ``float.__repr__``
+    for a float."""
+    def cell(value):
+        if value is None:
+            return ""
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        return float.__repr__(value) if isinstance(value, float) else value
+
+    tuples = report._CSV_TUPLES
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([*report._CSV_SCALARS,
+                     *(col for _, cols in tuples for col in cols), "labels"])
+    for rec in records:
+        writer.writerow([*(cell(getattr(rec, name))
+                           for name in report._CSV_SCALARS),
+                         *(float.__repr__(x) for name, _ in tuples
+                           for x in getattr(rec, name)),
+                         ";".join(rec.labels)])
+    return buf.getvalue()
+
+
+@settings(max_examples=40)
+@given(_float_blocks(), st.sampled_from([1, 3, 256]))
+def test_float_texts_are_per_value_reprs(block, block_points):
+    """Each distinct bit pattern of a block is encoded once, and the text
+    is still each value's own ``float.__repr__`` (JSON's names for the
+    non-finite ones), in blocks of any size."""
+    records = rows(block)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(report, "BLOCK_POINTS", block_points)
+        for names in (ANALYZE, CLASSIFY):
+            assert written_block(block, names) == oracle(records, names)
+        got = report._records_csv(block, report._CSV_SCALARS,
+                                  report._CSV_TUPLES)
+    assert got == csv_oracle(records)
