@@ -330,12 +330,9 @@ class Records:
             everywhere -= QUADRIC_LABELS
         return frozenset(everywhere), frozenset().union(*labels)
 
+    @cached_property
     def live(self) -> Records:
         """The records of the evaluated points."""
-        return self._live
-
-    @cached_property
-    def _live(self) -> Records:
         ok = self.columns["ok"]
         return self if ok.all() else self.select(ok)
 
@@ -728,7 +725,7 @@ def theorem_verdict_from_records(theorem_id: str,
             f"unknown theorem id {theorem_id!r}; known: "
             f"{', '.join(theorem_ids())}")
     tau = tol.residual
-    live = records.live()
+    live = records.live
     skipped = len(records) - len(live)
     notes = (f"numerical evidence at tolerance {tau!r} on {len(live)} "
              "sample points; not a proof, and silent beyond the sample")

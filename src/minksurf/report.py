@@ -11,12 +11,12 @@ Records arrive as columns (``gaussmap.Records``), and the summary, the
 verdicts and both writers read the columns.  Both writers encode
 ``BLOCK_POINTS`` rows at a time through one encoder (``_block_texts``):
 the float64 columns of a block are stacked and ``float.__repr__`` runs
-once per distinct bit pattern, and bool and object values are encoded
-one at a time.  The JSON ``points`` block is one
-``%``-template per record layout, compiled from the column shapes and
-filled column by column, with bytes equal to what ``json.dumps(indent=2,
-allow_nan=True)`` writes for the records' dicts.  The rest of a payload
-goes through ``json.dumps`` itself.
+once per distinct bit pattern when enough of them repeat (else once per
+value), and bool and object values are encoded one at a time.  The JSON
+``points`` block is one ``%``-template per record layout, compiled from
+the column shapes and filled column by column, with bytes equal to what
+``json.dumps(indent=2, allow_nan=True)`` writes for the records' dicts.
+The rest of a payload goes through ``json.dumps`` itself.
 
 Every report embeds the sign conventions; the numbers are meaningless
 without them.
@@ -150,7 +150,7 @@ def _stats(values: Sequence[float]) -> dict:
 
 
 def summarize(records: Records) -> dict:
-    live = records.live()
+    live = records.live
     skipped = records["skip_reason"][~records["ok"]].tolist()
     out: dict = {
         "points_total": len(records),
@@ -273,24 +273,33 @@ def _block_texts(block: Records, names: Sequence[str], encode,
     component by component in order; at least one column is float64.
 
     ``float.__repr__`` is a function of a float's bits, so the float64
-    columns are stacked and each distinct bit pattern is encoded once,
-    then looked up in ``rename`` (JSON's non-finite names); keying by
-    bits, never by value, keeps -0.0 apart from 0.0.  Every other
-    column's values go through ``encode`` one at a time."""
-    stacked = np.concatenate([block[name].reshape(len(block), -1)
-                              for name in names
-                              if block[name].dtype == float], axis=1)
-    bits, inverse = np.unique(stacked.view(np.int64), return_inverse=True)
-    distinct = list(map(float.__repr__, bits.view(float).tolist()))
+    columns are stacked and, when at least one value in ten repeats a
+    bit pattern of the block, each distinct pattern is encoded once and
+    its text scattered back; below that share the object array and the
+    gather cost more than the repeats save, and every value is encoded
+    in place.  Texts are then looked up in ``rename`` (JSON's non-finite
+    names).  Keying by bits, never by value, keeps -0.0 apart from 0.0.
+    Every other column's values go through ``encode`` one at a time."""
+    n = len(block)
+    stacked = np.concatenate([block[name].reshape(n, -1) for name in names
+                              if block[name].dtype == float], axis=1).T
+    bits = stacked.view(np.int64)
+    patterns, inverse = np.unique(bits, return_inverse=True)
+    lookup = 10 * (bits.size - len(patterns)) >= bits.size
+    texts = list(map(float.__repr__, (patterns.view(float) if lookup
+                                      else stacked.ravel()).tolist()))
     if rename:
-        distinct = list(map(rename.get, distinct, distinct))
-    table = np.array(distinct, dtype=object)
-    texts = iter(table[inverse.reshape(stacked.shape).T].tolist())
+        texts = list(map(rename.get, texts, texts))
+    if lookup:
+        rows = np.array(texts, dtype=object)[inverse.reshape(bits.shape)]
+        rows = iter(rows.tolist())
+    else:
+        rows = iter([texts[i:i + n] for i in range(0, len(texts), n)])
     out = []
     for name in names:
         col = block[name]
         if col.dtype == float:
-            out.extend(next(texts) for _ in range(col[0].size))
+            out.extend(next(rows) for _ in range(col[0].size))
         else:
             out.extend(list(map(encode, values))
                        for values in block.lists(name))

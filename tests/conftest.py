@@ -81,7 +81,7 @@ def grid_geometry(spec: sf.SurfaceSpec, nu: int, nv: int) -> ge.PointGeometry:
 def route_agreement(spec: sf.SurfaceSpec, grid: tuple[int, int]) -> float:
     """Max over the evaluated points of an order-3 grid of the
     normalized distance between the two Gauss map Laplacian routes."""
-    live = gm.evaluate_grid(spec, grid).live()
+    live = gm.evaluate_grid(spec, grid).live
     return max(live["residual_route"].tolist(), default=0.0)
 
 

@@ -82,7 +82,7 @@ def test_each_point_in_a_mixed_block_gets_its_own_reason(order, monkeypatch):
     # names one row; each record equals the point's record on its own.
     spec = sf.parse_surface(MIXED_FILE.read_text())
     clean = gm.evaluate_grid(spec, (15, 15), order)
-    bad_u = clean.live()["u"][0]
+    bad_u = clean.live["u"][0]
     real = gm.laplacian_gauss_formula
 
     def failing_on_one_row(pg):

@@ -123,7 +123,7 @@ def test_label_logic(surface, tau):
     tol = ge.Tolerances(residual=tau)
     spec = sf.catalog_lookup(name, params)
     records = gm.evaluate_grid(spec, (3, 3), 3, tol)
-    live = records.live()
+    live = records.live
     for causal, labels in zip(live["H_causal"], live["labels"]):
         labels = set(labels)
         assert (causal == "ZERO") == ("MAXIMAL" in labels)

@@ -278,9 +278,10 @@ def csv_oracle(records) -> str:
 @settings(max_examples=40)
 @given(_float_blocks(), st.sampled_from([1, 3, 256]))
 def test_float_texts_are_per_value_reprs(block, block_points):
-    """Each distinct bit pattern of a block is encoded once, and the text
-    is still each value's own ``float.__repr__`` (JSON's names for the
-    non-finite ones), in blocks of any size."""
+    """Whether each distinct bit pattern of a block is encoded once (the
+    equal and pooled blocks) or every value in place (the all-distinct
+    ones), the text is each value's own ``float.__repr__`` (JSON's names
+    for the non-finite ones), in blocks of any size."""
     records = rows(block)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(report, "BLOCK_POINTS", block_points)
