@@ -93,7 +93,9 @@ class GaussLaplacianDecomposition:
     where grad_beta = sum_i e_i(trace A_beta) e_i.  The residuals are
     Euclidean norms over the six bivector components of the direct
     route: residual_first_kind = |direct - h_sq * nu|, residual_harmonic
-    = |direct|.
+    = |direct|.  f_estimate is f identified by projection, f = -<direct,
+    nu> with the indefinite bivector product, independent of reading off
+    the h_sq coefficient.
     """
 
     nu: np.ndarray
@@ -106,6 +108,7 @@ class GaussLaplacianDecomposition:
     residual_first_kind: float
     residual_harmonic: float
     residual_route: float
+    f_estimate: float
 
 
 def laplacian_gauss_formula(pg: PointGeometry,
@@ -154,18 +157,15 @@ def laplacian_gauss_formula(pg: PointGeometry,
         c_nu=pg.h_sq, c_norm=2.0 * pg.RD,
         grad_trA3=grad3, grad_trA4=grad4,
         residual_first_kind=first_kind, residual_harmonic=harmonic,
-        residual_route=route)
+        residual_route=route,
+        f_estimate=-la.bivector_inner(direct, nu_vals))
 
 
 def first_kind_residuals(decomp: GaussLaplacianDecomposition,
                          ) -> tuple[float, float, float]:
-    """(first-kind residual, harmonic residual, f estimate).
-
-    f is identified by projection, f = -<direct, nu> with the indefinite
-    bivector product, independent of reading off the h_sq coefficient.
-    """
-    f_estimate = -la.bivector_inner(decomp.direct, decomp.nu)
-    return decomp.residual_first_kind, decomp.residual_harmonic, f_estimate
+    """(first-kind residual, harmonic residual, f estimate)."""
+    return (decomp.residual_first_kind, decomp.residual_harmonic,
+            decomp.f_estimate)
 
 
 def _lemma42(pg: PointGeometry):
@@ -260,7 +260,9 @@ def _objects(values: list) -> np.ndarray:
 
 class Records:
     """The records of a sequence of grid points, one numpy column per
-    ``PointRecord`` field, with one row per point.
+    ``PointRecord`` field, with one row per point, and ``tol``, the
+    tolerances they were evaluated at; the verdicts judge a block at its
+    own ``tol``.
 
     A field's default fixes its column: a float, or a non-empty tuple of
     floats, gives a float64 column of shape (n,) or (n, k); a bool gives
@@ -272,11 +274,13 @@ class Records:
     ``label_extent``) is computed once per block and kept.
     """
 
-    def __init__(self, columns: dict[str, np.ndarray]):
+    def __init__(self, columns: dict[str, np.ndarray], tol: Tolerances):
         self.columns = columns
+        self.tol = tol
 
     @staticmethod
-    def of(rows: Sequence[PointRecord]) -> Records:
+    def of(rows: Sequence[PointRecord],
+           tol: Tolerances = DEFAULT_TOLERANCES) -> Records:
         """The block holding ``rows``, in order."""
         n = len(rows)
 
@@ -290,7 +294,7 @@ class Records:
             return _objects(values)
 
         return Records({f.name: column(f)
-                        for f in dataclasses.fields(PointRecord)})
+                        for f in dataclasses.fields(PointRecord)}, tol)
 
     def __len__(self) -> int:
         return len(self.columns["ok"])
@@ -300,13 +304,17 @@ class Records:
 
     @staticmethod
     def join(blocks: Sequence[Records]) -> Records:
-        """The rows of each block in turn."""
+        """The rows of each block in turn; the blocks share one ``tol``."""
+        tol = blocks[0].tol
+        if any(b.tol != tol for b in blocks):
+            raise ValueError("blocks evaluated at different tolerances")
         return Records({name: np.concatenate([b[name] for b in blocks])
-                        for name in blocks[0].columns})
+                        for name in blocks[0].columns}, tol)
 
     def select(self, rows) -> Records:
         """The records at ``rows``: a slice, row indices or a row mask."""
-        return Records({name: col[rows] for name, col in self.columns.items()})
+        return Records({name: col[rows] for name, col in self.columns.items()},
+                       self.tol)
 
     def lists(self, name: str) -> list[list]:
         """A column as Python lists, one per component of its field;
@@ -376,61 +384,42 @@ def _failure(err: Exception, n: int) -> tuple[np.ndarray, str]:
     return failed.reshape(-1, n).any(axis=0), reason
 
 
-def _columns(pg: PointGeometry) -> dict:
-    # every numeric record field of the points of pg but bilaplacian_norm,
-    # as per-point values (a tuple of them for tuple fields)
-    decomp = laplacian_gauss_formula(pg)
-    rfk, rharm, f_est = first_kind_residuals(decomp)
-    h = pg._h.value()
-    E, F, G = pg.metric_jets
-    cols = {
-        "g": (E.value(), F.value(), G.value()),
-        "x": tuple(pg.x_values),
-        "position_inner": pg.position_inner,
-        "nu": tuple(pg.nu),
-        "omega12": pg.omega12, "omega34": pg.omega34,
-        "h3": tuple(h[0]), "h4": tuple(h[1]),  # ij = 11, 12, 22
-        "H": tuple(pg.H),
-        "H_inner": pg.H_inner,
-        "H_norm_euclid": pg.H_norm_euclid,
-        "h_sq": pg.h_sq,
-        "K": (pg.K_gauss, pg.K_formula, pg.K_intrinsic),
-        "RD": pg.RD,
-        "laplacian_x": tuple(pg.laplacian_x),
-        "dnu_direct": tuple(decomp.direct),
-        "dnu_formula": tuple(decomp.formula),
-        "c_nu": decomp.c_nu, "c_norm": decomp.c_norm,
-        "grad_trA3": decomp.grad_trA3, "grad_trA4": decomp.grad_trA4,
-        "residual_frame": pg.residual_frame,
-        "residual_codazzi": pg.residual_codazzi,
-        "residual_parallel_H": pg.residual_parallel_H,
-        "residual_beltrami": pg.residual_beltrami,
-        "residual_route": decomp.residual_route,
-        "residual_first_kind": rfk,
-        "residual_harmonic": rharm,
-        "f_estimate": f_est,
-    }
-    return cols
-
-
 def _live_block(pg: PointGeometry, full: Optional[PointGeometry],
                 ) -> tuple[Records, np.ndarray]:
     # The records of the points of pg, which all have a space-like
     # metric, and which of them hold only finite values; full, the same
-    # points at order 4, gives bilaplacian_norm.
+    # points at order 4, gives bilaplacian_norm.  Every value has the
+    # point axis last, so a column is its transpose, laid out by rows.
     us, vs = pg.base
     n = len(us)
-
-    def per_point(x) -> np.ndarray:
-        return np.broadcast_to(x, (n,))
-
-    cols = {name: (np.stack([per_point(x) for x in col], axis=1)
-                   if isinstance(col, tuple) else np.array(per_point(col)))
-            for name, col in _columns(pg).items()}
+    d = laplacian_gauss_formula(pg)
+    h = pg._h.value()
+    values = {
+        "g": [j.value() for j in pg.metric_jets],
+        "x": pg.x_values, "position_inner": pg.position_inner, "nu": pg.nu,
+        "omega12": pg.omega12, "omega34": pg.omega34,
+        "h3": h[0], "h4": h[1],  # ij = 11, 12, 22
+        "H": pg.H, "H_inner": pg.H_inner, "H_norm_euclid": pg.H_norm_euclid,
+        "h_sq": pg.h_sq,
+        "K": [pg.K_gauss, pg.K_formula, pg.K_intrinsic], "RD": pg.RD,
+        "laplacian_x": pg.laplacian_x,
+        "dnu_direct": d.direct, "dnu_formula": d.formula,
+        "c_nu": d.c_nu, "c_norm": d.c_norm,
+        "grad_trA3": d.grad_trA3, "grad_trA4": d.grad_trA4,
+        "residual_frame": pg.residual_frame,
+        "residual_codazzi": pg.residual_codazzi,
+        "residual_parallel_H": pg.residual_parallel_H,
+        "residual_beltrami": pg.residual_beltrami,
+        "residual_route": d.residual_route,
+        "residual_first_kind": d.residual_first_kind,
+        "residual_harmonic": d.residual_harmonic,
+        "f_estimate": d.f_estimate,
+    }
     if full is not None:
-        cols["bilaplacian_norm"] = per_point(
-            la.euclid_norm(full.bilaplacian_x))
-    lemma_applies, lemma = (per_point(x) for x in _lemma42(pg))
+        values["bilaplacian_norm"] = la.euclid_norm(full.bilaplacian_x)
+    cols = {name: np.ascontiguousarray(np.transpose(x))
+            for name, x in values.items()}
+    lemma_applies, lemma = _lemma42(pg)
     finite = np.logical_and.reduce(
         [np.isfinite(col).reshape(n, -1).all(axis=1) for col in cols.values()]
         + [~lemma_applies | np.isfinite(lemma)])
@@ -438,13 +427,19 @@ def _live_block(pg: PointGeometry, full: Optional[PointGeometry],
     cols.update(
         u=us, v=vs, ok=np.ones(n, dtype=bool),
         skip_reason=_objects([None] * n),
-        H_causal=_objects([c.name for c in per_point(pg.H_causal)]),
+        H_causal=_objects([c.name for c in pg.H_causal]),
         lemma42=_objects([x if applies else None for x, applies
                           in zip(lemma.tolist(), lemma_applies.tolist())]),
         bilaplacian_norm=_objects([None] * n if bilaplacian is None
                                   else bilaplacian.tolist()),
         labels=_objects([tuple(sorted(labels)) for labels in pg.classify()]))
-    return Records(cols), finite
+    return Records(cols, pg.tol), finite
+
+
+def _skipped_rows(n: int, tol: Tolerances) -> Records:
+    # n rows that each repeat PointRecord()'s
+    return Records({name: col[np.zeros(n, dtype=int)]
+                    for name, col in _SKIPPED_ROW.columns.items()}, tol)
 
 
 def evaluate_batch(spec: SurfaceSpec, points: Sequence[tuple[float, float]],
@@ -459,14 +454,15 @@ def evaluate_batch(spec: SurfaceSpec, points: Sequence[tuple[float, float]],
     skips the points it names (``jets.JetError.points``; a float error in
     a constant subexpression names them all), and the batch runs again
     without them, so each point gets the reason it would get alone.
-    numpy floating-point warnings are silenced for the batch.
+    numpy floating-point warnings are silenced for the batch.  The block
+    carries ``tol``.
     """
     n = len(points)
     us = np.array([float(u) for u, _ in points])
     vs = np.array([float(v) for _, v in points])
     reasons = np.full(n, None, dtype=object)
     live = np.arange(n)
-    block, finite = _SKIPPED_ROW.select(slice(0, 0)), np.ones(0, dtype=bool)
+    block, finite = _skipped_rows(0, tol), np.ones(0, dtype=bool)
     # Each pass runs the live points as one batch and restarts without the
     # points it skips, so a mask names points of the batch that raised it.
     with np.errstate(all="ignore"):
@@ -491,7 +487,7 @@ def evaluate_batch(spec: SurfaceSpec, points: Sequence[tuple[float, float]],
         return block
     # a non-finite value makes its point an overflow skip
     reasons[live[~finite]] = "overflow"
-    rows = _SKIPPED_ROW.select(np.zeros(n, dtype=int))
+    rows = _skipped_rows(n, tol)
     for name, col in block.columns.items():
         rows[name][live[finite]] = col[finite]
     rows.columns.update(u=us, v=vs, skip_reason=reasons)
@@ -574,11 +570,12 @@ def _constancy(values: Sequence[float]) -> tuple[bool, float]:
 def _side(description: str, name: str, label: Optional[str] = None,
           component: Optional[int] = None):
     # the side with residual max |column| (or |one component|); it passes
-    # where the label holds everywhere, or with no label where max <= tol
-    def check(recs, tau):
+    # where the label holds everywhere, or with no label where max <= the
+    # records' tolerance
+    def check(recs):
         col = recs[name] if component is None else recs[name][:, component]
         worst = max(map(abs, col.tolist()))
-        passes = (worst <= tau if label is None
+        passes = (worst <= recs.tol.residual if label is None
                   else label in recs.label_extent[0])
         return SideResult(description, passes, worst)
     return check
@@ -595,15 +592,15 @@ _check_parallel = _side("parallel mean curvature vector (max |DH|)",
                         "residual_parallel_H", "PARALLEL-H")
 
 
-def _check_global_first_kind(recs, tau):
+def _check_global_first_kind(recs):
     worst = max(recs["residual_first_kind"].tolist())
     const, sd = _constancy(recs["f_estimate"].tolist())
     return SideResult("global first-kind: pointwise first-kind with "
-                      "grid-constant f", worst <= tau and const,
+                      "grid-constant f", worst <= recs.tol.residual and const,
                       max(worst, sd))
 
 
-def _check_lightlike_H(recs, tau):
+def _check_lightlike_H(recs):
     ok = "MARGINALLY-TRAPPED" in recs.label_extent[0]
     worst = max(abs(inner) / (1.0 + norm ** 2) for inner, norm
                 in zip(recs["H_inner"].tolist(),
@@ -612,14 +609,14 @@ def _check_lightlike_H(recs, tau):
                       ok, worst)
 
 
-def _check_K_constant(recs, tau):
+def _check_K_constant(recs):
     const, sd = _constancy(recs["K"][:, 0].tolist())
     return SideResult("grid-constant Gaussian curvature", const, sd)
 
 
 def _and(*checks):
-    def combined(recs, tau):
-        parts = [c(recs, tau) for c in checks]
+    def combined(recs):
+        parts = [c(recs) for c in checks]
         return SideResult(" AND ".join(p.description for p in parts),
                           all(p.passes for p in parts),
                           max(p.residual for p in parts))
@@ -627,8 +624,8 @@ def _and(*checks):
 
 
 def _or(*checks):
-    def combined(recs, tau):
-        parts = [c(recs, tau) for c in checks]
+    def combined(recs):
+        parts = [c(recs) for c in checks]
         best = min(parts, key=lambda p: p.residual)
         return SideResult(" OR ".join(p.description for p in parts),
                           any(p.passes for p in parts), best.residual)
@@ -717,14 +714,15 @@ def theorem_ids() -> tuple[str, ...]:
 def theorem_verdict_from_records(theorem_id: str,
                                  records: Records,
                                  surface_name: str = "",
-                                 tol: Tolerances = DEFAULT_TOLERANCES,
                                  ) -> TheoremVerdict:
+    """The verdict of one registry entry on ``records``, judged at the
+    tolerance they were evaluated at (``records.tol``)."""
     entry = THEOREMS.get(theorem_id)
     if entry is None:
         raise UnknownTheorem(
             f"unknown theorem id {theorem_id!r}; known: "
             f"{', '.join(theorem_ids())}")
-    tau = tol.residual
+    tau = records.tol.residual
     live = records.live
     skipped = len(records) - len(live)
     notes = (f"numerical evidence at tolerance {tau!r} on {len(live)} "
@@ -739,8 +737,8 @@ def theorem_verdict_from_records(theorem_id: str,
         everywhere, somewhere = live.label_extent
         met = label is None or (label in everywhere if held
                                 else label not in somewhere)
-        side_a = entry.side_a(live, tau)
-        side_b = entry.side_b(live, tau)
+        side_a = entry.side_a(live)
+        side_b = entry.side_b(live)
     # A failed premise makes the statement say nothing here, so the
     # sample cannot contradict it.
     return TheoremVerdict(

@@ -230,7 +230,7 @@ class PointGeometry:
         # a1 x_u, a2 x_u and b2 x_v; e1 is the first, e2 the sum of the others
         p = jt.stack([a1, a2, b2])[None] * self._partials[:, [0, 0, 1]]
         e1, e2 = p[:, 0], p[:, 1] + p[:, 2]
-        e3, e4, nu = la.normal_frame(e1, e2, jt.sqrt)
+        e3, e4, nu = la.normal_frame(e1, e2)
         return Frame(e=(e1, e2, e3, e4), a=(a1, a2), b=(b1, b2), nu=nu)
 
     @cached_property

@@ -14,9 +14,9 @@ values, or groups of vectors handled together), so each function below
 is one array or jet product whatever the number of components.  A
 function takes stacks and returns a stack or a per-point value; none
 mutates its inputs.  The norms and the causal classification take
-float arrays.  The normal frame construction takes a square root
-function, so the geometry layer runs the identical construction on
-jets.
+float arrays.  The normal frame construction takes either kind and
+picks its stack and square root from it, so the geometry layer runs
+the identical construction on jets.
 
 Jet products are not commutative to the bit (the Cauchy terms of
 ``a * b`` are added in the order of a's coefficients), so every product
@@ -159,19 +159,20 @@ def contract(x, b):
     return inner * _signs(inner, -1.0, -1.0, 1.0, 1.0)
 
 
-def normal_frame(e1, e2, sqrt=np.sqrt):
+def normal_frame(e1, e2):
     """(e3, e4, nu) for an orthonormal space-like tangent pair (e1, e2).
 
     The time axis t splits as t_T + t_N with t_T space-like, so
     <t_N, t_N> = -1 - |t_T|^2 <= -1 and e4 = t_N / |t_N| never
     degenerates.  With nu = star(e1 ^ e2) and e3 = iota_{e4} nu, the
     pair is orthonormal with e3 ^ e4 = nu by construction.  The stacks
-    may be float arrays or jets; sqrt must match them.
+    may be float arrays or jets.
     """
     a, b = e1[0], e2[0]
     # t_N = t - <t, e1> e1 - <t, e2> e2, and <t, e_i> = -e_i[0]
     t_n = a[None] * e1 + b[None] * e2
-    stack = jt.stack if isinstance(t_n, Jet) else np.stack
+    stack, sqrt = ((jt.stack, jt.sqrt) if isinstance(t_n, Jet)
+                   else (np.stack, np.sqrt))
     t_n = stack([t_n[0] + 1.0, t_n[1], t_n[2], t_n[3]])
     e4 = (1.0 / sqrt(1.0 + a * a + b * b))[None] * t_n
     nu = hodge_dual(wedge(e1, e2))

@@ -400,8 +400,7 @@ def _grid_report(cfg: RunConfig) -> RunResult:
     only) or verify (the verdict in place of the records)."""
     spec = resolve_surface(cfg)
     records = evaluate_records(spec, cfg)
-    summary = summarize(records)
-    exit_code = 3 if summary["points_evaluated"] == 0 else 0
+    exit_code = 0 if records["ok"].any() else 3
     labels_only = cfg.command == "classify"
     if cfg.fmt == "csv":
         if labels_only:
@@ -419,7 +418,7 @@ def _grid_report(cfg: RunConfig) -> RunResult:
     }
     if cfg.command == "verify":
         verdict = theorem_verdict_from_records(cfg.theorem, records,
-                                               spec.name, cfg.tol)
+                                               spec.name)
         payload["verdict"] = dataclasses.asdict(verdict)
         if exit_code == 0 and not verdict.consistent:
             exit_code = 1
@@ -428,7 +427,7 @@ def _grid_report(cfg: RunConfig) -> RunResult:
     else:
         payload["points"] = _points_json(
             records, tuple(f.name for f in dataclasses.fields(PointRecord)))
-    payload["summary"] = summary
+    payload["summary"] = summarize(records)
     return RunResult(text=_to_json(payload), exit_code=exit_code)
 
 

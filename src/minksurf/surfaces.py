@@ -234,7 +234,7 @@ def serialize_surface(spec: SurfaceSpec) -> str:
 class _CatalogEntry:
     name: str
     components: tuple[str, str, str, str]
-    float_params: tuple[tuple[str, Optional[float]], ...] = ()
+    float_params: tuple[tuple[str, float], ...] = ()
     # each is a whole component, spliced verbatim, e.g. the graph height
     expr_params: tuple[str, ...] = ()
     domain: Domain = DEFAULT_DOMAIN
@@ -381,12 +381,8 @@ def catalog_lookup(name: str,
 
     bound: dict[str, float] = {}
     for pname, default in entry.float_params:
-        if pname in supplied:
-            bound[pname] = float(supplied.pop(pname))
-        elif default is not None:
-            bound[pname] = default
-        else:
-            raise MissingParameter(f"surface {name!r} requires parameter {pname!r}")
+        bound[pname] = (float(supplied.pop(pname)) if pname in supplied
+                        else default)
     if supplied:
         raise ValueError(
             f"surface {name!r} does not take parameter(s) {sorted(supplied)}")

@@ -98,8 +98,7 @@ def test_criterion_5_negative_controls_and_mutations():
     recs = rows(block)
     controls = (min(r.residual_first_kind for r in recs) > 1e-3
                 and min(r.residual_parallel_H for r in recs) > 1e-3)
-    verdict = gm.theorem_verdict_from_records("T4.4", block, "graph",
-                                              ge.DEFAULT_TOLERANCES)
+    verdict = gm.theorem_verdict_from_records("T4.4", block, "graph")
     both_fail = (verdict.consistent and not verdict.side_a.passes
                  and not verdict.side_b.passes)
     # catalog members are all flat-normal-bundle, so the harness adds one

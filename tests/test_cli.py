@@ -318,9 +318,8 @@ class TestClassify:
                            position_inner=1.0 + (-1) ** i * delta,
                            labels=("IN-S31",))
             for i in range(8)])
-        tol = report.DEFAULT_TOLERANCES
         summary = report.summarize(records)
-        verdict = gm.theorem_verdict_from_records("T3.9", records, tol=tol)
+        verdict = gm.theorem_verdict_from_records("T3.9", records)
         assert summary["position_inner_constant"] is constant
         assert ("IN-S31" in summary["labels_everywhere"]) is constant
         assert verdict.premise_met is constant
@@ -346,8 +345,8 @@ class TestVerify:
         # split verdict to pin the exit-code contract
         real = gm.theorem_verdict_from_records
 
-        def rigged(tid, records, surface_name="", tol=None):
-            v = real(tid, records, surface_name, tol)
+        def rigged(tid, records, surface_name=""):
+            v = real(tid, records, surface_name)
             a = gm.SideResult(v.side_a.description, True, 0.0)
             b = gm.SideResult(v.side_b.description, False, 1.0)
             import dataclasses
@@ -430,6 +429,7 @@ class TestUsageErrors:
          "--domain=-1e308,1e308,0,1"],
         ["classify", "--catalog", "plane", "--grid", "2x2",
          "--domain=0,1,-1e308,1e308"],
+        ["analyze", "--catalog", "plane", "--domain", "a,b,c,d"],
     ])
     def test_exit_2_with_stderr_message(self, argv, capsys):
         with time_limit(30.0):
@@ -468,7 +468,28 @@ class TestUsageErrors:
          "(line 2, column 406)"),
         ("domain = [-1e308,1e308]x[0,1]\nx1 = 0; x2 = u; x3 = v; x4 = 0",
          "(line 1, column 10)"),
-    ], ids=["deep-component", "overflowing-domain"])
+        ("x2 = u; x1 0; x3 = v; x4 = 0", "(line 1, column 9)"),
+        ("x2 = u; x1 = ; x3 = v; x4 = 0", "(line 1, column 9)"),
+        ("x1 = 0; x2 = u\nparam a b = 1\nx3 = v; x4 = 0",
+         "(line 2, column 1)"),
+        ("param a = 1\nparam a = 2\nx1 = a; x2 = u; x3 = v; x4 = 0",
+         "(line 2, column 1)"),
+        ("param a = one\nx1 = 0; x2 = u; x3 = v; x4 = 0",
+         "(line 1, column 11)"),
+        ("domain = [0,1]\nx1 = 0; x2 = u; x3 = v; x4 = 0",
+         "(line 1, column 10)"),
+        ("domain = [1,0]x[0,1]\nx1 = 0; x2 = u; x3 = v; x4 = 0",
+         "(line 1, column 10)"),
+        ("x1 = 0; x1 = 0; x2 = u; x3 = v; x4 = 0", "(line 1, column 9)"),
+        ("x1 = 0; x2 = u; x3 = v; x4 = 0; colour = red",
+         "(line 1, column 33)"),
+        ("x1 = sin u; x2 = u; x3 = v; x4 = 0", "(line 1, column 6)"),
+        ("x1 = sin(u; x2 = u; x3 = v; x4 = 0", "(line 1, column 11)"),
+    ], ids=["deep-component", "overflowing-domain", "no-equals",
+            "missing-value", "malformed-param", "duplicate-param",
+            "param-not-a-number", "domain-one-interval", "empty-domain",
+            "duplicate-component", "unknown-key", "bare-function-argument",
+            "unclosed-parenthesis"])
     def test_surface_file_error_names_its_position(self, text, position,
                                                   tmp_path, capsys):
         f = tmp_path / "s.surf"

@@ -230,6 +230,24 @@ class TestRecords:
         assert r.bilaplacian_norm is None
         assert r.residual_route <= 1e-10
 
+    def test_every_block_carries_its_tolerance(self):
+        # live, partly skipped, wholly skipped and empty blocks alike
+        tol = ge.Tolerances(1e-4)
+        mixed = sf.parse_surface(MIXED_FILE.read_text())
+        degenerate = sf.parse_surface("x1 = u ; x2 = v ; x3 = u ; x4 = 0")
+        points = sf.cell_centers(mixed.domain, 5, 5)
+        blocks = [gm.evaluate_batch(spec, pts, 3, tol) for spec, pts in (
+            (build("plane", {}), points), (mixed, points),
+            (degenerate, points), (mixed, []))]
+        live, partly, skipped, empty = blocks
+        assert live["ok"].all() and not skipped["ok"].any()
+        assert 0 < partly["ok"].sum() < len(points) and len(empty) == 0
+        joined = gm.Records.join(blocks)
+        for block in (*blocks, joined, joined.live, joined.select([0, 30])):
+            assert block.tol == tol
+        with pytest.raises(ValueError, match="tolerances"):
+            gm.Records.join([live, gm.Records.of([])])
+
     def test_order_four_populates_bilaplacian(self):
         r = gm.evaluate_point(build("type-i", {"b": 0.0}), 0.4, -0.3, order=4)
         assert r.bilaplacian_norm is not None

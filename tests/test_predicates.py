@@ -131,8 +131,7 @@ def test_label_logic(surface, tau):
         if "TOTALLY-UMBILICAL" in labels:
             assert "PSEUDO-UMBILICAL" in labels
     for theorem_id in gm.theorem_ids():
-        verdict = gm.theorem_verdict_from_records(theorem_id, records,
-                                                  name, tol)
+        verdict = gm.theorem_verdict_from_records(theorem_id, records, name)
         assert verdict.premise_met == _premise_statement(theorem_id, live), \
             theorem_id
 

@@ -152,15 +152,20 @@ def _log_graph():
 def test_records_of_matches_an_evaluated_block(order):
     """``Records.of`` lays out columns as ``evaluate_batch`` does: the
     same dtype and shape, and the same repr of every value, so -0.0 and
-    None count."""
-    block = gm.evaluate_grid(_log_graph(), (6, 5), order=order)
-    assert not block["ok"].all()
-    built = gm.Records.of(rows(block))
-    assert built.columns.keys() == block.columns.keys()
-    for name, col in block.columns.items():
-        other = built[name]
-        assert (other.dtype, other.shape) == (col.dtype, col.shape), name
-        assert list(map(repr, other.tolist())) == list(map(repr, col.tolist()))
+    None count.  The log graph's block has skipped rows; example52's is
+    all live, so it is the builder's own block, as it returns it."""
+    example52 = sf.catalog_lookup("example52")
+    for spec, live in ((_log_graph(), False), (example52, True)):
+        points = sf.cell_centers(spec.domain, 6, 5)
+        block = gm.evaluate_batch(spec, points, order=order)
+        assert block["ok"].all() == live
+        built = gm.Records.of(rows(block))
+        assert built.columns.keys() == block.columns.keys()
+        for name, col in block.columns.items():
+            other = built[name]
+            assert (other.dtype, other.shape) == (col.dtype, col.shape), name
+            assert (list(map(repr, other.tolist()))
+                    == list(map(repr, col.tolist())))
 
 
 def test_empty_block_has_the_default_widths():

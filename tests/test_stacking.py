@@ -154,7 +154,7 @@ def test_hodge_dual(order, batch, seed):
 def test_normal_frame(order, batch, seed):
     parts = random_jets(np.random.default_rng(seed), order, batch, 8)
     for (p, stack), sqrt in zip(kinds(parts), (jt.sqrt, np.sqrt)):
-        got = la.normal_frame(stack[:4], stack[4:], sqrt)
+        got = la.normal_frame(stack[:4], stack[4:])
         for g, want in zip(got, normal_frame(p[:4], p[4:], sqrt)):
             assert same_bytes(g, want)
 

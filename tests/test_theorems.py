@@ -19,7 +19,7 @@ from conftest import build
 def verdict(tid, name, params=None, grid=(5, 5)):
     spec = build(name, params or {})
     return gm.theorem_verdict_from_records(
-        tid, gm.evaluate_grid(spec, grid), spec.name, ge.DEFAULT_TOLERANCES)
+        tid, gm.evaluate_grid(spec, grid), spec.name)
 
 
 class TestRegistry:
@@ -122,6 +122,17 @@ class TestFromRecords:
                                             surface_name="none")
         assert v.vacuous and v.consistent
         assert v.points == 0
+
+    def test_judged_at_the_records_tolerance(self):
+        # premise, sides, tolerance and notes all read the tolerance the
+        # records were evaluated at: |H| = 2 sqrt(2) 1e-6 is maximal at
+        # 1e-4 only
+        spec = build("graph", {"phi": "1e-6*(u^2+v^2)"})
+        for tau, maximal in ((1e-4, True), (1e-8, False)):
+            recs = gm.evaluate_grid(spec, (3, 3), 3, ge.Tolerances(tau))
+            v = gm.theorem_verdict_from_records("T3.4", recs, spec.name)
+            assert v.tolerance == tau and repr(tau) in v.notes
+            assert v.premise_met is maximal and v.consistent
 
     def test_skipped_points_counted(self):
         mixed = sf.parse_surface(
