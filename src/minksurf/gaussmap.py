@@ -279,9 +279,9 @@ class Records:
         self.tol = tol
 
     @staticmethod
-    def of(rows: Sequence[PointRecord],
-           tol: Tolerances = DEFAULT_TOLERANCES) -> Records:
-        """The block holding ``rows``, in order."""
+    def of(rows: Sequence[PointRecord]) -> Records:
+        """The block holding ``rows``, in order, at the default
+        tolerances."""
         n = len(rows)
 
         def column(f):
@@ -294,7 +294,8 @@ class Records:
             return _objects(values)
 
         return Records({f.name: column(f)
-                        for f in dataclasses.fields(PointRecord)}, tol)
+                        for f in dataclasses.fields(PointRecord)},
+                       DEFAULT_TOLERANCES)
 
     def __len__(self) -> int:
         return len(self.columns["ok"])
@@ -304,12 +305,10 @@ class Records:
 
     @staticmethod
     def join(blocks: Sequence[Records]) -> Records:
-        """The rows of each block in turn; the blocks share one ``tol``."""
-        tol = blocks[0].tol
-        if any(b.tol != tol for b in blocks):
-            raise ValueError("blocks evaluated at different tolerances")
+        """The rows of each block in turn, at the first block's ``tol``
+        (``evaluate_grid`` evaluates every block at one)."""
         return Records({name: np.concatenate([b[name] for b in blocks])
-                        for name in blocks[0].columns}, tol)
+                        for name in blocks[0].columns}, blocks[0].tol)
 
     def select(self, rows) -> Records:
         """The records at ``rows``: a slice, row indices or a row mask."""
@@ -389,7 +388,8 @@ def _live_block(pg: PointGeometry, full: Optional[PointGeometry],
     # The records of the points of pg, which all have a space-like
     # metric, and which of them hold only finite values; full, the same
     # points at order 4, gives bilaplacian_norm.  Every value has the
-    # point axis last, so a column is its transpose, laid out by rows.
+    # point axis last, so a column is a row-layout copy of its transpose
+    # (always a copy, so that no column keeps a larger array alive).
     us, vs = pg.base
     n = len(us)
     d = laplacian_gauss_formula(pg)
@@ -417,8 +417,7 @@ def _live_block(pg: PointGeometry, full: Optional[PointGeometry],
     }
     if full is not None:
         values["bilaplacian_norm"] = la.euclid_norm(full.bilaplacian_x)
-    cols = {name: np.ascontiguousarray(np.transpose(x))
-            for name, x in values.items()}
+    cols = {name: np.transpose(x).copy() for name, x in values.items()}
     lemma_applies, lemma = _lemma42(pg)
     finite = np.logical_and.reduce(
         [np.isfinite(col).reshape(n, -1).all(axis=1) for col in cols.values()]

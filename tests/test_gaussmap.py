@@ -245,8 +245,6 @@ class TestRecords:
         joined = gm.Records.join(blocks)
         for block in (*blocks, joined, joined.live, joined.select([0, 30])):
             assert block.tol == tol
-        with pytest.raises(ValueError, match="tolerances"):
-            gm.Records.join([live, gm.Records.of([])])
 
     def test_order_four_populates_bilaplacian(self):
         r = gm.evaluate_point(build("type-i", {"b": 0.0}), 0.4, -0.3, order=4)
