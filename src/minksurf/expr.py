@@ -32,8 +32,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -91,8 +90,7 @@ class ArityError(ParseError):
 _OPS = "+-*/^(),"
 
 
-@dataclass(frozen=True, slots=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "number" | "ident" | one of _OPS | "end"
     text: str
     line: int

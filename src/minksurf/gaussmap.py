@@ -35,12 +35,9 @@ on the full jets computes Delta^2 x alone.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-import statistics
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -83,8 +80,7 @@ TERM_NAMES = ("nu", "normal_curvature", "grad_trace3", "grad_trace4",
 QUADRIC_LABELS = frozenset({"IN-S31", "IN-H3", "IN-LIGHTCONE"})
 
 
-@dataclass(frozen=True)
-class GaussLaplacianDecomposition:
+class GaussLaplacianDecomposition(NamedTuple):
     """Both routes to the Gauss map Laplacian at one point, with the
     structural route recorded term group by term group.
 
@@ -203,8 +199,7 @@ def lemma42_residual(pg: PointGeometry):
 
 # -- records ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PointRecord:
+class PointRecord(NamedTuple):
     """Flat snapshot of everything computed at one grid point: one row
     of a ``Records`` block.
 
@@ -284,17 +279,17 @@ class Records:
         tolerances."""
         n = len(rows)
 
-        def column(f):
-            values = [getattr(row, f.name) for row in rows]
-            if isinstance(f.default, bool):
+        def column(name, default):
+            values = [getattr(row, name) for row in rows]
+            if isinstance(default, bool):
                 return np.array(values, dtype=bool)
-            if isinstance(f.default, (float, tuple)) and f.default != ():
+            if isinstance(default, (float, tuple)) and default != ():
                 return np.array(values, dtype=float).reshape(
-                    n, *np.shape(f.default))
+                    n, *np.shape(default))
             return _objects(values)
 
-        return Records({f.name: column(f)
-                        for f in dataclasses.fields(PointRecord)},
+        return Records({name: column(name, default) for name, default
+                        in PointRecord._field_defaults.items()},
                        DEFAULT_TOLERANCES)
 
     def __len__(self) -> int:
@@ -513,15 +508,13 @@ def evaluate_grid(spec: SurfaceSpec, grid: tuple[int, int] = (7, 7),
 
 # -- theorem verdicts -----------------------------------------------------
 
-@dataclass(frozen=True)
-class SideResult:
+class SideResult(NamedTuple):
     description: str
     passes: bool
     residual: float
 
 
-@dataclass(frozen=True)
-class TheoremVerdict:
+class TheoremVerdict(NamedTuple):
     """Grid-sampled consistency report for one registered equivalence.
 
     consistent means both sides pass or both fail on the sample; that is
@@ -545,16 +538,45 @@ class TheoremVerdict:
 
 
 def _mean(values: Sequence[float]) -> float:
-    """statistics.fmean, bit for bit, where it returns.  Its sum can leave
-    the float range although the mean of finite values cannot; then the
-    n values are scaled by 2^-k < 1/n, which keeps their sum in range,
-    and the mean is scaled back."""
+    """fsum / n, which is statistics.fmean bit for bit.  The sum can
+    leave the float range although the mean of finite values cannot;
+    then the n values are scaled by 2^-k < 1/n, which keeps their sum in
+    range, and the mean is scaled back."""
+    n = len(values)
     try:
-        return statistics.fmean(values)
+        return math.fsum(values) / n
     except OverflowError:
-        k = len(values).bit_length()
-        scaled = statistics.fmean([math.ldexp(x, -k) for x in values])
+        k = n.bit_length()
+        scaled = math.fsum([math.ldexp(x, -k) for x in values]) / n
         return math.ldexp(scaled, k)
+
+
+def _stdev(values: Sequence[float]) -> float:
+    """The sample standard deviation of n >= 2 finite values, exact and
+    correctly rounded, so statistics.stdev of Python 3.11+ bit for bit.
+
+    Every value is an integer times 2^-s for one s, so the variance is
+    the fraction (n sum X^2 - (sum X)^2) / (n (n - 1) 4^s) of integers
+    X.  Its square root is taken in integers to at least 55 bits with
+    round-to-odd (the low bit set when inexact), and the one rounding to
+    a float at the end is then correct.  As stdev does, it raises
+    OverflowError where the sd exceeds the float range."""
+    n = len(values)
+    ratios = [x.as_integer_ratio() for x in values]  # denominators 2^k
+    s = max(d.bit_length() for _, d in ratios) - 1
+    xs = [m << (s + 1 - d.bit_length()) for m, d in ratios]
+    total = sum(xs)
+    num = n * sum(x * x for x in xs) - total * total
+    den = n * (n - 1) << 2 * s
+    # num / den times 4^-q is at least 2^108, so its root keeps 55 bits
+    q = (num.bit_length() - den.bit_length() - 109) // 2
+    if q >= 0:
+        den <<= 2 * q
+    else:
+        num <<= -2 * q
+    root = math.isqrt(num // den)
+    root |= root * root * den != num
+    return float(root << q) if q >= 0 else root / (1 << -q)
 
 
 def _constancy(values: Sequence[float]) -> tuple[bool, float]:
@@ -562,7 +584,7 @@ def _constancy(values: Sequence[float]) -> tuple[bool, float]:
     if len(values) < 2:
         return True, 0.0
     mean = _mean(values)
-    sd = statistics.stdev(values)
+    sd = _stdev(values)
     return sd <= CONSTANCY_REL * (1.0 + abs(mean)), sd
 
 
@@ -645,8 +667,7 @@ _IN_H3 = ("sample lies in a hyperbolic quadric (<x,x> constant < 0)",
           "IN-H3", True)
 
 
-@dataclass(frozen=True)
-class _TheoremEntry:
+class _TheoremEntry(NamedTuple):
     statement: str
     premise: tuple[str, Optional[str], bool]
     side_a: Callable

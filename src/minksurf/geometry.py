@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -98,8 +98,7 @@ def _matrices(rows) -> np.ndarray:
                      for row in rows], axis=-2)
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(NamedTuple):
     """Adapted frame at a point, carried as jets.
 
     e[0], e[1] span the tangent plane (epsilon +1 each), e[2] is the

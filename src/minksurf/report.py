@@ -29,15 +29,14 @@ import dataclasses
 import functools
 import io
 import json
-import statistics
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import surfaces as sf
-from .gaussmap import (BLOCK_POINTS, PointRecord, Records, _mean,
+from .gaussmap import (BLOCK_POINTS, PointRecord, Records, _mean, _stdev,
                        evaluate_grid, theorem_verdict_from_records)
 from .geometry import DEFAULT_TOLERANCES, Tolerances
 from .expr import serialize_expression
@@ -105,8 +104,7 @@ class RunConfig:
             raise ValueError("verify needs a theorem id")
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(NamedTuple):
     text: str
     exit_code: int
 
@@ -145,7 +143,7 @@ def evaluate_records(spec: SurfaceSpec, cfg: RunConfig) -> Records:
 
 def _stats(values: Sequence[float]) -> dict:
     mean = _mean(values)
-    sd = statistics.stdev(values) if len(values) > 1 else 0.0
+    sd = _stdev(values) if len(values) > 1 else 0.0
     return {"mean": mean, "sd": sd, "min": min(values), "max": max(values)}
 
 
@@ -419,14 +417,15 @@ def _grid_report(cfg: RunConfig) -> RunResult:
     if cfg.command == "verify":
         verdict = theorem_verdict_from_records(cfg.theorem, records,
                                                spec.name)
-        payload["verdict"] = dataclasses.asdict(verdict)
+        payload["verdict"] = {**verdict._asdict(),
+                              "side_a": verdict.side_a._asdict(),
+                              "side_b": verdict.side_b._asdict()}
         if exit_code == 0 and not verdict.consistent:
             exit_code = 1
     elif labels_only:
         payload["points"] = _points_json(records, (*_LABEL_COLUMNS, "labels"))
     else:
-        payload["points"] = _points_json(
-            records, tuple(f.name for f in dataclasses.fields(PointRecord)))
+        payload["points"] = _points_json(records, PointRecord._fields)
     payload["summary"] = summarize(records)
     return RunResult(text=_to_json(payload), exit_code=exit_code)
 

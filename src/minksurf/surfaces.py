@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Union
+from typing import Mapping, NamedTuple, Optional, Union
 
 from . import expr as ex
 from .expr import Expr, ParseError, parse_expression, serialize_expression
@@ -230,8 +230,7 @@ def serialize_surface(spec: SurfaceSpec) -> str:
 
 # -- catalog ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _CatalogEntry:
+class _CatalogEntry(NamedTuple):
     name: str
     components: tuple[str, str, str, str]
     float_params: tuple[tuple[str, float], ...] = ()

@@ -349,9 +349,8 @@ class TestVerify:
             v = real(tid, records, surface_name)
             a = gm.SideResult(v.side_a.description, True, 0.0)
             b = gm.SideResult(v.side_b.description, False, 1.0)
-            import dataclasses
-            return dataclasses.replace(v, side_a=a, side_b=b, consistent=False,
-                                       premise_met=True, vacuous=False)
+            return v._replace(side_a=a, side_b=b, consistent=False,
+                              premise_met=True, vacuous=False)
 
         monkeypatch.setattr(report, "theorem_verdict_from_records", rigged)
         code, out, _ = run(

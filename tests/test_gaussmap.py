@@ -12,6 +12,7 @@ feeds at least one of the two routes.
 from __future__ import annotations
 
 import statistics
+import sys
 
 import numpy as np
 import pytest
@@ -46,6 +47,41 @@ def test_mean_is_fmean_or_finite(values):
     else:
         got = gm._mean(values)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+# finite floats of every size: hypothesis's own (subnormals and both
+# zeros among them), the extremes, and m * 10^e for e from -300 to 300
+sd_floats = (finite_floats
+             | st.sampled_from((0.0, -0.0, 5e-324, -5e-324,
+                                2.2250738585072014e-308,
+                                1.7976931348623157e308))
+             | st.builds(lambda m, e: m * 10.0 ** e,
+                         st.floats(-10.0, 10.0), st.integers(-300, 300)))
+
+
+@st.composite
+def sd_samples(draw):
+    # 2 to 64 values from a pool of at most 64, so that values repeat
+    pool = draw(st.lists(sd_floats, min_size=1, max_size=64))
+    return draw(st.lists(st.sampled_from(pool), min_size=2, max_size=64))
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="statistics.stdev rounds once from Python 3.11 on")
+@given(sd_samples())
+@example([1.7e308, -1.7e308])  # the sd itself exceeds the float range
+@example([5e-324, -5e-324, 0.0, -0.0])
+@example([(-1.0) ** k * (k % 7 + 0.5) * 10.0 ** (k % 601 - 300)
+          for k in range(1024)])
+def test_stdev_is_statistics_stdev(values):
+    # stdev's bits, and its OverflowError where it raises one
+    try:
+        want = statistics.stdev(values)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            gm._stdev(values)
+    else:
+        assert gm._stdev(values).hex() == want.hex()
 
 
 def term_group(pg, term: str):

@@ -1,15 +1,19 @@
 """Package surface: every name a submodule lists in ``__all__`` exists,
 so ``from minksurf.<module> import *`` works, no module imports a name it
-does not use, and every package name the benchmark harness in
-``perfbench/`` uses still exists and takes its arguments."""
+does not use, every package name the benchmark harness in ``perfbench/``
+uses still exists and takes its arguments, and start-up stays cheap."""
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
 import inspect
+import os
 import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -117,3 +121,37 @@ def test_perfbench_check_flags_a_missing_name():
               "geometry.nonexistent\n")
     assert missing_names(source) == ["gaussmap.evaluate_point (line 3)",
                                      "geometry.nonexistent"]
+
+
+# -- start-up ----------------------------------------------------------------
+
+def test_startup_loads_no_exact_arithmetic():
+    """Every CLI run starts a fresh interpreter, and ``statistics`` would
+    bring ``fractions`` and ``decimal`` with it."""
+    code = ("import sys, minksurf.cli; print(*sorted({'statistics', "
+            "'fractions', 'decimal'} & set(sys.modules)))")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []
+
+
+# Record types that validate nothing; a dataclass would compile its
+# methods with exec at every import.
+NAMED_TUPLES = (("gaussmap", "PointRecord"),
+                ("gaussmap", "GaussLaplacianDecomposition"),
+                ("gaussmap", "SideResult"), ("gaussmap", "TheoremVerdict"),
+                ("gaussmap", "_TheoremEntry"), ("geometry", "Frame"),
+                ("report", "RunResult"), ("surfaces", "_CatalogEntry"),
+                ("expr", "_Token"))
+
+
+@pytest.mark.parametrize("module,name", NAMED_TUPLES,
+                         ids=[name for _, name in NAMED_TUPLES])
+def test_record_types_are_named_tuples(module, name):
+    cls = getattr(importlib.import_module(f"minksurf.{module}"), name)
+    assert issubclass(cls, tuple) and hasattr(cls, "_fields")
+    assert not dataclasses.is_dataclass(cls)

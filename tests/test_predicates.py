@@ -139,7 +139,7 @@ def test_label_logic(surface, tau):
 def test_verify_tests_constancy_once(monkeypatch, tmp_path):
     """The summary and the verdict of one verify run read one live
     selection of the records, so on a grid with skipped points the
-    grid constancy of <x, x> (a statistics.stdev) is computed once."""
+    grid constancy of <x, x> (a ``gm._stdev``) is computed once."""
     calls = []
     real = gm._constancy
 

@@ -4,8 +4,8 @@
 from a template compiled from the column shapes of a ``gaussmap.Records``
 block, filled from its columns.  The crafted records here go to the
 writer as a block (``gm.Records.of``) and to the oracle,
-``json.dumps(payload, indent=2, allow_nan=True) + "\\n"`` on
-``dataclasses.asdict`` payloads, which shares no code with that writer.
+``json.dumps(payload, indent=2, allow_nan=True) + "\\n"`` on the
+records' ``_asdict()`` payloads, which shares no code with that writer.
 The CLI rejects non-finite input, so these tests are the only ones that
 put NaN and infinities into a report.
 """
@@ -31,7 +31,7 @@ from minksurf.gaussmap import PointRecord
 
 from conftest import rows
 
-ANALYZE = tuple(f.name for f in dataclasses.fields(PointRecord))
+ANALYZE = PointRecord._fields
 CLASSIFY = ("u", "v", "ok", "skip_reason", "labels")
 
 SPECIAL = (-0.0, 5e-324, 1e16, 1e-5, math.nan, math.inf, -math.inf)
@@ -48,7 +48,7 @@ TAIL = {"summary": {"points_total": 3, "lemma42_max": None,
 def oracle(records, names) -> str:
     points = []
     for rec in records:
-        fields = dataclasses.asdict(rec)
+        fields = rec._asdict()
         points.append({name: fields[name] for name in names})
     payload = {**HEAD, "points": points, **TAIL}
     return json.dumps(payload, indent=2, allow_nan=True) + "\n"
@@ -174,11 +174,11 @@ def test_empty_block_has_the_default_widths():
     empty = gm.Records.of([])
     block = gm.evaluate_grid(_log_graph(), (4, 3))
     assert len(empty) == 0
-    for f in dataclasses.fields(PointRecord):
-        col, full = empty[f.name], block[f.name]
+    for name, default in PointRecord._field_defaults.items():
+        col, full = empty[name], block[name]
         assert (col.dtype, col.shape[1:]) == (full.dtype, full.shape[1:])
         if col.dtype == float:
-            assert col.shape == (0, *np.shape(f.default)), f.name
+            assert col.shape == (0, *np.shape(default)), name
     assert rows(gm.Records.join([empty, block])) == rows(block)
 
 
@@ -202,8 +202,8 @@ def _field_strategy(name: str, hint, default):
 def _record_strategy():
     hints = typing.get_type_hints(PointRecord)
     return st.builds(PointRecord, **{
-        f.name: _field_strategy(f.name, hints[f.name], f.default)
-        for f in dataclasses.fields(PointRecord)})
+        name: _field_strategy(name, hints[name], default)
+        for name, default in PointRecord._field_defaults.items()})
 
 
 @settings(max_examples=60, deadline=None)
