@@ -1,11 +1,12 @@
 """Report bytes pinned by sha256 digests.
 
 ``tests/data/golden_reports.json`` holds the digest of every report in
-``golden_configs()``: analyze JSON, analyze CSV and classify JSON on the
-whole catalog at orders 3 and 4 on two grids, and every registered
-theorem on every catalog surface.  The digests were recorded from the
-scalar-jet implementation that preceded grid batching, so a match means
-batching changed no report byte.  Report bits also depend on the C math
+``golden_configs()``: analyze JSON, analyze CSV, classify JSON and
+classify CSV on the whole catalog at orders 3 and 4 on two grids, and
+every registered theorem on every catalog surface.  The digests were
+recorded from the scalar-jet implementation that preceded grid batching,
+so a match means batching changed no report byte; the classify CSV ones
+were recorded later, before the labels became one mask column.  Report bits also depend on the C math
 library and the BLAS build.  The file records the platform they were
 taken on (Python, numpy, system, C library), and a mismatch names both
 platforms when they differ, since then the platform rather than the code
@@ -37,6 +38,7 @@ REPORT_KINDS = {
     "analyze-json": ("analyze",),
     "analyze-csv": ("analyze", "--format", "csv"),
     "classify-json": ("classify",),
+    "classify-csv": ("classify", "--format", "csv"),
 }
 
 
@@ -83,7 +85,7 @@ def platform_record() -> dict[str, str]:
 def test_config_count():
     configs = golden_configs()
     assert sum(k.startswith("verify/") for k in configs) == 88
-    assert len(configs) == 96 + 88
+    assert len(configs) == 128 + 88
 
 
 def test_report_bytes_match_golden_digests(monkeypatch):
@@ -93,8 +95,8 @@ def test_report_bytes_match_golden_digests(monkeypatch):
     configs = golden_configs()
     assert set(golden) == set(configs)
 
-    # analyze JSON, analyze CSV and classify JSON of one surface, order
-    # and grid share their records: evaluate them once
+    # the reports of one surface, order and grid share their records:
+    # evaluate them once
     evaluate = report.evaluate_records
     cache = {}
 
