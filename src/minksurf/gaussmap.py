@@ -43,8 +43,8 @@ import numpy as np
 
 from . import jets as jt
 from . import linalg as la
-from .geometry import (CONSTANCY_REL, DEFAULT_TOLERANCES, PointGeometry,
-                       Tolerances)
+from .geometry import (CONSTANCY_REL, DEFAULT_TOLERANCES, LABELS,
+                       PointGeometry, Tolerances)
 from .surfaces import SurfaceSpec, cell_centers, evaluate_immersion
 
 __all__ = [
@@ -77,7 +77,7 @@ class UnknownTheorem(Exception):
 TERM_NAMES = ("nu", "normal_curvature", "grad_trace3", "grad_trace4",
               "rotation")
 
-QUADRIC_LABELS = frozenset({"IN-S31", "IN-H3", "IN-LIGHTCONE"})
+_QUADRIC = np.isin(LABELS, ("IN-S31", "IN-H3", "IN-LIGHTCONE"))
 
 
 class GaussLaplacianDecomposition(NamedTuple):
@@ -247,10 +247,9 @@ class PointRecord(NamedTuple):
     labels: tuple[str, ...] = ()
 
 
-def _objects(values: list) -> np.ndarray:
-    # an object column holding the values themselves (np.array would
-    # make equal-length tuples a 2-d array)
-    return np.fromiter(values, dtype=object, count=len(values))
+def _names(mask) -> tuple[str, ...]:
+    # the labels of one row of a label mask column, sorted
+    return tuple(label for label, on in zip(LABELS, mask) if on)
 
 
 class Records:
@@ -261,8 +260,9 @@ class Records:
 
     A field's default fixes its column: a float, or a non-empty tuple of
     floats, gives a float64 column of shape (n,) or (n, k); a bool gives
-    a bool column; anything else (skip_reason, H_causal, lemma42,
-    bilaplacian_norm, labels) gives an object column.
+    a bool column, and labels one mask per label of ``LABELS``, of shape
+    (n, len(LABELS)); anything else (skip_reason, H_causal, lemma42,
+    bilaplacian_norm) gives an object column.
 
     Nothing mutates a block once ``evaluate_batch`` has returned it, so
     what is derived from its columns (``live``, ``position_constant``,
@@ -281,12 +281,17 @@ class Records:
 
         def column(name, default):
             values = [getattr(row, name) for row in rows]
+            if name == "labels":  # a label not in LABELS raises ValueError
+                masks = np.zeros((n, len(LABELS)), dtype=bool)
+                for k, row in enumerate(values):
+                    masks[k, [LABELS.index(label) for label in row]] = True
+                return masks
             if isinstance(default, bool):
                 return np.array(values, dtype=bool)
-            if isinstance(default, (float, tuple)) and default != ():
+            if isinstance(default, (float, tuple)):
                 return np.array(values, dtype=float).reshape(
                     n, *np.shape(default))
-            return _objects(values)
+            return np.array(values, dtype=object)
 
         return Records({name: column(name, default) for name, default
                         in PointRecord._field_defaults.items()},
@@ -312,8 +317,10 @@ class Records:
 
     def lists(self, name: str) -> list[list]:
         """A column as Python lists, one per component of its field;
-        floats come out of ``.tolist()`` bit for bit."""
+        floats come out of ``.tolist()`` bit for bit, labels as names."""
         col = self.columns[name]
+        if name == "labels":
+            return [list(map(_names, col.tolist()))]
         return col.T.tolist() if col.ndim == 2 else [col.tolist()]
 
     @cached_property
@@ -322,15 +329,16 @@ class Records:
         return _constancy(self["position_inner"].tolist())[0]
 
     @cached_property
-    def label_extent(self) -> tuple[frozenset, frozenset]:
-        """The labels held at every point and at some point.  A quadric
-        label counts as held everywhere only if <x, x> is grid-constant.
-        Premises, label-backed verdict sides and the summary read this."""
-        labels = self["labels"].tolist() or [()]
-        everywhere = set(labels[0]).intersection(*labels)
-        if everywhere & QUADRIC_LABELS and not self.position_constant:
-            everywhere -= QUADRIC_LABELS
-        return frozenset(everywhere), frozenset().union(*labels)
+    def label_extent(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """The labels held at every point and at some point (none on no
+        points); a quadric label counts everywhere only if <x, x> is
+        grid-constant.  Premises, verdict sides and the summary read it."""
+        masks = self["labels"]
+        somewhere = masks.any(axis=0)
+        everywhere = masks.all(axis=0) & somewhere
+        if (everywhere & _QUADRIC).any() and not self.position_constant:
+            everywhere &= ~_QUADRIC
+        return _names(everywhere), _names(somewhere)
 
     @cached_property
     def live(self) -> Records:
@@ -339,12 +347,11 @@ class Records:
         return self if ok.all() else self.select(ok)
 
     def point(self, k: int) -> PointRecord:
-        """Row k as a ``PointRecord``."""
-        def cell(col):
-            value = col[k:k + 1].tolist()[0]
-            return tuple(value) if isinstance(value, list) else value
-        return PointRecord(**{name: cell(col)
-                              for name, col in self.columns.items()})
+        """Row k as a ``PointRecord``, a field's components (``lists``)."""
+        row = self.select(slice(k, k + 1))
+        fields = {name: [x for x, in row.lists(name)] for name in self.columns}
+        return PointRecord(**{name: x[0] if len(x) == 1 else tuple(x)
+                              for name, x in fields.items()})
 
 
 # The one row that every skipped point's record repeats.
@@ -409,6 +416,7 @@ def _live_block(pg: PointGeometry, full: Optional[PointGeometry],
         "residual_first_kind": d.residual_first_kind,
         "residual_harmonic": d.residual_harmonic,
         "f_estimate": d.f_estimate,
+        "labels": [pg.label_masks[label] for label in LABELS],
     }
     if full is not None:
         values["bilaplacian_norm"] = la.euclid_norm(full.bilaplacian_x)
@@ -420,13 +428,12 @@ def _live_block(pg: PointGeometry, full: Optional[PointGeometry],
     bilaplacian = cols.pop("bilaplacian_norm", None)
     cols.update(
         u=us, v=vs, ok=np.ones(n, dtype=bool),
-        skip_reason=_objects([None] * n),
-        H_causal=_objects([c.name for c in pg.H_causal]),
-        lemma42=_objects([x if applies else None for x, applies
-                          in zip(lemma.tolist(), lemma_applies.tolist())]),
-        bilaplacian_norm=_objects([None] * n if bilaplacian is None
-                                  else bilaplacian.tolist()),
-        labels=_objects([tuple(sorted(labels)) for labels in pg.classify()]))
+        skip_reason=np.full(n, None),
+        H_causal=np.array([c.name for c in pg.H_causal], dtype=object),
+        lemma42=np.array([x if applies else None for x, applies in zip(
+            lemma.tolist(), lemma_applies.tolist())], dtype=object),
+        bilaplacian_norm=np.array([None] * n if bilaplacian is None
+                                  else bilaplacian.tolist(), dtype=object))
     return Records(cols, pg.tol), finite
 
 

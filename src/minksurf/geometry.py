@@ -85,6 +85,11 @@ class Tolerances:
 
 DEFAULT_TOLERANCES = Tolerances()
 
+# The names of ``PointGeometry.label_masks``, sorted, as records hold them
+LABELS = ("FLAT", "FLAT-NORMAL-BUNDLE", "IN-H3", "IN-LIGHTCONE", "IN-S31",
+          "MARGINALLY-TRAPPED", "MAXIMAL", "PARALLEL-H", "PSEUDO-UMBILICAL",
+          "TOTALLY-UMBILICAL")
+
 # Operands of the products a_i a_j, a_i b_j, b_i a_j, b_i b_j (in blocks
 # of three, ij = 11, 12, 22) in the stack (a_1, a_2, b_1, b_2).
 _H_LEFT = [0, 0, 1, 0, 0, 1, 2, 2, 3, 2, 2, 3]
@@ -524,17 +529,6 @@ class PointGeometry:
                       & (self.x_values[0] > 0)),
         }
 
-    def classify(self):
-        """Pointwise predicate labels, each decided at the residual
-        tolerance: a frozenset for one point, a list of them for a batch."""
-        masks = self.label_masks
-        if not self.batch:
-            return frozenset(name for name, on in masks.items() if on)
-        rows = zip(*(np.broadcast_to(on, self.batch).ravel().tolist()
-                     for on in masks.values()))
-        return [frozenset(name for name, on in zip(masks, row) if on)
-                for row in rows]
-
     @cached_property
     def position_inner(self):
         return la.minkowski_inner(self.x_values, self.x_values)
@@ -582,5 +576,5 @@ def position_laplacian(pg: PointGeometry,
     return pg.laplacian_x, la.euclid_norm(pg.bilaplacian_x)
 
 
-def classify_point(pg: PointGeometry):
-    return pg.classify()
+def classify_point(pg: PointGeometry) -> frozenset:
+    return frozenset(name for name, on in pg.label_masks.items() if on)

@@ -184,9 +184,8 @@ def summarize(records: Records) -> dict:
         present = [x for x in live[name] if x is not None]
         out[name + "_max"] = max(present) if present else None
 
-    everywhere, somewhere = live.label_extent
-    out["labels_everywhere"] = sorted(everywhere)
-    out["labels_somewhere"] = sorted(somewhere)
+    out["labels_everywhere"], out["labels_somewhere"] = map(
+        list, live.label_extent)
     return out
 
 
@@ -242,7 +241,7 @@ def _csv_cell(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
-    return str(value)
+    return ";".join(value) if isinstance(value, tuple) else str(value)
 
 
 def _csv_text(header: Sequence[str], rows) -> str:
@@ -309,15 +308,10 @@ def _records_csv(records: Records, scalars: Sequence[str],
     """One row per record: the scalar fields, the tuple fields expanded
     one column per component, and the labels joined by ';'."""
     header = [*scalars, *(col for _, cols in tuples for col in cols), "labels"]
-    names = [*scalars, *(name for name, _ in tuples)]
-
-    def columns(block):
-        cols = _block_texts(block, names, _csv_cell)
-        cols.append(list(map(";".join, block["labels"])))
-        return cols
-
-    return _csv_text(header, (row for block in _blocks(records)
-                              for row in zip(*columns(block))))
+    names = [*scalars, *(name for name, _ in tuples), "labels"]
+    return _csv_text(header, (
+        row for block in _blocks(records)
+        for row in zip(*_block_texts(block, names, _csv_cell))))
 
 
 class _JSONText(str):
@@ -368,8 +362,9 @@ def _points_json(records: Records, names: tuple[str, ...]) -> _JSONText:
     is one ``template % values``."""
     if not records:
         return _JSONText("[]")
-    template = _record_template(
-        tuple((name, records[name].shape[1:]) for name in names))
+    template = _record_template(tuple(
+        (name, records[name].shape[1:] if records[name].dtype == float else ())
+        for name in names))
     texts = []
     for block in _blocks(records):
         columns = _block_texts(block, names, _json_value, _JSON_NONFINITE)

@@ -22,7 +22,7 @@ from minksurf import geometry as ge
 from minksurf import report
 from minksurf import surfaces as sf
 
-from conftest import CATALOG_CASES, CATALOG_IDS
+from conftest import CATALOG_CASES, CATALOG_IDS, rows
 
 # The boost of graph phi = u^2 + v^2 with rapidity ln 1e9: H is null with
 # |H|_E = 2 sqrt(2) 1e-9 at every point, between CAUSAL_TOL and the
@@ -96,18 +96,18 @@ _SURFACES = st.one_of(
 def _premise_statement(theorem_id: str, live: gm.Records) -> bool:
     """Each registry premise as a statement about the labels of the live
     points, written out here apart from the registry."""
-    rows = [set(labels) for labels in live["labels"]]
+    labels = [set(record.labels) for record in rows(live)]
 
     def everywhere(label):
-        return all(label in row for row in rows)
+        return all(label in row for row in labels)
 
     def in_quadric(label):
         constant, _ = gm._constancy(live["position_inner"].tolist())
         return everywhere(label) and constant
 
     maximal = everywhere("MAXIMAL")
-    nonmaximal = not any("MAXIMAL" in row for row in rows)
-    return bool(rows) and {
+    nonmaximal = not any("MAXIMAL" in row for row in labels)
+    return bool(labels) and {
         "T3.4": maximal, "T4.1": maximal, "T4.3": maximal,
         "T3.5": nonmaximal, "T4.4": nonmaximal, "T4.8": nonmaximal,
         "T3.7": True, "T3.11": True,
@@ -124,9 +124,9 @@ def test_label_logic(surface, tau):
     spec = sf.catalog_lookup(name, params)
     records = gm.evaluate_grid(spec, (3, 3), 3, tol)
     live = records.live
-    for causal, labels in zip(live["H_causal"], live["labels"]):
-        labels = set(labels)
-        assert (causal == "ZERO") == ("MAXIMAL" in labels)
+    for record in rows(live):
+        labels = set(record.labels)
+        assert (record.H_causal == "ZERO") == ("MAXIMAL" in labels)
         assert not {"MAXIMAL", "MARGINALLY-TRAPPED"} <= labels
         if "TOTALLY-UMBILICAL" in labels:
             assert "PSEUDO-UMBILICAL" in labels

@@ -28,6 +28,7 @@ from minksurf import gaussmap as gm
 from minksurf import report
 from minksurf import surfaces as sf
 from minksurf.gaussmap import PointRecord
+from minksurf.geometry import LABELS
 
 from conftest import rows
 
@@ -86,7 +87,7 @@ def assert_floats_round_trip(text, records, names):
 def special_records() -> list[PointRecord]:
     live = [PointRecord(u=x, v=-x, ok=True, H_causal="spacelike",
                         K=(x, 0.0, x), nu=(x,) * 6, lemma42=x,
-                        bilaplacian_norm=x, labels=("HARMONIC", "MAXIMAL"))
+                        bilaplacian_norm=x, labels=("FLAT", "MAXIMAL"))
             for x in FINITE_SPECIAL]
     skipped = [PointRecord(u=x, v=x, ok=False, skip_reason="overflow",
                            K=(x, 1.0, x), lemma42=x, bilaplacian_norm=-x)
@@ -94,7 +95,7 @@ def special_records() -> list[PointRecord]:
     text = "quote\" back\\ é\n"
     return [PointRecord(u=0.5, v=0.25, ok=False, skip_reason="degenerate"),
             PointRecord(u=0.5, v=0.5, ok=False, skip_reason=text),
-            PointRecord(u=1.0, v=2.0, ok=True, H_causal=text, labels=(text,)),
+            PointRecord(u=1.0, v=2.0, ok=True, H_causal=text),
             *live, *skipped]
 
 
@@ -174,6 +175,8 @@ def test_empty_block_has_the_default_widths():
     empty = gm.Records.of([])
     block = gm.evaluate_grid(_log_graph(), (4, 3))
     assert len(empty) == 0
+    assert empty["labels"].dtype == bool
+    assert empty["labels"].shape == (0, len(LABELS))
     for name, default in PointRecord._field_defaults.items():
         col, full = empty[name], block[name]
         assert (col.dtype, col.shape[1:]) == (full.dtype, full.shape[1:])
@@ -195,7 +198,8 @@ def _field_strategy(name: str, hint, default):
     if hint == typing.Optional[str]:
         return st.none() | st.text(max_size=8)
     if name == "labels":
-        return st.lists(st.text(max_size=8), max_size=3).map(tuple)
+        return st.sets(st.sampled_from(LABELS), max_size=3).map(
+            lambda labels: tuple(sorted(labels)))
     return st.tuples(*[floats] * len(default))
 
 
