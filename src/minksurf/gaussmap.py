@@ -347,7 +347,7 @@ class Records:
         return self if ok.all() else self.select(ok)
 
     def point(self, k: int) -> PointRecord:
-        """Row k as a ``PointRecord``, a field's components (``lists``)."""
+        """Row k as a ``PointRecord``, from its ``lists``."""
         row = self.select(slice(k, k + 1))
         fields = {name: [x for x, in row.lists(name)] for name in self.columns}
         return PointRecord(**{name: x[0] if len(x) == 1 else tuple(x)

@@ -184,8 +184,9 @@ def summarize(records: Records) -> dict:
         present = [x for x in live[name] if x is not None]
         out[name + "_max"] = max(present) if present else None
 
-    out["labels_everywhere"], out["labels_somewhere"] = map(
-        list, live.label_extent)
+    everywhere, somewhere = live.label_extent
+    out["labels_everywhere"] = list(everywhere)
+    out["labels_somewhere"] = list(somewhere)
     return out
 
 
@@ -276,7 +277,8 @@ def _block_texts(block: Records, names: Sequence[str], encode,
     gather cost more than the repeats save, and every value is encoded
     in place.  Texts are then looked up in ``rename`` (JSON's non-finite
     names).  Keying by bits, never by value, keeps -0.0 apart from 0.0.
-    Every other column's values go through ``encode`` one at a time."""
+    Every other column's values go through ``encode`` one at a time, as
+    ``Records.lists`` gives them (each row's names, for the labels)."""
     n = len(block)
     stacked = np.concatenate([block[name].reshape(n, -1) for name in names
                               if block[name].dtype == float], axis=1).T
@@ -362,6 +364,7 @@ def _points_json(records: Records, names: tuple[str, ...]) -> _JSONText:
     is one ``template % values``."""
     if not records:
         return _JSONText("[]")
+    # one slot per float component; a labels mask row is one list of names
     template = _record_template(tuple(
         (name, records[name].shape[1:] if records[name].dtype == float else ())
         for name in names))
