@@ -47,7 +47,6 @@ __all__ = [
     "parse_expression",
     "serialize_expression",
     "eval_jet",
-    "eval_float",
     "free_identifiers",
 ]
 
@@ -364,19 +363,19 @@ def _jet_or_float(jet_fn, float_fn):
     return apply
 
 
-_ARITH = {"neg": operator.neg, "+": operator.add, "-": operator.sub,
-          "*": operator.mul, "/": operator.truediv}
-
 _FLOAT_FNS = {**{name: getattr(math, name) for name in FUNCTION_NAMES},
               "sin": jets.float_sin, "cos": jets.float_cos}
 
-_FLOAT_STEPS = {**_ARITH, **_FLOAT_FNS}
+_STEPS = {"neg": operator.neg, "+": operator.add, "-": operator.sub,
+          "*": operator.mul, "/": operator.truediv,
+          **{name: _jet_or_float(getattr(jets, name), float_fn)
+             for name, float_fn in _FLOAT_FNS.items()}}
 
-_JET_STEPS = {**_ARITH, **{name: _jet_or_float(getattr(jets, name), float_fn)
-                           for name, float_fn in _FLOAT_FNS.items()}}
 
-
-def _run(e: Expr, env: Mapping[str, object], steps: Mapping) -> object:
+def eval_jet(e: Expr, u: Jet, v: Jet, params: Mapping[str, float]) -> Jet:
+    """Evaluate in jet arithmetic; constants are widened to the jet order
+    and to the batch of u."""
+    env = {"u": u, "v": v, **params}
     values: list = []
     for op, a, *rest in e:
         if op == "const":
@@ -389,23 +388,9 @@ def _run(e: Expr, env: Mapping[str, object], steps: Mapping) -> object:
         elif op == "^":
             value = values[a] ** rest[0]
         else:
-            value = steps[op](values[a], *[values[j] for j in rest])
+            value = _STEPS[op](values[a], *[values[j] for j in rest])
         values.append(value)
-    return values[-1]
-
-
-def eval_jet(e: Expr, u: Jet, v: Jet, params: Mapping[str, float]) -> Jet:
-    """Evaluate in jet arithmetic; constants are widened to the jet order
-    and to the batch of u."""
-    env = {"u": u, "v": v, **params}
-    out = _run(e, env, _JET_STEPS)
+    out = values[-1]
     if isinstance(out, Jet):
         return out
     return Jet.constant(np.full(u.batch, float(out)), u.order)
-
-
-def eval_float(e: Expr, u: float, v: float, params: Mapping[str, float]) -> float:
-    """Plain float evaluation, used by the finite-difference oracle."""
-    env = {"u": float(u), "v": float(v), **params}
-    out = _run(e, env, _FLOAT_STEPS)
-    return float(out)

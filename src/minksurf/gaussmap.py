@@ -94,7 +94,6 @@ class GaussLaplacianDecomposition(NamedTuple):
     the h_sq coefficient.
     """
 
-    nu: np.ndarray
     direct: np.ndarray
     formula: np.ndarray
     c_nu: float
@@ -149,7 +148,7 @@ def laplacian_gauss_formula(pg: PointGeometry,
     route = la.euclid_norm(direct - formula) / (1.0 + la.euclid_norm(direct))
 
     return GaussLaplacianDecomposition(
-        nu=nu_vals, direct=direct, formula=formula,
+        direct=direct, formula=formula,
         c_nu=pg.h_sq, c_norm=2.0 * pg.RD,
         grad_trA3=grad3, grad_trA4=grad4,
         residual_first_kind=first_kind, residual_harmonic=harmonic,

@@ -194,11 +194,8 @@ class Jet:
         if coeffs.shape[:1] != (_size(order),):
             raise ValueError(f"expected {_size(order)} coefficients, "
                              f"got shape {coeffs.shape}")
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name, value):  # pragma: no cover - misuse guard
-        raise AttributeError("Jet is immutable")
+        self.order = order
+        self.coeffs = coeffs
 
     # -- construction -------------------------------------------------
 
@@ -250,17 +247,6 @@ class Jet:
         nz = {pair: float(self.coeffs[n])
               for pair, n in _index(self.order).items() if self.coeffs[n] != 0.0}
         return f"Jet(order={self.order}, {nz})"
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Jet):
-            return NotImplemented
-        return (self.order == other.order
-                and np.array_equal(self.coeffs, other.coeffs))
-
-    def __hash__(self) -> int:
-        # + 0.0 turns -0.0 into 0.0, which compares equal to it
-        return hash((self.order, self.coeffs.shape,
-                     (self.coeffs + 0.0).tobytes()))
 
     # -- ring operations ----------------------------------------------
 
@@ -352,15 +338,12 @@ class Jet:
         return self._deriv(1)
 
 
-_set_order, _set_coeffs = Jet.order.__set__, Jet.coeffs.__set__
-
-
 def _jet(order: int, coeffs: np.ndarray) -> Jet:
     # a Jet around a float coefficient array of the right length, built
     # without the checks of Jet.__init__; every operation returns one
     jet = object.__new__(Jet)
-    _set_order(jet, order)
-    _set_coeffs(jet, coeffs)
+    jet.order = order
+    jet.coeffs = coeffs
     return jet
 
 

@@ -116,8 +116,9 @@ def hodge_dual(b):
     return d * _signs(d, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0)
 
 
-_CAUSAL_CLASSES = (CausalClass.ZERO, CausalClass.LIGHTLIKE,
-                   CausalClass.SPACELIKE, CausalClass.TIMELIKE)
+_CAUSAL_CLASSES = np.array([CausalClass.ZERO, CausalClass.LIGHTLIKE,
+                            CausalClass.SPACELIKE, CausalClass.TIMELIKE],
+                           dtype=object)
 
 
 def causal_character(v, tol: float):
@@ -132,9 +133,7 @@ def causal_character(v, tol: float):
     q = minkowski_inner(v, v)
     which = np.select([np.sqrt(e2) <= tol, abs(q) <= tol * (1.0 + e2), q > 0],
                       [0, 1, 2], 3)
-    if which.ndim == 0:
-        return _CAUSAL_CLASSES[int(which)]
-    return np.array(_CAUSAL_CLASSES, dtype=object)[which]
+    return _CAUSAL_CLASSES[which]
 
 
 # -- normal plane constructions ----------------------------------------

@@ -1,9 +1,25 @@
-"""Finite-difference oracle for the tests: it shares no code with the
-package's jet arithmetic."""
+"""Oracles for the tests, sharing no code with the package: a float
+evaluator of expression texts and a finite-difference estimate of
+partial derivatives."""
 
 from __future__ import annotations
 
-from typing import Callable
+import math
+from typing import Callable, Mapping, Optional
+
+# The expression language's elementary functions, taken from math.
+_FUNCTIONS = {name: getattr(math, name)
+              for name in ("sin", "cos", "sinh", "cosh", "exp", "sqrt", "log")}
+
+
+def eval_text(text: str, u: float, v: float,
+              params: Optional[Mapping[str, float]] = None) -> float:
+    """The value of an expression text at (u, v), by Python's ``eval``
+    with ``^`` read as ``**``: the two grammars agree on precedence, as
+    ``-u^2`` is ``-(u^2)`` and a power's exponent is an integer."""
+    names = {**_FUNCTIONS, **(params or {}), "u": float(u), "v": float(v)}
+    return float(eval(text.replace("^", "**"), {"__builtins__": {}}, names))
+
 
 _CENTRAL_STENCILS: dict[int, tuple[tuple[int, float], ...]] = {
     0: ((0, 1.0),),

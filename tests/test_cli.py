@@ -9,6 +9,7 @@ import math
 import signal
 import warnings
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,9 @@ from minksurf import report
 from minksurf import surfaces as sf
 
 from conftest import WILD_TEXT
+from oracles import eval_text
 
+TORUS_FILE = Path(__file__).parent / "data" / "torus.surf"
 DEGENERATE_TEXT = "x1 = u ; x2 = v ; x3 = u ; x4 = 0"
 
 
@@ -182,6 +185,15 @@ class TestAnalyze:
             assert code == 0
             blocks.append(out[out.index('"points"'):out.index('"summary"')])
         assert blocks[0] == blocks[1]
+
+    def test_number_minus_jet_height(self, capsys):
+        # "1 - u^2" subtracts a jet from a number (Jet.__rsub__)
+        code, out, err = run(["analyze", "--catalog", "graph", "--param",
+                              "phi=1-u^2", "--grid", "3x3"], capsys)
+        assert (code, err) == (0, "")
+        for p in json.loads(out)["points"]:
+            assert p["x"][0] == p["x"][3] == pytest.approx(
+                eval_text("1-u^2", p["u"], p["v"]), rel=1e-15)
 
     def test_order_four(self, capsys):
         code, out, _ = run(
@@ -444,6 +456,29 @@ class TestUsageErrors:
                              capsys)
         assert (code, out) == (2, "")
         assert err == "error: duplicate parameter 'a'\n"
+
+    def test_reserved_parameter_name_in_a_surface_file(self, tmp_path,
+                                                        capsys):
+        f = tmp_path / "s.surf"
+        f.write_text("param u = 1\nx1 = u; x2 = u; x3 = v; x4 = 0\n")
+        code, out, err = run(["analyze", "--surface-file", str(f),
+                              "--grid", "2x2"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: reserved parameter name 'u'\n"
+
+    def test_param_not_declared_by_the_surface_file(self, capsys):
+        code, out, err = run(["analyze", "--surface-file", str(TORUS_FILE),
+                              "--param", "zzz=1", "--grid", "2x2"], capsys)
+        assert (code, out) == (2, "")
+        assert err == ("error: parameters not declared by the surface "
+                       "file: ['zzz']\n")
+
+    def test_newline_in_an_expression_counts_lines(self, capsys):
+        code, out, err = run(["analyze", "--catalog", "graph", "--param",
+                              "phi=u +\n*v", "--grid", "2x2"], capsys)
+        assert (code, out) == (2, "")
+        assert err == ("error: expected a value, found '*' "
+                       "(line 2, column 1)\n")
 
     @pytest.mark.parametrize("grid", ["1x5", "5x1"])
     def test_grid_needs_two_points_per_axis(self, grid, capsys):

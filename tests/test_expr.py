@@ -1,4 +1,5 @@
-"""Expression language: parsing, printing, and the two evaluators."""
+"""Expression language: parsing, printing, and jet evaluation, checked
+against the float evaluator and finite differences of ``oracles``."""
 
 from __future__ import annotations
 
@@ -13,7 +14,13 @@ from hypothesis import strategies as st
 from minksurf import expr as ex
 from minksurf import jets as jt
 
-from oracles import fd_partial
+from oracles import eval_text, fd_partial
+
+
+def value_at(e: ex.Expr, u: float, v: float, params=None) -> float:
+    """The value of the plan ``e`` at (u, v), by jet evaluation."""
+    uj, vj = jt.jet_variable("u", u, 3), jt.jet_variable("v", v, 3)
+    return float(ex.eval_jet(e, uj, vj, params or {}).value())
 
 
 def roundtrip(text: str, params=None) -> ex.Expr:
@@ -39,18 +46,18 @@ class TestParsing:
     ])
     def test_value_and_roundtrip(self, text, u, v, want):
         e = roundtrip(text)
-        assert ex.eval_float(e, u, v, {}) == pytest.approx(want, rel=1e-14)
+        assert value_at(e, u, v) == pytest.approx(want, rel=1e-14)
 
     def test_power_binds_tighter_than_unary_minus(self):
         e = ex.parse_expression("-u^2")
-        assert ex.eval_float(e, 3.0, 0.0, {}) == -9.0
+        assert value_at(e, 3.0, 0.0) == -9.0
 
     def test_parentheses_collapse(self):
         assert ex.parse_expression("(u)") == ex.parse_expression("u")
 
     def test_parameters_evaluate(self):
         e = roundtrip("a*u + b", params=frozenset({"a", "b"}))
-        assert ex.eval_float(e, 2.0, 0.0, {"a": 3.0, "b": 1.0}) == 7.0
+        assert value_at(e, 2.0, 0.0, {"a": 3.0, "b": 1.0}) == 7.0
 
     def test_free_identifiers(self):
         e = ex.parse_expression("a*u + b*sin(v)")
@@ -97,7 +104,7 @@ class TestParseErrors:
     def test_unbound_parameter_at_eval(self):
         e = ex.parse_expression("phi + u")
         with pytest.raises(KeyError):
-            ex.eval_float(e, 0.0, 0.0, {})
+            value_at(e, 0.0, 0.0)
 
 
 G, H = ex.MAX_GROUPS, ex.MAX_HEIGHT
@@ -116,7 +123,8 @@ class TestNestingBounds:
 
     @pytest.mark.parametrize("text", AT_BOUNDS.values(), ids=AT_BOUNDS)
     def test_at_the_bounds_every_pass_runs(self, text):
-        # parse, print, parse the print, and evaluate both ways
+        # parse, print, parse the print, and evaluate in jets and by the
+        # oracle
         e = ex.parse_expression(text)
         printed = ex.serialize_expression(e)
         again = ex.parse_expression(printed)
@@ -124,7 +132,7 @@ class TestNestingBounds:
         assert ex.serialize_expression(again) == printed
         u, v = jt.jet_variable("u", 0.5, 4), jt.jet_variable("v", 0.0, 4)
         assert ex.eval_jet(e, u, v, {}).value() == pytest.approx(
-            ex.eval_float(e, 0.5, 0.0, {}), rel=1e-12)
+            eval_text(text, 0.5, 0.0), rel=1e-12)
 
     LONG = {
         "sum": "+".join(["u"] * H),
@@ -135,7 +143,9 @@ class TestNestingBounds:
     @pytest.mark.parametrize("text", LONG.values(), ids=LONG)
     def test_no_pass_recurses(self, text):
         # trees H levels high, with the recursion limit 60 frames above
-        # this test's own depth
+        # this test's own depth; Python's own parser, in the oracle, needs
+        # more, so the reference value is computed first
+        value = eval_text(text, 0.5, 0.25)
         uj, vj = jt.jet_variable("u", 0.5, 3), jt.jet_variable("v", 0.25, 3)
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(len(inspect.stack(0)) + 60)
@@ -143,7 +153,6 @@ class TestNestingBounds:
             e = ex.parse_expression(text)
             again = ex.parse_expression(ex.serialize_expression(e))
             equal = again == e
-            value = ex.eval_float(e, 0.5, 0.25, {})
             jet = ex.eval_jet(e, uj, vj, {})
         finally:
             sys.setrecursionlimit(limit)
@@ -174,6 +183,7 @@ class TestJetEvaluator:
         "a*cosh(u) + a*sinh(v)",
         "(u - v)/(u*v + 2)",
         "sqrt(2)*sin(u) + log(v + 3)",
+        "1 - u^2",  # a number minus a jet (Jet.__rsub__)
     ]
 
     @pytest.mark.parametrize("text", exprs)
@@ -185,7 +195,7 @@ class TestJetEvaluator:
         vj = jt.jet_variable("v", v0, 3)
         got = ex.eval_jet(e, uj, vj, params)
         assert got.value() == pytest.approx(
-            ex.eval_float(e, u0, v0, params), rel=1e-13)
+            eval_text(text, u0, v0, params), rel=1e-13)
 
     @pytest.mark.parametrize("text", exprs)
     @pytest.mark.parametrize("i,j", [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)])
@@ -195,7 +205,7 @@ class TestJetEvaluator:
         u0, v0 = 0.4, -0.3
 
         def value(u, v):
-            return ex.eval_float(e, u, v, params)
+            return eval_text(text, u, v, params)
 
         uj = jt.jet_variable("u", u0, 3)
         vj = jt.jet_variable("v", v0, 3)
@@ -244,8 +254,9 @@ class TestRoundTripProperty:
     @given(text=small_exprs())
     @settings(max_examples=40)
     def test_eval_agrees_across_roundtrip(self, text):
-        e = ex.parse_expression(text)
-        e2 = ex.parse_expression(ex.serialize_expression(e))
+        # the printed text means what the source text means, read by the
+        # oracle rather than by the parser
+        printed = ex.serialize_expression(ex.parse_expression(text))
         params = {"a": 0.7}
-        assert ex.eval_float(e2, 0.3, 0.9, params) == pytest.approx(
-            ex.eval_float(e, 0.3, 0.9, params), rel=1e-14)
+        assert eval_text(printed, 0.3, 0.9, params) == pytest.approx(
+            eval_text(text, 0.3, 0.9, params), rel=1e-14)

@@ -12,11 +12,11 @@ from minksurf import linalg as la
 from minksurf import surfaces as sf
 
 from conftest import CATALOG_CASES, CATALOG_IDS, build
-from oracles import fd_partial
+from oracles import eval_text, fd_partial
 
 
 def ambient(spec, u, v):
-    return np.array([ex.eval_float(c, u, v, spec.params)
+    return np.array([eval_text(ex.serialize_expression(c), u, v, spec.params)
                      for c in spec.components])
 
 
@@ -104,8 +104,8 @@ class TestEvaluateImmersion:
         for u0, v0 in probes:
             xj = sf.evaluate_immersion(spec, u0, v0, 3)
             for ci, c in enumerate(spec.components):
-                def value(u, v, _c=c):
-                    return ex.eval_float(_c, u, v, spec.params)
+                def value(u, v, _text=ex.serialize_expression(c)):
+                    return eval_text(_text, u, v, spec.params)
                 for i, j in [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]:
                     want = fd_partial(value, u0, v0, i, j, step=1e-4)
                     got = xj[ci].partial(i, j)
