@@ -28,7 +28,7 @@ from . import report as rp
 from . import surfaces as sf
 from .geometry import DEFAULT_TOLERANCES
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main"]
 
 
 def _grid_arg(text: str) -> tuple[int, int]:
@@ -87,7 +87,9 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
                          "run as batches in one process)")
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args leaves a parser as it was, so one serves every call
     parser = argparse.ArgumentParser(
         prog="minksurf",
         description="Pointwise invariants and Gauss map diagnostics for "
@@ -107,12 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
                      dest="fmt", help="output format")
     spc.add_argument("--out", help="write the listing here instead of stdout")
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # parse_args leaves a parser as it was, so one serves every call
-    return build_parser()
 
 
 def _config_from_args(args: argparse.Namespace) -> rp.RunConfig:

@@ -62,6 +62,7 @@ __all__ = [
     "evaluate_grid",
     "theorem_verdict_from_records",
     "theorem_ids",
+    "column_stats",
     "TERM_NAMES",
 ]
 
@@ -585,13 +586,25 @@ def _stdev(values: Sequence[float]) -> float:
     return float(root << q) if q >= 0 else root / (1 << -q)
 
 
+def column_stats(values: Sequence[float]) -> dict[str, float]:
+    """The mean, sample sd, min and max of n >= 1 finite values (a
+    summary's statistics of a column).  The sd of one value is 0, and an
+    sd past the float range is inf."""
+    try:
+        sd = _stdev(values) if len(values) > 1 else 0.0
+    except OverflowError:
+        sd = math.inf
+    return {"mean": _mean(values), "sd": sd,
+            "min": min(values), "max": max(values)}
+
+
 def _constancy(values: Sequence[float]) -> tuple[bool, float]:
     # sample sd against CONSTANCY_REL * (1 + |mean|); returns (constant?, sd)
     if len(values) < 2:
         return True, 0.0
-    mean = _mean(values)
-    sd = _stdev(values)
-    return sd <= CONSTANCY_REL * (1.0 + abs(mean)), sd
+    stats = column_stats(values)
+    sd = stats["sd"]
+    return sd <= CONSTANCY_REL * (1.0 + abs(stats["mean"])), sd
 
 
 def _side(description: str, name: str, label: Optional[str] = None,

@@ -206,16 +206,6 @@ class Jet:
         coeffs[0] = value
         return _jet(order, coeffs)
 
-    @classmethod
-    def variable(cls, which: str, value: Scalar, order: int) -> "Jet":
-        if order < 1:
-            raise UnsupportedOrder("a variable jet needs order >= 1")
-        if which not in ("u", "v"):
-            raise ValueError(f"unknown variable {which!r}; expected 'u' or 'v'")
-        jet = cls.constant(value, order)
-        jet.coeffs[_index(order)[(1, 0) if which == "u" else (0, 1)]] = 1.0
-        return jet
-
     # -- inspection ---------------------------------------------------
 
     @property
@@ -479,5 +469,9 @@ def jet_variable(which: str, value: Scalar, k: int) -> Jet:
     an array with one base value per point), order k in {3, 4}."""
     if k not in SUPPORTED_ORDERS:
         raise UnsupportedOrder(f"order must be one of {SUPPORTED_ORDERS}, got {k}")
-    return Jet.variable(which, value, k)
+    if which not in ("u", "v"):
+        raise ValueError(f"unknown variable {which!r}; expected 'u' or 'v'")
+    jet = Jet.constant(value, k)
+    jet.coeffs[_index(k)[(1, 0) if which == "u" else (0, 1)]] = 1.0
+    return jet
 

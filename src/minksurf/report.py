@@ -36,7 +36,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import surfaces as sf
-from .gaussmap import (BLOCK_POINTS, PointRecord, Records, _mean, _stdev,
+from .gaussmap import (BLOCK_POINTS, PointRecord, Records, column_stats,
                        evaluate_grid, theorem_verdict_from_records)
 from .geometry import DEFAULT_TOLERANCES, Tolerances
 from .expr import serialize_expression
@@ -141,12 +141,6 @@ def evaluate_records(spec: SurfaceSpec, cfg: RunConfig) -> Records:
     return evaluate_grid(spec, cfg.grid, cfg.order, cfg.tol)
 
 
-def _stats(values: Sequence[float]) -> dict:
-    mean = _mean(values)
-    sd = _stdev(values) if len(values) > 1 else 0.0
-    return {"mean": mean, "sd": sd, "min": min(values), "max": max(values)}
-
-
 def summarize(records: Records) -> dict:
     live = records.live
     skipped = records["skip_reason"][~records["ok"]].tolist()
@@ -167,17 +161,17 @@ def summarize(records: Records) -> dict:
                      "residual_harmonic")}
 
     K_gauss, K_formula, K_intrinsic = live.lists("K")
-    out["K_gauss"] = _stats(K_gauss)
+    out["K_gauss"] = column_stats(K_gauss)
     out["K_route_spread"] = max(
         max(abs(k - f), abs(k - i))
         for k, f, i in zip(K_gauss, K_formula, K_intrinsic))
-    out["h_sq"] = _stats(live["h_sq"].tolist())
+    out["h_sq"] = column_stats(live["h_sq"].tolist())
     out["RD_max_abs"] = max(map(abs, live["RD"].tolist()))
-    out["f_estimate"] = _stats(live["f_estimate"].tolist())
+    out["f_estimate"] = column_stats(live["f_estimate"].tolist())
     out["H_causal_classes"] = sorted(set(live["H_causal"]))
     out["H_norm_euclid_max"] = max(live["H_norm_euclid"].tolist())
 
-    out["position_inner"] = _stats(live["position_inner"].tolist())
+    out["position_inner"] = column_stats(live["position_inner"].tolist())
     out["position_inner_constant"] = live.position_constant
 
     for name in ("lemma42", "bilaplacian_norm"):

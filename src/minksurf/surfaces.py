@@ -8,14 +8,15 @@ The text format is line oriented:
     name = my-surface          # optional
     param a = 1.5              # repeatable
     domain = [-1,1]x[-1,1]     # optional, defaults to [-1,1]x[-1,1]
-    tags = flat, parallel-h    # optional fixture labels
+    tags = flat, parallel-h    # optional; accepted and not kept
     x1 = a*cosh(u)
     x2 = a*sinh(u)
     x3 = a*cos(v)
     x4 = a*sin(v)
 
 Statements may also be separated by ';' on a single line.  '#' starts a
-comment.  Serialization emits the same format and round-trips exactly.
+comment.  ``tags`` and ``notes`` (free text to the end of its line) are
+read and dropped: a spec carries no catalog metadata.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Optional, Union
 
 from . import expr as ex
-from .expr import Expr, ParseError, parse_expression, serialize_expression
+from .expr import Expr, ParseError, parse_expression
 from .jets import Jet, jet_variable
 
 __all__ = [
@@ -35,7 +36,6 @@ __all__ = [
     "UnknownSurface",
     "MissingParameter",
     "parse_surface",
-    "serialize_surface",
     "catalog_lookup",
     "catalog_names",
     "catalog_entry",
@@ -80,17 +80,13 @@ class SurfaceSpec:
     """Four component expressions plus parameters and a sample domain.
 
     Components are expression plans (see ``expr``) over the coordinates
-    u, v and the keys of ``params``.  ``expected_tags`` are
-    regression-fixture labels for catalog entries; they make no claim
-    about user surfaces.
+    u, v and the keys of ``params``.
     """
 
     name: str
     components: tuple[Expr, Expr, Expr, Expr]
     params: Mapping[str, float] = field(default_factory=dict)
     domain: Domain = DEFAULT_DOMAIN
-    expected_tags: frozenset = frozenset()
-    notes: str = ""
 
     def __post_init__(self):
         if len(self.components) != 4:
@@ -149,8 +145,6 @@ def parse_surface(text: str) -> SurfaceSpec:
     name = "user-surface"
     params: dict[str, float] = {}
     domain: Optional[Domain] = None
-    tags: frozenset = frozenset()
-    notes = ""
     comp_sources: dict[int, tuple[str, int, int]] = {}
     last_line = 1
 
@@ -186,10 +180,8 @@ def parse_surface(text: str) -> SurfaceSpec:
                 domain = Domain(*nums)
             except ValueError as err:
                 raise ParseError(str(err), line_no, value_col) from None
-        elif key == "tags":
-            tags = frozenset(t.strip() for t in value.split(",") if t.strip())
-        elif key == "notes":
-            notes = value
+        elif key in ("tags", "notes"):
+            pass  # catalog metadata, which no spec carries
         elif re.fullmatch(r"x[1-4]", key):
             idx = int(key[1])
             if idx in comp_sources:
@@ -209,23 +201,7 @@ def parse_surface(text: str) -> SurfaceSpec:
         parse_expression(src, declared, line0=line_no, col0=col0)
         for idx, (src, line_no, col0) in sorted(comp_sources.items()))
     return SurfaceSpec(name=name, components=components, params=params,
-                       domain=domain or DEFAULT_DOMAIN,
-                       expected_tags=tags, notes=notes)
-
-
-def serialize_surface(spec: SurfaceSpec) -> str:
-    lines = [f"name = {spec.name}"]
-    for pname in sorted(spec.params):
-        lines.append(f"param {pname} = {spec.params[pname]!r}")
-    d = spec.domain
-    lines.append(f"domain = [{d.u_min!r},{d.u_max!r}]x[{d.v_min!r},{d.v_max!r}]")
-    if spec.expected_tags:
-        lines.append("tags = " + ", ".join(sorted(spec.expected_tags)))
-    if spec.notes:
-        lines.append(f"notes = {spec.notes}")
-    for k, comp in enumerate(spec.components, start=1):
-        lines.append(f"x{k} = {serialize_expression(comp)}")
-    return "\n".join(lines) + "\n"
+                       domain=domain or DEFAULT_DOMAIN)
 
 
 # -- catalog ---------------------------------------------------------------
@@ -389,9 +365,8 @@ def catalog_lookup(name: str,
     declared = frozenset(bound) | frozenset(splices)
     components = tuple(splices.get(src, parse_expression(src, declared))
                        for src in entry.components)
-    return SurfaceSpec(
-        name=name, components=components, params=bound,
-        domain=entry.domain, expected_tags=entry.tags, notes=entry.notes)
+    return SurfaceSpec(name=name, components=components, params=bound,
+                       domain=entry.domain)
 
 
 # -- evaluation -------------------------------------------------------------

@@ -11,6 +11,7 @@ from hypothesis import settings
 from minksurf import gaussmap as gm
 from minksurf import geometry as ge
 from minksurf import surfaces as sf
+from minksurf.expr import serialize_expression
 
 # Every run draws the same examples, and no example is failed for its
 # wall time, which varies with the host's load.
@@ -47,6 +48,19 @@ MIXED_FILE = Path(__file__).parent / "data" / "mixed_skips.surf"
 
 def build(name: str, params: dict) -> sf.SurfaceSpec:
     return sf.catalog_lookup(name, params)
+
+
+def serialize_surface(spec: sf.SurfaceSpec) -> str:
+    """The surface text of ``spec``, which ``sf.parse_surface`` reads
+    back to an equal spec."""
+    lines = [f"name = {spec.name}"]
+    for pname in sorted(spec.params):
+        lines.append(f"param {pname} = {spec.params[pname]!r}")
+    d = spec.domain
+    lines.append(f"domain = [{d.u_min!r},{d.u_max!r}]x[{d.v_min!r},{d.v_max!r}]")
+    for k, comp in enumerate(spec.components, start=1):
+        lines.append(f"x{k} = {serialize_expression(comp)}")
+    return "\n".join(lines) + "\n"
 
 
 @pytest.fixture(params=CATALOG_CASES, ids=CATALOG_IDS)

@@ -20,10 +20,11 @@ from minksurf import gaussmap as gm
 from minksurf import report
 from minksurf import surfaces as sf
 
-from conftest import WILD_TEXT
+from conftest import WILD_TEXT, serialize_surface
 from oracles import eval_text
 
-TORUS_FILE = Path(__file__).parent / "data" / "torus.surf"
+DATA = Path(__file__).parent / "data"
+TORUS_FILE = DATA / "torus.surf"
 DEGENERATE_TEXT = "x1 = u ; x2 = v ; x3 = u ; x4 = 0"
 
 
@@ -176,7 +177,7 @@ class TestAnalyze:
         # catalog entry gives the same plans and the same points
         spec = sf.catalog_lookup("graph", {"phi": phi})
         f = tmp_path / "graph.surf"
-        f.write_text(sf.serialize_surface(spec), encoding="utf-8")
+        f.write_text(serialize_surface(spec), encoding="utf-8")
         assert sf.parse_surface(f.read_text(encoding="utf-8")) == spec
         blocks = []
         for source in (["--catalog", "graph", "--param", f"phi={phi!r}"],
@@ -290,6 +291,28 @@ class TestHugeValues:
         if argv == ["analyze"]:
             stats = json.loads(out)["summary"]["position_inner"]
             assert stats["min"] <= stats["mean"] <= stats["max"]
+
+
+class TestNullDrift:
+    # a flat maximal plane pushed out along a null direction: the metric
+    # is the identity, while <x, x> reaches +-1.69e308, so its sample sd
+    # exceeds the float range
+    SURFACE = ["--surface-file", str(DATA / "null-drift.surf"),
+               "--grid", "2x2"]
+
+    @pytest.mark.parametrize("argv", [["analyze"], ["classify"]]
+                             + [["verify", t] for t in gm.theorem_ids()],
+                             ids=" ".join)
+    def test_sd_past_the_float_range(self, argv, capsys):
+        code, out, err = run(argv + self.SURFACE, capsys)
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        summary = payload["summary"]
+        assert summary["position_inner"]["sd"] == math.inf
+        assert '"sd": Infinity' in out
+        assert summary["position_inner_constant"] is False
+        if argv[0] == "verify":
+            assert payload["verdict"]["consistent"] is True
 
 
 class TestClassify:

@@ -84,6 +84,29 @@ def test_stdev_is_statistics_stdev(values):
         assert gm._stdev(values).hex() == want.hex()
 
 
+@given(sd_samples())
+@example([1.7e308, -1.7e308])
+@example([3.5])
+def test_column_stats(values):
+    # _mean and _stdev, min and max; an sd past the float range reads inf
+    try:
+        sd = gm._stdev(values) if len(values) > 1 else 0.0
+    except OverflowError:
+        sd = float("inf")
+    stats = gm.column_stats(values)
+    assert list(stats) == ["mean", "sd", "min", "max"]
+    assert stats["mean"] == gm._mean(values)
+    assert stats["sd"] == sd
+    assert (stats["min"], stats["max"]) == (min(values), max(values))
+
+
+def test_constancy_reads_column_stats():
+    # an sd past the float range is not constant
+    assert gm._constancy([1.7e308, -1.7e308]) == (False, float("inf"))
+    assert gm._constancy([2.5]) == gm._constancy([]) == (True, 0.0)
+    assert gm._constancy([1.0, 1.0, 1.0]) == (True, 0.0)
+
+
 def term_group(pg, term: str):
     """One term group of the formula route: the formula with every other
     group scaled to 0."""

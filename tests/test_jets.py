@@ -216,7 +216,7 @@ STACKED = np.array([[0.5, -1.0, 0.0, 2.0, 800.0],
         "exp", "sinh", "cosh"])
 def test_failure_names_its_points(op, bad):
     # the error's points are True exactly where the operation fails
-    x = jt.Jet.variable("u", STACKED, 3)
+    x = jt.jet_variable("u", STACKED, 3)
     with pytest.raises((jt.JetError, OverflowError)) as info:
         op(x)
     points = np.broadcast_to(info.value.points, STACKED.shape)

@@ -1,7 +1,8 @@
 """Package surface: every name a submodule lists in ``__all__`` exists,
 so ``from minksurf.<module> import *`` works, no module imports a name it
-does not use, every package name the benchmark harness in ``perfbench/``
-uses still exists and takes its arguments, and start-up stays cheap."""
+does not use, no package module reads an underscore name of another,
+every package name the benchmark harness in ``perfbench/`` uses still
+exists and takes its arguments, and start-up stays cheap."""
 
 from __future__ import annotations
 
@@ -63,6 +64,38 @@ def test_no_unused_imports(path):
 
 def test_unused_import_check_flags_one():
     assert unused_imports("import math\nimport os\nos.sep\n") == ["math (line 1)"]
+
+
+def private_imports(source: str) -> list[str]:
+    """Underscore names a package module takes from another package
+    module: by ``from .module import _name`` or as ``module._name``
+    after ``from . import module``."""
+    tree = ast.parse(source)
+    out = []
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None:
+                    modules.add(alias.asname or alias.name)
+                elif alias.name.startswith("_"):
+                    out.append(f"{node.module}.{alias.name}")
+    out += [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+            and isinstance(node.value, ast.Name) and node.value.id in modules]
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "minksurf").glob(
+    "*.py")), ids=lambda p: p.name)
+def test_no_private_imports(path):
+    assert private_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_private_import_check_flags_both_forms():
+    source = ("from . import jets as jt\nfrom .gaussmap import Records, _mean\n"
+              "jt._index(3)\njt.Jet\n")
+    assert private_imports(source) == ["gaussmap._mean", "jt._index"]
 
 
 # -- names the benchmark harness uses ----------------------------------------

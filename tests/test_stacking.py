@@ -166,7 +166,7 @@ def test_laplacian(order, batch, seed, n):
     # a space-like immersion: (0, u, v, 0) plus a small random part
     x = random_jets(rng, order, batch, 4)
     us, vs = rng.uniform(-1.0, 1.0, (2,) + batch)
-    u, v = jt.Jet.variable("u", us, order), jt.Jet.variable("v", vs, order)
+    u, v = jt.jet_variable("u", us, order), jt.jet_variable("v", vs, order)
     xjets = [c * 0.1 + base for c, base in zip(x, (0.0, u, v, 0.0))]
     pg = ge.PointGeometry(xjets, base=(us, vs))
     f = random_jets(rng, order, batch, n)

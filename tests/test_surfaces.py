@@ -11,7 +11,7 @@ from minksurf import expr as ex
 from minksurf import linalg as la
 from minksurf import surfaces as sf
 
-from conftest import CATALOG_CASES, CATALOG_IDS, build
+from conftest import CATALOG_CASES, CATALOG_IDS, build, serialize_surface
 from oracles import eval_text, fd_partial
 
 
@@ -41,7 +41,7 @@ class TestCatalog:
     @pytest.mark.parametrize("name,params", CATALOG_CASES, ids=CATALOG_IDS)
     def test_roundtrip_through_text(self, name, params):
         spec = build(name, params)
-        again = sf.parse_surface(sf.serialize_surface(spec))
+        again = sf.parse_surface(serialize_surface(spec))
         assert again == spec
 
     def test_product_1_1_matches_type_ii_1(self):
@@ -175,6 +175,13 @@ x4 = 0
         assert spec.name == "demo"
         assert spec.params == {"a": 2.0}
         assert spec.domain == sf.Domain(0.0, 1.0, -1.0, 1.0)
+
+    def test_tags_and_notes_are_dropped(self):
+        # catalog metadata is accepted in a file and carried by no spec;
+        # a notes line keeps its ';'
+        plain = "param a = 2\nx1 = a*u\nx2 = u\nx3 = v\nx4 = 0\n"
+        tagged = "tags = a, b\nnotes = x; y\n" + plain
+        assert sf.parse_surface(tagged) == sf.parse_surface(plain)
 
     def test_missing_component_rejected(self):
         with pytest.raises(ex.ParseError):
