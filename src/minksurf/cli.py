@@ -75,8 +75,8 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
                     help="grid resolution (default 7x7)")
     sp.add_argument("--domain", type=_domain_arg, metavar="a,b,c,d",
                     help="override the parameter rectangle")
-    sp.add_argument("--order", type=int, choices=(3, 4), default=3,
-                    help="jet order (4 enables the bilaplacian)")
+    sp.add_argument("--order", type=int, choices=jt.SUPPORTED_ORDERS,
+                    default=3, help="jet order (4 enables the bilaplacian)")
     sp.add_argument("--tol", type=float, default=None,
                     help="residual / verdict tolerance (default 1e-8)")
     sp.add_argument("--format", choices=("json", "csv"), default="json",

@@ -27,10 +27,8 @@ if-and-only-if statements.
 Grids are evaluated in blocks of points, each block as one batch of
 jets (see ``evaluate_batch``), and their records come back as columns
 (``Records``); a record's bytes do not depend on the block it was
-computed in.  Only the bilaplacian needs order-4 jets: at order 4 the
-immersion is evaluated once, every other field comes from its jets
-truncated to order 3 (``RECORD_ORDER``), and a second ``PointGeometry``
-on the full jets computes Delta^2 x alone.
+computed in.  A block is one ``PointGeometry`` at the run's order; only
+Delta^2 x needs order 4, and every other field is the same at order 3.
 """
 
 from __future__ import annotations
@@ -265,8 +263,8 @@ class Records:
     bilaplacian_norm) gives an object column.
 
     Nothing mutates a block once ``evaluate_batch`` has returned it, so
-    what is derived from its columns (``live``, ``position_constant``,
-    ``label_extent``) is computed once per block and kept.
+    what is derived from its columns (``live``, ``position_stats``,
+    ``label_extent`` and the rest) is computed once per block and kept.
     """
 
     def __init__(self, columns: dict[str, np.ndarray], tol: Tolerances):
@@ -324,9 +322,14 @@ class Records:
         return col.T.tolist() if col.ndim == 2 else [col.tolist()]
 
     @cached_property
+    def position_stats(self) -> dict[str, float]:
+        """``column_stats`` of <x, x>, which the summary reports."""
+        return column_stats(self["position_inner"].tolist())
+
+    @cached_property
     def position_constant(self) -> bool:
-        """Whether <x, x> is grid-constant (``_constancy``)."""
-        return _constancy(self["position_inner"].tolist())[0]
+        """Whether <x, x> is grid-constant (``_constant``)."""
+        return len(self) < 2 or _constant(self.position_stats)
 
     @cached_property
     def label_extent(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -358,12 +361,6 @@ class Records:
 _SKIPPED_ROW = Records.of([PointRecord()])
 
 
-# The jet order of every record field but bilaplacian_norm.  At order 4
-# those fields come from the immersion jets truncated to it, at order-3
-# cost, and match an order-3 run bit for bit (tests/test_gaussmap.py);
-# only bilaplacian_norm reads the full jets.
-RECORD_ORDER = 3
-
 # Points per batch when a grid is evaluated.  Report bytes do not depend
 # on it; it bounds the memory a batch of jets takes.
 BLOCK_POINTS = 256
@@ -385,12 +382,10 @@ def _failure(err: Exception, n: int) -> tuple[np.ndarray, str]:
     return failed.reshape(-1, n).any(axis=0), reason
 
 
-def _live_block(pg: PointGeometry, full: Optional[PointGeometry],
-                ) -> tuple[Records, np.ndarray]:
+def _live_block(pg: PointGeometry) -> tuple[Records, np.ndarray]:
     # The records of the points of pg, which all have a space-like
-    # metric, and which of them hold only finite values; full, the same
-    # points at order 4, gives bilaplacian_norm.  Every value has the
-    # point axis last, so a column is a row-layout copy of its transpose
+    # metric, and which of them hold only finite values.  A value has the
+    # point axis last, so its column is a row-layout copy of its transpose
     # (always a copy, so that no column keeps a larger array alive).
     us, vs = pg.base
     n = len(us)
@@ -418,8 +413,8 @@ def _live_block(pg: PointGeometry, full: Optional[PointGeometry],
         "f_estimate": d.f_estimate,
         "labels": [pg.label_masks[label] for label in LABELS],
     }
-    if full is not None:
-        values["bilaplacian_norm"] = la.euclid_norm(full.bilaplacian_x)
+    if pg.order == 4:
+        values["bilaplacian_norm"] = la.euclid_norm(pg.bilaplacian_x)
     cols = {name: np.transpose(x).copy() for name, x in values.items()}
     lemma_applies, lemma = _lemma42(pg)
     finite = np.logical_and.reduce(
@@ -470,14 +465,11 @@ def evaluate_batch(spec: SurfaceSpec, points: Sequence[tuple[float, float]],
         while live.size:
             try:
                 base = (us[live], vs[live])
-                xjets = evaluate_immersion(spec, *base, order)
-                pg = PointGeometry([x.truncated(RECORD_ORDER) for x in xjets],
+                pg = PointGeometry(evaluate_immersion(spec, *base, order),
                                    base, tol)
                 failed = pg.skip_reasons != None  # noqa: E711 - elementwise
                 if not failed.any():
-                    full = (PointGeometry(xjets, base, tol)
-                            if order > RECORD_ORDER else None)
-                    block, finite = _live_block(pg, full)
+                    block, finite = _live_block(pg)
                     break
                 reasons[live[failed]] = pg.skip_reasons[failed]
             except tuple(_POINT_ERRORS) as err:
@@ -598,13 +590,17 @@ def column_stats(values: Sequence[float]) -> dict[str, float]:
             "min": min(values), "max": max(values)}
 
 
+def _constant(stats: dict[str, float]) -> bool:
+    # the grid-constancy rule: sample sd within CONSTANCY_REL * (1 + |mean|)
+    return stats["sd"] <= CONSTANCY_REL * (1.0 + abs(stats["mean"]))
+
+
 def _constancy(values: Sequence[float]) -> tuple[bool, float]:
-    # sample sd against CONSTANCY_REL * (1 + |mean|); returns (constant?, sd)
+    # (constant?, sd) of a column; fewer than two values are constant
     if len(values) < 2:
         return True, 0.0
     stats = column_stats(values)
-    sd = stats["sd"]
-    return sd <= CONSTANCY_REL * (1.0 + abs(stats["mean"])), sd
+    return _constant(stats), stats["sd"]
 
 
 def _side(description: str, name: str, label: Optional[str] = None,

@@ -124,7 +124,9 @@ class PointGeometry:
     Built lazily: each stage materializes on first access and is cached.
     Instances are immutable by convention (nothing mutates after
     construction).  The batch is that of the immersion jets; ``base``
-    holds the parameter values, numbers or per-point arrays.
+    holds the parameter values, numbers or per-point arrays.  The metric
+    and the Laplace operator keep the jets' order less one (order 4 gives
+    Delta^2 x); the frame reads the metric to order 2, as Delta nu needs.
     """
 
     def __init__(self, xjets, base=(0.0, 0.0),
@@ -221,9 +223,9 @@ class PointGeometry:
     @cached_property
     def frame(self) -> Frame:
         self.require_spacelike()
-        E, F, _ = self.metric_jets
+        E, F, _ = (g.truncated(2) for g in self.metric_jets)
         inv_E = jt.reciprocal(E)
-        # det g / E, which is |x_v - (F/E) x_u|^2, and F / E
+        # det g / E, which is |x_v - (F/E) x_u|^2, and F / E, at order 2
         q = jt.stack([self.metric_det_jet, F]) * inv_E[None]
         roots = jt.sqrt(jt.stack([inv_E, q[0]]))
         a1 = roots[0]
@@ -284,8 +286,8 @@ class PointGeometry:
 
     @cached_property
     def _h(self) -> Jet:
-        """Second-fundamental-form coefficients h^beta_ij as one stack of
-        shape (2, 3, *batch): beta = 3, 4 by ij = 11, 12, 22.
+        """Second-fundamental-form coefficients h^beta_ij as one order-1
+        stack of shape (2, 3, *batch): beta = 3, 4 by ij = 11, 12, 22.
 
         Built from the symmetric expansion
         h^beta_ij = a_i a_j <x_uu, e_b> + (a_i b_j + b_i a_j) <x_uv, e_b>
@@ -294,7 +296,7 @@ class PointGeometry:
         and makes h^beta_12 = h^beta_21 structural.
         """
         f = self.frame
-        d = self._partials
+        d = self._partials.truncated(2)
         du, dv = d.deriv_u(), d.deriv_v()
         second = jt.stack([du[:, 0], dv[:, 0], dv[:, 1]], axis=1)
         # <x_uu, e_b>, <x_uv, e_b>, <x_vv, e_b> by beta, shape (2, 3, *batch)

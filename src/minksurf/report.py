@@ -39,6 +39,7 @@ from . import surfaces as sf
 from .gaussmap import (BLOCK_POINTS, PointRecord, Records, column_stats,
                        evaluate_grid, theorem_verdict_from_records)
 from .geometry import DEFAULT_TOLERANCES, Tolerances
+from .jets import SUPPORTED_ORDERS
 from .expr import serialize_expression
 from .surfaces import Domain, SurfaceSpec
 
@@ -93,7 +94,7 @@ class RunConfig:
             raise ValueError(f"unknown command {self.command!r}")
         if self.grid[0] < 2 or self.grid[1] < 2:
             raise ValueError("grid needs at least 2 points per axis")
-        if self.order not in (3, 4):
+        if self.order not in SUPPORTED_ORDERS:
             raise ValueError("jet order must be 3 or 4")
         if self.fmt not in ("json", "csv"):
             raise ValueError(f"unknown format {self.fmt!r}")
@@ -171,7 +172,7 @@ def summarize(records: Records) -> dict:
     out["H_causal_classes"] = sorted(set(live["H_causal"]))
     out["H_norm_euclid_max"] = max(live["H_norm_euclid"].tolist())
 
-    out["position_inner"] = column_stats(live["position_inner"].tolist())
+    out["position_inner"] = live.position_stats
     out["position_inner_constant"] = live.position_constant
 
     for name in ("lemma42", "bilaplacian_norm"):

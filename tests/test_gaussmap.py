@@ -27,6 +27,11 @@ from minksurf import surfaces as sf
 from conftest import (CATALOG_CASES, CATALOG_IDS, MIXED_FILE, build,
                       grid_geometry, point_geometry, route_agreement, rows)
 
+# Every surface file of the test data but mixed_skips.surf, which
+# test_order_four_records_are_order_three_ones reads on its own grid
+SURF_FILES = sorted(path for path in MIXED_FILE.parent.glob("*.surf")
+                    if path != MIXED_FILE)
+
 HARMONIC_HEIGHTS = ("u*v", "u^2 - v^2", "exp(u)*cos(v)")
 
 
@@ -315,7 +320,9 @@ class TestRecords:
                              if name == "graph" else None), (9, 7))
           for name in sf.catalog_names()),
         (sf.parse_surface(MIXED_FILE.read_text()), (15, 15)),
-    ], ids=[*sf.catalog_names(), "mixed-skips"])
+        *((sf.parse_surface(path.read_text()), (9, 7)) for path in SURF_FILES),
+    ], ids=[*sf.catalog_names(), "mixed-skips",
+            *(path.stem for path in SURF_FILES)])
     def test_order_four_records_are_order_three_ones(self, spec, grid):
         # every column but bilaplacian_norm, skip_reason included; floats
         # by bit pattern, so that -0.0 and NaN payloads count

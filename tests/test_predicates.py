@@ -136,18 +136,25 @@ def test_label_logic(surface, tau):
             theorem_id
 
 
-def test_verify_tests_constancy_once(monkeypatch, tmp_path):
-    """The summary and the verdict of one verify run read one live
-    selection of the records, so on a grid with skipped points the
-    grid constancy of <x, x> (a ``gm._stdev``) is computed once."""
+def _count_stdev(monkeypatch) -> list[int]:
+    # the length of each column that gm._stdev is called on, from now on
     calls = []
-    real = gm._constancy
+    real = gm._stdev
 
     def counted(values):
         calls.append(len(values))
         return real(values)
 
-    monkeypatch.setattr(gm, "_constancy", counted)
+    monkeypatch.setattr(gm, "_stdev", counted)
+    return calls
+
+
+def test_verify_tests_constancy_once(monkeypatch, tmp_path):
+    """The summary and the verdict of one verify run read one live
+    selection of the records, and the premise judges the summary's
+    statistics of <x, x>, so on a grid with skipped points the sd of
+    each summary column (a ``gm._stdev``) is computed once."""
+    calls = _count_stdev(monkeypatch)
     out = tmp_path / "report.json"
     assert cli.main(["verify", "T3.9", "--catalog", "graph",
                      "--param", "phi=log(u)", "--domain=-1,1,-1,1",
@@ -155,7 +162,20 @@ def test_verify_tests_constancy_once(monkeypatch, tmp_path):
     payload = json.loads(out.read_text(encoding="utf-8"))
     assert payload["summary"]["points_skipped"] == 8
     assert "IN-S31" in payload["summary"]["labels_somewhere"]
-    assert calls == [8]
+    # K_gauss, h_sq, f_estimate and position_inner
+    assert calls == [8] * 4
+
+
+def test_analyze_takes_one_sd_per_summary_column(monkeypatch, tmp_path):
+    """position_inner_constant judges the summary's statistics of
+    <x, x>, so a 32x32 analyze takes four sample sds, not five."""
+    calls = _count_stdev(monkeypatch)
+    out = tmp_path / "report.json"
+    assert cli.main(["analyze", "--catalog", "example52", "--grid", "32x32",
+                     "--out", str(out)]) == 0
+    summary = json.loads(out.read_text(encoding="utf-8"))["summary"]
+    assert summary["points_evaluated"] == 1024
+    assert calls == [1024] * 4
 
 
 # -- catalog tags ---------------------------------------------------------

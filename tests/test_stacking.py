@@ -234,22 +234,27 @@ def directional(pg: ge.PointGeometry, f: jt.Jet, i: int):
 
 
 def frame_loop(pg: ge.PointGeometry):
-    """Metric, frame and second fundamental form, component by component."""
+    """Metric, frame and second fundamental form, component by component.
+
+    The metric and det g have the immersion's order less one; the frame,
+    and so nu, h, H and h^2, read them and the partials to order 2."""
     xu = [c.deriv_u() for c in pg.xjets]
     xv = [c.deriv_v() for c in pg.xjets]
     E, F, G = inner(xu, xu), inner(xu, xv), inner(xv, xv)
     det = E * G - F * F
-    inv_E = jt.reciprocal(E)
+    E2, F2, det2 = (j.truncated(2) for j in (E, F, det))
+    xu2, xv2 = ([c.truncated(2) for c in d] for d in (xu, xv))
+    inv_E = jt.reciprocal(E2)
     a1 = jt.sqrt(inv_E)
-    inv_mu = jt.reciprocal(jt.sqrt(det * inv_E))
-    a2, b2 = -(F * inv_E) * inv_mu, inv_mu
+    inv_mu = jt.reciprocal(jt.sqrt(det2 * inv_E))
+    a2, b2 = -(F2 * inv_E) * inv_mu, inv_mu
     b1 = jt.Jet.constant(np.zeros(pg.batch), a1.order)
-    e1 = [a1 * c for c in xu]
-    e2 = [a2 * x + b2 * y for x, y in zip(xu, xv)]
+    e1 = [a1 * c for c in xu2]
+    e2 = [a2 * x + b2 * y for x, y in zip(xu2, xv2)]
     e3, e4, nu = normal_frame(e1, e2)
-    xuu = [c.deriv_u() for c in xu]
-    xuv = [c.deriv_v() for c in xu]
-    xvv = [c.deriv_v() for c in xv]
+    xuu = [c.deriv_u() for c in xu2]
+    xuv = [c.deriv_v() for c in xu2]
+    xvv = [c.deriv_v() for c in xv2]
     a, b = (a1, a2), (b1, b2)
     h = {}
     for beta, e in ((3, e3), (4, e4)):
