@@ -8,6 +8,10 @@ Grammar (standard precedence, ^ binds tightest, integer exponents only):
     power   := atom ('^' ['-'] INTEGER)?
     atom    := NUMBER | IDENT | IDENT '(' expr ')' | '(' expr ')'
 
+NUMBER and IDENT are defined by the token pattern ``_TOKEN``: ASCII
+digits with at most one '.' and an optional exponent (``1.``, ``.5``,
+``1.5e-3``), and a letter or '_' followed by letters, digits and '_'.
+
 Identifiers are the coordinates u and v, declared parameter names, or
 the function names sin, cos, sinh, cosh, exp, sqrt, log.  An exponent's
 magnitude is at most MAX_EXPONENT, and the nesting is bounded by
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from typing import Iterator, Mapping, NamedTuple, Optional
 
 import numpy as np
@@ -86,72 +91,41 @@ class ArityError(ParseError):
 
 # -- lexer --------------------------------------------------------------
 
-_OPS = "+-*/^(),"
+# The alternatives, in order: blanks, a newline, a number, a word, which
+# is an identifier if it starts with a letter or '_' (\w is str.isalnum
+# plus '_'), an operator, and any other character, which is an error.
+# Numbers take ASCII digits only: \d and str.isdigit also take
+# superscripts and other scripts' digits, which float() either rejects
+# or silently reads.
+_TOKEN = re.compile(
+    r"(?P<blank>[ \t\r]+)|(?P<newline>\n)"
+    r"|(?P<number>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
+    r"|(?P<ident>\w+)|(?P<op>[-+*/^(),])|(?P<other>.)", re.DOTALL)
 
 
 class _Token(NamedTuple):
-    kind: str  # "number" | "ident" | one of _OPS | "end"
+    kind: str  # "number" | "ident" | one of the operators | "end"
     text: str
     line: int
     column: int
 
 
-# Numbers are written in ASCII digits only: str.isdigit also takes
-# superscripts and other scripts' digits, which int() and float() either
-# reject or silently read as numbers.
-_DIGITS = frozenset("0123456789")
-
-
 def _tokens(text: str, line0: int = 1, col0: int = 1) -> Iterator[_Token]:
-    line, col = line0, col0
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        start_col = col
-        if ch in _DIGITS or (ch == "." and i + 1 < n and text[i + 1] in _DIGITS):
-            j = i
-            seen_dot = False
-            while j < n and (text[j] in _DIGITS or (text[j] == "." and not seen_dot)):
-                seen_dot = seen_dot or text[j] == "."
-                j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k] in _DIGITS:
-                    j = k
-                    while j < n and text[j] in _DIGITS:
-                        j += 1
-            tok = text[i:j]
-            col += j - i
-            i = j
-            yield _Token("number", tok, line, start_col)
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tok = text[i:j]
-            col += j - i
-            i = j
-            yield _Token("ident", tok, line, start_col)
-            continue
-        if ch in _OPS:
-            i += 1
-            col += 1
-            yield _Token(ch, ch, line, start_col)
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, start_col)
-    yield _Token("end", "", line, col)
+    # a token's column is its offset past origin, which each newline
+    # moves to itself
+    line, origin = line0, -col0
+    for m in _TOKEN.finditer(text):
+        kind, tok, column = m.lastgroup, m.group(), m.start() - origin
+        if kind == "newline":
+            line, origin = line + 1, m.start()
+        elif kind == "op":
+            yield _Token(tok, tok, line, column)
+        elif kind == "number" or (kind == "ident"
+                                  and (tok[0].isalpha() or tok[0] == "_")):
+            yield _Token(kind, tok, line, column)
+        elif kind != "blank":
+            raise ParseError(f"unexpected character {tok[0]!r}", line, column)
+    yield _Token("end", "", line, len(text) - origin)
 
 
 class _Parser:

@@ -5,9 +5,9 @@ A surface is an immersion x(u, v) into Minkowski 4-space given by four
 component expressions, a parameter binding, and a sample rectangle.
 The text format is line oriented:
 
-    name = my-surface          # optional
-    param a = 1.5              # repeatable
-    domain = [-1,1]x[-1,1]     # optional, defaults to [-1,1]x[-1,1]
+    name = my-surface          # optional, at most once
+    param a = 1.5              # repeatable, once per name
+    domain = [-1,1]x[-1,1]     # at most once, defaults to [-1,1]x[-1,1]
     tags = flat, parallel-h    # optional; accepted and not kept
     x1 = a*cosh(u)
     x2 = a*sinh(u)
@@ -111,6 +111,11 @@ def _require_finite(pname: str, value: float) -> float:
 
 # -- text format ----------------------------------------------------------
 
+# a line's statements: each starts at a character that is neither ';'
+# nor a blank and runs to the next ';', or on a notes line to the end
+_STATEMENT = re.compile(r"[^;\s][^;]*")
+_NOTES = re.compile(r"\S.*")
+
 _DOMAIN_RE = re.compile(
     r"^\[\s*([^,\]]+)\s*,\s*([^,\]]+)\s*\]\s*x\s*\[\s*([^,\]]+)\s*,\s*([^,\]]+)\s*\]$")
 
@@ -131,21 +136,15 @@ def parse_surface(text: str) -> SurfaceSpec:
     for line_no, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0]
         # notes is free text; ';' inside it is content, not a separator
-        if body.split("=", 1)[0].strip() == "notes":
-            stripped = body.strip()
-            statements.append((line_no, 1 + len(body) - len(body.lstrip()), stripped))
-            continue
-        col = 1
-        for piece in body.split(";"):
-            stripped = piece.strip()
-            if stripped:
-                statements.append((line_no, col + len(piece) - len(piece.lstrip()), stripped))
-            col += len(piece) + 1
+        notes = body.split("=", 1)[0].strip() == "notes"
+        for m in (_NOTES if notes else _STATEMENT).finditer(body):
+            statements.append((line_no, m.start() + 1, m.group().rstrip()))
 
     name = "user-surface"
     params: dict[str, float] = {}
     domain: Optional[Domain] = None
     comp_sources: dict[int, tuple[str, int, int]] = {}
+    seen: set[str] = set()
     last_line = 1
 
     for line_no, col, stmt in statements:
@@ -158,6 +157,9 @@ def parse_surface(text: str) -> SurfaceSpec:
         value = value.strip()
         if not value:
             raise ParseError(f"missing value for {key!r}", line_no, col)
+        if key in seen and key in ("name", "domain"):
+            raise ParseError(f"duplicate {key} statement", line_no, col)
+        seen.add(key)
         if key == "name":
             name = value.strip("\"'")
         elif key.startswith("param"):

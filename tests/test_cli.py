@@ -542,11 +542,15 @@ class TestUsageErrors:
          "(line 1, column 33)"),
         ("x1 = sin u; x2 = u; x3 = v; x4 = 0", "(line 1, column 6)"),
         ("x1 = sin(u; x2 = u; x3 = v; x4 = 0", "(line 1, column 11)"),
+        ("domain = [0,1]x[0,1]; domain = [2,3]x[2,3]; "
+         "x1 = u; x2 = v; x3 = 0; x4 = 0", "(line 1, column 23)"),
+        ("name = a\nname = b\nx1 = 0; x2 = u; x3 = v; x4 = 0",
+         "(line 2, column 1)"),
     ], ids=["deep-component", "overflowing-domain", "no-equals",
             "missing-value", "malformed-param", "duplicate-param",
             "param-not-a-number", "domain-one-interval", "empty-domain",
             "duplicate-component", "unknown-key", "bare-function-argument",
-            "unclosed-parenthesis"])
+            "unclosed-parenthesis", "duplicate-domain", "duplicate-name"])
     def test_surface_file_error_names_its_position(self, text, position,
                                                   tmp_path, capsys):
         f = tmp_path / "s.surf"

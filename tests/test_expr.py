@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import re
 import sys
 
 import pytest
@@ -105,6 +106,95 @@ class TestParseErrors:
         e = ex.parse_expression("phi + u")
         with pytest.raises(KeyError):
             value_at(e, 0.0, 0.0)
+
+
+def outcome(text: str, **kwargs):
+    """The serialized plan of ``text``, or the (line, column) of its
+    ParseError."""
+    try:
+        return ex.serialize_expression(ex.parse_expression(text, **kwargs))
+    except ex.ParseError as err:
+        return err.line, err.column
+
+
+class TestScannerEdges:
+    # what the token pattern makes of each text, seen through the parser
+    @pytest.mark.parametrize("text, kwargs, want", [
+        # number forms: a dot needs a digit on one side, an exponent
+        # needs a digit after its sign, and one number has one dot
+        ("1.", {}, "1"),
+        (".5", {}, "0.5"),
+        ("1.e5", {}, "100000"),
+        ("1E-2", {}, "0.01"),
+        ("1e", {}, (1, 2)),
+        ("1e+u", {}, (1, 2)),
+        ("1e5e", {}, (1, 4)),
+        ("1.2.3", {}, (1, 4)),
+        ("..5", {}, (1, 1)),
+        ("1a", {}, (1, 2)),
+        # a tab or a carriage return is one blank column
+        ("u\t+\t$", {}, (1, 5)),
+        ("\tu +\r", {}, (1, 6)),
+        ("u\r*\r\r", {}, (1, 6)),
+        # col0 offsets the first line only
+        ("?", {"line0": 3, "col0": 7}, (3, 7)),
+        ("u +\n  ?", {"line0": 3, "col0": 7}, (4, 3)),
+        ("u\n+", {"line0": 3, "col0": 7}, (4, 2)),
+        ("u +\n", {"line0": 3, "col0": 7}, (4, 1)),
+        # an identifier starts with a letter or '_' and goes on with
+        # letters, digits and '_' of any script
+        ("é", {}, "é"),
+        ("é*u", {"params": frozenset()}, (1, 1)),
+        ("_a1", {}, "_a1"),
+        ("u²", {}, "u²"),
+        # other digits, and blanks other than space, tab and \r, are
+        # unexpected characters
+        ("²", {}, (1, 1)),
+        ("½", {}, (1, 1)),
+        ("u*½", {}, (1, 3)),
+        ("١", {}, (1, 1)),
+        ("u + ١", {}, (1, 5)),
+        ("u\xa0+ v", {}, (1, 2)),
+        ("u +\xa0", {}, (1, 4)),
+        ("u\f+ v", {}, (1, 2)),
+    ])
+    def test_outcome(self, text, kwargs, want):
+        assert outcome(text, **kwargs) == want
+
+    @pytest.mark.parametrize("text, message", [
+        ("²", "unexpected character '²'"),
+        ("u\xa0+ v", "unexpected character '\\xa0'"),
+        ("1.2.3", "unexpected trailing '.3'"),
+        ("\tu +\r", "expected a value, found 'end of input'"),
+    ])
+    def test_message(self, text, message):
+        with pytest.raises(ex.ParseError, match=f"^{re.escape(message)} "):
+            ex.parse_expression(text)
+
+
+# a hostile alphabet: pieces of numbers, operators, the three blanks and
+# newline, characters that look like digits or blanks and are not, a
+# non-ASCII letter, the function names, the coordinates and a declared
+# parameter
+HOSTILE = (*"0123456789", ".", "e", "E", *"+-*/^(),", " ", "\t", "\r", "\n",
+           "²", "١", "\xa0", "é", *ex.FUNCTION_NAMES, "u", "v", "a")
+
+
+class TestNoOtherException:
+    @given(pieces=st.lists(st.sampled_from(HOSTILE), max_size=24))
+    @settings(max_examples=300)
+    def test_parse_or_parse_error_in_range(self, pieces):
+        text = "".join(pieces)
+        declared = frozenset({"a"})
+        try:
+            e = ex.parse_expression(text, declared)
+        except ex.ParseError as err:
+            lines = text.split("\n")
+            assert 1 <= err.line <= len(lines)
+            assert 1 <= err.column <= len(lines[err.line - 1]) + 1
+        else:
+            printed = ex.serialize_expression(e)
+            assert ex.parse_expression(printed, declared) == e
 
 
 G, H = ex.MAX_GROUPS, ex.MAX_HEIGHT

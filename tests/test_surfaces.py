@@ -190,3 +190,27 @@ x4 = 0
     def test_unknown_identifier_in_component(self):
         with pytest.raises(ex.UnknownIdentifier):
             sf.parse_surface("x1 = q ; x2 = u ; x3 = v ; x4 = 0")
+
+    # where the statement finder puts each statement, seen through the
+    # (line, column) of an error in it, or the components of the spec
+    @pytest.mark.parametrize("text, want", [
+        ("x1 = u;\tx2 = ?; x3 = v; x4 = 0", (1, 14)),
+        ("x1 = u;\t x2 = v; x3 = 0;\tx4 = ?", (1, 31)),
+        ("x1 = u;\xa0x2 = v; x3 = 0;\xa0 x4 = ?", (1, 31)),
+        ("x1 = u ;\t; ;x2 = v;;x3 = 0;x4 = 0\t", ("u", "v", "0", "0")),
+        ("notes = a; b # c; d\nx1 = u; x2 = v; x3 = 0; x4 = ?", (2, 30)),
+        (" notes = a; x1 = b\nx1 = u; x2 = v; x3 = 0; x4 = 0",
+         ("u", "v", "0", "0")),
+        # a form feed ends a line, as str.splitlines has it
+        ("\fx1 = u; x2 = v; x3 = 0; x4 = ?", (2, 30)),
+        ("x1 = u\f+ v; x2 = v; x3 = 0; x4 = 0", (2, 1)),
+        ("x1 = u; x2 = v;\f x3 = 0 ; x4 = w", (2, 16)),
+    ])
+    def test_statement_positions(self, text, want):
+        try:
+            spec = sf.parse_surface(text)
+        except ex.ParseError as err:
+            got = err.line, err.column
+        else:
+            got = tuple(map(ex.serialize_expression, spec.components))
+        assert got == want
