@@ -424,7 +424,7 @@ def _live_block(pg: PointGeometry) -> tuple[Records, np.ndarray]:
     cols.update(
         u=us, v=vs, ok=np.ones(n, dtype=bool),
         skip_reason=np.full(n, None),
-        H_causal=np.array([c.name for c in pg.H_causal], dtype=object),
+        H_causal=pg.H_causal,
         lemma42=np.array([x if applies else None for x, applies in zip(
             lemma.tolist(), lemma_applies.tolist())], dtype=object),
         bilaplacian_norm=np.array([None] * n if bilaplacian is None

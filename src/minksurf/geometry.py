@@ -33,7 +33,7 @@ import numpy as np
 from . import jets as jt
 from . import linalg as la
 from .jets import Jet, OrderExceeded
-from .linalg import CausalClass, DegeneratePlane, causal_character
+from .linalg import DegeneratePlane, causal_character
 
 __all__ = [
     "Tolerances",
@@ -265,17 +265,13 @@ class PointGeometry:
     # Connection forms omega_AB(e_i) = <flat derivative of e_A along e_i,
     # e_B>, i = 1, 2; antisymmetric in (A, B) by metric compatibility.
 
-    @cached_property
-    def omega12(self) -> tuple[float, float]:
-        d = np.moveaxis(self.along(self.frame.e[0]), 0, 1)
-        w = la.minkowski_inner(d, self.frame_values[1][:, None])
+    def _omega(self, A: int, B: int) -> tuple[float, float]:
+        d = np.moveaxis(self.along(self.frame.e[A - 1]), 0, 1)
+        w = la.minkowski_inner(d, self.frame_values[B - 1][:, None])
         return w[0], w[1]
 
-    @cached_property
-    def omega34(self) -> tuple[float, float]:
-        d = np.moveaxis(self.along(self.frame.e[2]), 0, 1)
-        w = la.minkowski_inner(d, self.frame_values[3][:, None])
-        return w[0], w[1]
+    omega12 = cached_property(lambda self: self._omega(1, 2))
+    omega34 = cached_property(lambda self: self._omega(3, 4))
 
     # -- second fundamental form ----------------------------------------
 
@@ -341,8 +337,8 @@ class PointGeometry:
 
     @cached_property
     def H_causal(self):
-        """CausalClass of H at the residual tolerance; an object array of
-        them for a batch.  ZERO is the MAXIMAL label."""
+        """The causal class name of H at the residual tolerance; an object
+        array of names for a batch.  "ZERO" is the MAXIMAL label."""
         return causal_character(self.H, self.tol.residual)
 
     @cached_property
@@ -515,8 +511,8 @@ class PointGeometry:
         hn = tau * (1.0 + norm_H)
         x_causal = causal_character(self.x_values, CAUSAL_TOL)
         return {
-            "MAXIMAL": self.H_causal == CausalClass.ZERO,
-            "MARGINALLY-TRAPPED": self.H_causal == CausalClass.LIGHTLIKE,
+            "MAXIMAL": self.H_causal == "ZERO",
+            "MARGINALLY-TRAPPED": self.H_causal == "LIGHTLIKE",
             "FLAT": abs(self.K_gauss) <= tau,
             "FLAT-NORMAL-BUNDLE": abs(self.RD) <= tau,
             "PARALLEL-H": self.residual_parallel_H <= tau,
@@ -524,11 +520,9 @@ class PointGeometry:
                                  & (abs(p[0] - p[2]) <= scale)),
             "TOTALLY-UMBILICAL": np.logical_and.reduce(
                 la.euclid_norm(defect) <= hn),
-            "IN-LIGHTCONE": ((x_causal == CausalClass.ZERO)
-                             | (x_causal == CausalClass.LIGHTLIKE)),
-            "IN-S31": x_causal == CausalClass.SPACELIKE,
-            "IN-H3": ((x_causal == CausalClass.TIMELIKE)
-                      & (self.x_values[0] > 0)),
+            "IN-LIGHTCONE": (x_causal == "ZERO") | (x_causal == "LIGHTLIKE"),
+            "IN-S31": x_causal == "SPACELIKE",
+            "IN-H3": (x_causal == "TIMELIKE") & (self.x_values[0] > 0),
         }
 
     @cached_property

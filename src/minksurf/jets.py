@@ -174,8 +174,9 @@ class Jet:
     """A bivariate Taylor polynomial truncated at total degree ``order``,
     one per point of a batch.
 
-    ``coeffs`` has shape ``(m, *batch)``.  Instances are immutable by
-    convention: no operation writes into an existing coefficient array.
+    ``coeffs`` is a float array of shape ``(m, *batch)``, stored as
+    given, unchecked.  Instances are immutable by convention: no
+    operation writes into an existing coefficient array.
     Operands of one operation have as many batch axes as each other and
     broadcast as numpy arrays do, so ``s[None] * v`` multiplies each
     component of the stack ``v`` by the jet ``s``, while a ``()`` and a
@@ -187,13 +188,7 @@ class Jet:
     __array_ufunc__ = None  # numpy defers array-jet operations to Jet
     __iter__ = None  # indexing selects points; a jet is not a sequence
 
-    def __init__(self, order: int, coeffs):
-        if order < 0:
-            raise UnsupportedOrder(f"jet order must be nonnegative, got {order}")
-        coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape[:1] != (_size(order),):
-            raise ValueError(f"expected {_size(order)} coefficients, "
-                             f"got shape {coeffs.shape}")
+    def __init__(self, order: int, coeffs: np.ndarray):
         self.order = order
         self.coeffs = coeffs
 
@@ -204,7 +199,7 @@ class Jet:
         value = np.asarray(value, dtype=float)
         coeffs = np.zeros((_size(order),) + value.shape)
         coeffs[0] = value
-        return _jet(order, coeffs)
+        return Jet(order, coeffs)
 
     # -- inspection ---------------------------------------------------
 
@@ -216,7 +211,7 @@ class Jet:
         """The jet at the chosen points (or components) of the batch; the
         index applies to the batch axes as it would to a numpy array."""
         index = index if isinstance(index, tuple) else (index,)
-        return _jet(self.order, self.coeffs[(slice(None),) + index])
+        return Jet(self.order, self.coeffs[(slice(None),) + index])
 
     def value(self):
         return self.coeffs[0]
@@ -231,30 +226,23 @@ class Jet:
         """Raw partial derivative d^{i+j}/du^i dv^j at the base point."""
         return math.factorial(i) * math.factorial(j) * self.coeff(i, j)
 
-    def __repr__(self) -> str:
-        if self.batch:
-            return f"Jet(order={self.order}, batch={self.batch})"
-        nz = {pair: float(self.coeffs[n])
-              for pair, n in _index(self.order).items() if self.coeffs[n] != 0.0}
-        return f"Jet(order={self.order}, {nz})"
-
     # -- ring operations ----------------------------------------------
 
     def truncated(self, order: int) -> "Jet":
         """This jet with every coefficient of total degree > order dropped."""
         if order >= self.order:
             return self
-        return _jet(order, self.coeffs[:_size(order)])
+        return Jet(order, self.coeffs[:_size(order)])
 
     def _with_value(self, value) -> "Jet":
         coeffs = self.coeffs.copy()
         coeffs[0] = value
-        return _jet(self.order, coeffs)
+        return Jet(self.order, coeffs)
 
     def __add__(self, other) -> "Jet":
         if isinstance(other, Jet):
             k, a, b = _align(self, other)
-            return _jet(k, a + b)
+            return Jet(k, a + b)
         if isinstance(other, _SCALARS):
             return self._with_value(self.coeffs[0] + other)
         return NotImplemented
@@ -262,12 +250,12 @@ class Jet:
     __radd__ = __add__
 
     def __neg__(self) -> "Jet":
-        return _jet(self.order, -self.coeffs)
+        return Jet(self.order, -self.coeffs)
 
     def __sub__(self, other) -> "Jet":
         if isinstance(other, Jet):
             k, a, b = _align(self, other)
-            return _jet(k, a - b)
+            return Jet(k, a - b)
         if isinstance(other, _SCALARS):
             return self._with_value(self.coeffs[0] - other)
         return NotImplemented
@@ -278,9 +266,9 @@ class Jet:
     def __mul__(self, other) -> "Jet":
         if isinstance(other, Jet):
             k, a, b = _align(self, other)
-            return _jet(k, _product(k, a, b))
+            return Jet(k, _product(k, a, b))
         if isinstance(other, _SCALARS):
-            return _jet(self.order, self.coeffs * other)
+            return Jet(self.order, self.coeffs * other)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -317,7 +305,7 @@ class Jet:
             raise OrderExceeded("cannot differentiate an order-0 jet")
         src, factor = _deriv_plan(self.order, axis)
         factor = factor.reshape(factor.shape + (1,) * len(self.batch))
-        return _jet(self.order - 1, factor * self.coeffs[src])
+        return Jet(self.order - 1, factor * self.coeffs[src])
 
     def deriv_u(self) -> "Jet":
         """Jet of df/du, one order lower."""
@@ -326,15 +314,6 @@ class Jet:
     def deriv_v(self) -> "Jet":
         """Jet of df/dv, one order lower."""
         return self._deriv(1)
-
-
-def _jet(order: int, coeffs: np.ndarray) -> Jet:
-    # a Jet around a float coefficient array of the right length, built
-    # without the checks of Jet.__init__; every operation returns one
-    jet = object.__new__(Jet)
-    jet.order = order
-    jet.coeffs = coeffs
-    return jet
 
 
 def _align(a: Jet, b: Jet) -> tuple[int, np.ndarray, np.ndarray]:
@@ -352,8 +331,8 @@ def stack(jets: Sequence[Jet], axis: int = 0) -> Jet:
     """One jet whose batch has a new axis at ``axis`` along the given
     jets, at the lowest of their orders."""
     k = min(j.order for j in jets)
-    return _jet(k, np.stack([j.coeffs[:_size(k)] for j in jets],
-                            axis=axis + 1))
+    return Jet(k, np.stack([j.coeffs[:_size(k)] for j in jets],
+                           axis=axis + 1))
 
 
 def _overflows(fn: Callable[[float], float], t: float) -> bool:
@@ -420,10 +399,15 @@ def log(a: Jet) -> Jet:
     return _compose(series, a)
 
 
+def _cyclic(cycle: Sequence, a: Jet) -> Jet:
+    # f(a) for an f whose derivatives at the base value repeat the cycle:
+    # coefficient m of its series is cycle[m % len(cycle)] / m!
+    return _compose([cycle[m % len(cycle)] / math.factorial(m)
+                     for m in range(a.order + 1)], a)
+
+
 def exp(a: Jet) -> Jet:
-    e0 = _pointwise(math.exp, a.value())
-    series = [e0 / math.factorial(m) for m in range(a.order + 1)]
-    return _compose(series, a)
+    return _cyclic((_pointwise(math.exp, a.value()),), a)
 
 
 def _nan_at_infinity(fn: Callable[[float], float]) -> Callable[[float], float]:
@@ -437,28 +421,22 @@ float_sin, float_cos = _nan_at_infinity(math.sin), _nan_at_infinity(math.cos)
 
 def sin(a: Jet) -> Jet:
     s0, c0 = _pointwise(float_sin, a.value()), _pointwise(float_cos, a.value())
-    cycle = (s0, c0, -s0, -c0)
-    series = [cycle[m % 4] / math.factorial(m) for m in range(a.order + 1)]
-    return _compose(series, a)
+    return _cyclic((s0, c0, -s0, -c0), a)
 
 
 def cos(a: Jet) -> Jet:
     s0, c0 = _pointwise(float_sin, a.value()), _pointwise(float_cos, a.value())
-    cycle = (c0, -s0, -c0, s0)
-    series = [cycle[m % 4] / math.factorial(m) for m in range(a.order + 1)]
-    return _compose(series, a)
+    return _cyclic((c0, -s0, -c0, s0), a)
 
 
 def sinh(a: Jet) -> Jet:
     s0, c0 = _pointwise(math.sinh, a.value()), _pointwise(math.cosh, a.value())
-    series = [(s0 if m % 2 == 0 else c0) / math.factorial(m) for m in range(a.order + 1)]
-    return _compose(series, a)
+    return _cyclic((s0, c0), a)
 
 
 def cosh(a: Jet) -> Jet:
     s0, c0 = _pointwise(math.sinh, a.value()), _pointwise(math.cosh, a.value())
-    series = [(c0 if m % 2 == 0 else s0) / math.factorial(m) for m in range(a.order + 1)]
-    return _compose(series, a)
+    return _cyclic((c0, s0), a)
 
 
 # -- contract-level entry points --------------------------------------

@@ -26,15 +26,12 @@ right, as the component formulas are written.
 
 from __future__ import annotations
 
-from enum import Enum
-
 import numpy as np
 
 from . import jets as jt
 from .jets import Jet
 
 __all__ = [
-    "CausalClass",
     "DegeneratePlane",
     "minkowski_inner",
     "euclid_sq",
@@ -49,13 +46,6 @@ __all__ = [
 
 class DegeneratePlane(Exception):
     """The two tangent vectors do not span a space-like plane."""
-
-
-class CausalClass(Enum):
-    SPACELIKE = "spacelike"
-    TIMELIKE = "timelike"
-    LIGHTLIKE = "lightlike"
-    ZERO = "zero"
 
 
 def _signs(stack, *signs: float) -> np.ndarray:
@@ -116,16 +106,16 @@ def hodge_dual(b):
     return d * _signs(d, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0)
 
 
-_CAUSAL_CLASSES = np.array([CausalClass.ZERO, CausalClass.LIGHTLIKE,
-                            CausalClass.SPACELIKE, CausalClass.TIMELIKE],
+_CAUSAL_CLASSES = np.array(["ZERO", "LIGHTLIKE", "SPACELIKE", "TIMELIKE"],
                            dtype=object)
 
 
 def causal_character(v, tol: float):
     """Scale-aware causal classification of a (possibly inexact) vector.
 
-    A CausalClass for a vector of shape (4,); for per-point vectors, an
-    object array of CausalClass of their batch shape.
+    One of "ZERO", "LIGHTLIKE", "SPACELIKE" and "TIMELIKE" for a vector
+    of shape (4,); for per-point vectors, an object array of these names
+    of their batch shape.
     """
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")

@@ -133,7 +133,8 @@ def _float_or_error(text: str, what: str, line: int, col: int) -> float:
 def parse_surface(text: str) -> SurfaceSpec:
     """Parse the surface text format (newline or ';' separated statements)."""
     statements: list[tuple[int, int, str]] = []  # (line, column, stmt)
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    # only '\n' ends a line, as in the expression scanner
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         body = raw.split("#", 1)[0]
         # notes is free text; ';' inside it is content, not a separator
         notes = body.split("=", 1)[0].strip() == "notes"

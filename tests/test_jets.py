@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -257,3 +258,42 @@ class TestBatch:
         ub, _ = var_pair(np.array([0.1, 0.2]), np.zeros(2))
         with pytest.raises(ValueError):
             u * ub
+
+
+# sha256 of the coefficient bytes of each series function at orders 3
+# and 4 on one fixed batch.  No golden report runs exp or log, so these
+# pin the series coefficients themselves; they change only with the
+# arithmetic or with the platform's libm.
+SERIES_DIGESTS = {
+        ("exp", 3): "0c34bcf2dc7b6b4729889e2432a8a863142ed222d6241edf7e2a3acb79073935",
+        ("log", 3): "dfaceb528bfa0276de1151467fd2acf8ca8218e6d33a5ed5165b46b462914219",
+        ("sqrt", 3): "0c5ff6e0d5fb7d1e332918ea0aa76915bfaaa4febd02f275878cd34caf47e46d",
+        ("reciprocal", 3): "41b06134befbf38be319a26ee80df70b308d3adabb3d4320bdf3d34b65a431a5",
+        ("sin", 3): "9ff570864cb07e3bb9c8b84f7ead7496009e813b50f7e74e520fe384a52f6f0d",
+        ("cos", 3): "a53edc6293a605ff0c2cc9079f382f20eb5a8a3d9129510aee44004b58cbb9ed",
+        ("sinh", 3): "fd2ab88fff716de6d03899e77e67405f020f98423b9588530193342a69f3c3d8",
+        ("cosh", 3): "4d365a10ab4f821b1232df003a640349a3362271726df17d6de74490392a4239",
+        ("exp", 4): "5bbe937e1c6dec42ca3815427270e3de76db22e6a4b054df721a365a20c4637e",
+        ("log", 4): "39d6baed76a199573151ba895bae4d936cbefadfde7ffb7dda9430a05e29b232",
+        ("sqrt", 4): "ba611060b862d3dfdbc7189dc44ad992a3cf9bd6cef1e153d0e07d75358f3907",
+        ("reciprocal", 4): "47e83bd796855000dc9f65341d22c66078397bf39abc330936da9bb490e458f1",
+        ("sin", 4): "9e2a88bd722170a247d75fc995594956c51f9428ae2ce2c0a65d539e858b46d8",
+        ("cos", 4): "d467507a461a1982cd3abdb70d2c507db4da04d9164f72d633b606c66e6428de",
+        ("sinh", 4): "6c78b84660eba979a982f957c091b9a911989972be6b56810182dad3e19dd4ab",
+        ("cosh", 4): "71733d1cefb288510192b2055c4ca82008969f885a34a52ebb2e8d5a6903537d",
+}
+
+
+def series_argument(k: int) -> jt.Jet:
+    """0.5 + u^2 + 0.3 v^2 + 0.2 u v on nine points: positive, so every
+    series function is defined."""
+    us = np.linspace(-1.0, 1.0, 9)
+    vs = np.linspace(0.2, 1.8, 9)[::-1]
+    u, v = var_pair(us, vs, k)
+    return 0.5 + u * u + 0.3 * v * v + 0.2 * u * v
+
+
+@pytest.mark.parametrize("name, k", sorted(SERIES_DIGESTS))
+def test_series_coefficient_bytes(name, k):
+    got = getattr(jt, name)(series_argument(k)).coeffs.tobytes()
+    assert hashlib.sha256(got).hexdigest() == SERIES_DIGESTS[name, k]

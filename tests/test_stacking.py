@@ -378,7 +378,7 @@ def label_masks_loop(pg: ge.PointGeometry):
     x_causal = la.causal_character(pg.x_values, ge.CAUSAL_TOL)
     return {
         "MAXIMAL": norm_H <= tau,
-        "MARGINALLY-TRAPPED": pg.H_causal == la.CausalClass.LIGHTLIKE,
+        "MARGINALLY-TRAPPED": pg.H_causal == "LIGHTLIKE",
         "FLAT": abs(pg.K_gauss) <= tau,
         "FLAT-NORMAL-BUNDLE": abs(pg.RD) <= tau,
         "PARALLEL-H": pg.residual_parallel_H <= tau,
@@ -387,10 +387,10 @@ def label_masks_loop(pg: ge.PointGeometry):
         "TOTALLY-UMBILICAL": np.logical_and.reduce([
             la.euclid_norm(hv[(i, j)] - H if i == j else hv[(i, j)]) <= hn
             for i in (1, 2) for j in (1, 2)]),
-        "IN-LIGHTCONE": ((x_causal == la.CausalClass.ZERO)
-                         | (x_causal == la.CausalClass.LIGHTLIKE)),
-        "IN-S31": x_causal == la.CausalClass.SPACELIKE,
-        "IN-H3": ((x_causal == la.CausalClass.TIMELIKE)
+        "IN-LIGHTCONE": ((x_causal == "ZERO")
+                         | (x_causal == "LIGHTLIKE")),
+        "IN-S31": x_causal == "SPACELIKE",
+        "IN-H3": ((x_causal == "TIMELIKE")
                   & (pg.x_values[0] > 0)),
     }
 

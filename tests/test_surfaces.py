@@ -201,10 +201,14 @@ x4 = 0
         ("notes = a; b # c; d\nx1 = u; x2 = v; x3 = 0; x4 = ?", (2, 30)),
         (" notes = a; x1 = b\nx1 = u; x2 = v; x3 = 0; x4 = 0",
          ("u", "v", "0", "0")),
-        # a form feed ends a line, as str.splitlines has it
-        ("\fx1 = u; x2 = v; x3 = 0; x4 = ?", (2, 30)),
-        ("x1 = u\f+ v; x2 = v; x3 = 0; x4 = 0", (2, 1)),
-        ("x1 = u; x2 = v;\f x3 = 0 ; x4 = w", (2, 16)),
+        # only '\n' ends a line, as in the expression scanner: a form
+        # feed is a blank between statements and an error inside one
+        ("\fx1 = u; x2 = v; x3 = 0; x4 = ?", (1, 31)),
+        ("x1 = u\f+ v; x2 = v; x3 = 0; x4 = 0", (1, 7)),
+        ("x1 = u; x2 = v;\f x3 = 0 ; x4 = w", (1, 32)),
+        ("notes = a\x85b\u2028c\nx1 = u; x2 = v; x3 = 0; x4 = w", (2, 30)),
+        ("x1 = u\r\nx2 = v\r\nx3 = 0\r\nx4 = w\r\n", (4, 6)),
+        ("x1 = u\rx2 = v\rx3 = 0\rx4 = 0\r", (1, 1)),
     ])
     def test_statement_positions(self, text, want):
         try:
