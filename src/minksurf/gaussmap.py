@@ -386,7 +386,8 @@ def _live_block(pg: PointGeometry) -> tuple[Records, np.ndarray]:
     # The records of the points of pg, which all have a space-like
     # metric, and which of them hold only finite values.  A value has the
     # point axis last, so its column is a row-layout copy of its transpose
-    # (always a copy, so that no column keeps a larger array alive).
+    # (always a copy, so that no column keeps a larger array alive); the
+    # float columns are checked for finiteness in one pass, side by side.
     us, vs = pg.base
     n = len(us)
     d = laplacian_gauss_formula(pg)
@@ -415,14 +416,15 @@ def _live_block(pg: PointGeometry) -> tuple[Records, np.ndarray]:
     }
     if pg.order == 4:
         values["bilaplacian_norm"] = la.euclid_norm(pg.bilaplacian_x)
-    cols = {name: np.transpose(x).copy() for name, x in values.items()}
+    cols = {name: np.asarray(x).T.copy() for name, x in values.items()}
+    labels = cols.pop("labels")
     lemma_applies, lemma = _lemma42(pg)
-    finite = np.logical_and.reduce(
-        [np.isfinite(col).reshape(n, -1).all(axis=1) for col in cols.values()]
-        + [~lemma_applies | np.isfinite(lemma)])
+    finite = (np.isfinite(np.concatenate(
+        [col.reshape(n, -1) for col in cols.values()], axis=1)).all(axis=1)
+              & (~lemma_applies | np.isfinite(lemma)))
     bilaplacian = cols.pop("bilaplacian_norm", None)
     cols.update(
-        u=us, v=vs, ok=np.ones(n, dtype=bool),
+        labels=labels, u=us, v=vs, ok=np.ones(n, dtype=bool),
         skip_reason=np.full(n, None),
         H_causal=pg.H_causal,
         lemma42=np.array([x if applies else None for x, applies in zip(
@@ -500,9 +502,10 @@ def evaluate_grid(spec: SurfaceSpec, grid: tuple[int, int] = (7, 7),
     """Row-major records over cell centers of the surface domain,
     evaluated BLOCK_POINTS points at a time."""
     points = cell_centers(spec.domain, *grid)
-    return Records.join([
-        evaluate_batch(spec, points[start:start + BLOCK_POINTS], order, tol)
-        for start in range(0, len(points), BLOCK_POINTS)])
+    blocks = [evaluate_batch(spec, points[start:start + BLOCK_POINTS],
+                             order, tol)
+              for start in range(0, len(points), BLOCK_POINTS)]
+    return blocks[0] if len(blocks) == 1 else Records.join(blocks)
 
 
 # -- theorem verdicts -----------------------------------------------------

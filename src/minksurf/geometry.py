@@ -92,15 +92,31 @@ LABELS = ("FLAT", "FLAT-NORMAL-BUNDLE", "IN-H3", "IN-LIGHTCONE", "IN-S31",
 
 # Operands of the products a_i a_j, a_i b_j, b_i a_j, b_i b_j (in blocks
 # of three, ij = 11, 12, 22) in the stack (a_1, a_2, b_1, b_2).
-_H_LEFT = [0, 0, 1, 0, 0, 1, 2, 2, 3, 2, 2, 3]
-_H_RIGHT = [0, 1, 1, 2, 3, 3, 0, 1, 1, 2, 3, 3]
+_H_LEFT = np.array([0, 0, 1, 0, 0, 1, 2, 2, 3, 2, 2, 3], dtype=np.intp)
+_H_RIGHT = np.array([0, 1, 1, 2, 3, 3, 0, 1, 1, 2, 3, 3], dtype=np.intp)
+
+# The first and second factors of the pairs uu, uv, vv of a stack (u, v),
+# and h_jk by j, k in the (11, 12, 22) stack
+_PAIR_1 = np.array([0, 0, 1], dtype=np.intp)
+_PAIR_2 = np.array([0, 1, 1], dtype=np.intp)
+_SYM = np.array([[0, 1], [1, 2]], dtype=np.intp)
+# the pairs i <= j of the four frame vectors, and diag(1, 1, 1, -1) at them
+_TRIU_I = np.array([0, 0, 0, 0, 1, 1, 1, 2, 2, 3], dtype=np.intp)
+_TRIU_J = np.array([0, 1, 2, 3, 1, 2, 3, 2, 3, 3], dtype=np.intp)
+_FRAME_GRAM = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, -1.0])
 
 
 def _matrices(rows) -> np.ndarray:
     """A C-contiguous (*batch, n, n) stack from n rows of n per-point
-    values, the layout np.linalg.det and @ take one matrix at a time."""
-    return np.stack([np.stack(np.broadcast_arrays(*row), axis=-1)
-                     for row in rows], axis=-2)
+    values (or numbers), the layout np.linalg.det and @ take one matrix
+    at a time."""
+    n = len(rows)
+    out = np.empty(np.broadcast(*(x for row in rows for x in row)).shape
+                   + (n, n))
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            out[..., i, j] = x
+    return out
 
 
 class Frame(NamedTuple):
@@ -159,7 +175,7 @@ class PointGeometry:
     def _metric(self) -> Jet:
         """(E, F, G) = (<x_u, x_u>, <x_u, x_v>, <x_v, x_v>) as one stack."""
         d = self._partials
-        return la.minkowski_inner(d[:, [0, 0, 1]], d[:, [0, 1, 1]])
+        return la.minkowski_inner(d[:, _PAIR_1], d[:, _PAIR_2])
 
     @cached_property
     def metric_jets(self) -> tuple[Jet, Jet, Jet]:
@@ -170,7 +186,7 @@ class PointGeometry:
     def metric_det_jet(self) -> Jet:
         # E G - F F
         g = self._metric
-        p = g[[0, 1]] * g[[2, 1]]
+        p = g[0:2] * g[2:0:-1]
         return p[0] - p[1]
 
     @cached_property
@@ -234,7 +250,7 @@ class PointGeometry:
         a2 = -q[1] * inv_mu
         b2 = inv_mu
         # a1 x_u, a2 x_u and b2 x_v; e1 is the first, e2 the sum of the others
-        p = jt.stack([a1, a2, b2])[None] * self._partials[:, [0, 0, 1]]
+        p = jt.stack([a1, a2, b2])[None] * self._partials[:, _PAIR_1]
         e1, e2 = p[:, 0], p[:, 1] + p[:, 2]
         e3, e4, nu = la.normal_frame(e1, e2)
         return Frame(e=(e1, e2, e3, e4), a=(a1, a2), b=(b1, b2), nu=nu)
@@ -246,19 +262,18 @@ class PointGeometry:
     @cached_property
     def residual_frame(self) -> float:
         """Max deviation of the frame Gram matrix from diag(1, 1, 1, -1)."""
-        vals = np.stack(self.frame_values, axis=1)
-        i, j = np.triu_indices(4)
-        got = la.minkowski_inner(vals[:, i], vals[:, j])
-        want = np.diag([1.0, 1.0, 1.0, -1.0])[i, j]
-        return np.maximum.reduce(
-            abs(got - want.reshape(want.shape + (1,) * len(self.batch))))
+        # the frame vectors on the axis after the components
+        vals = np.array(self.frame_values).swapaxes(0, 1)
+        got = la.minkowski_inner(vals[:, _TRIU_I], vals[:, _TRIU_J])
+        want = _FRAME_GRAM.reshape(_FRAME_GRAM.shape + (1,) * len(self.batch))
+        return np.maximum.reduce(abs(got - want))
 
     def along(self, f: Jet) -> np.ndarray:
         """e_1(f) and e_2(f), the derivatives of a jet (or of each jet of a
         stack) along the tangent frame, as values on a new leading axis:
         e_i(f) = a_i f_u + b_i f_v."""
         shape = (2,) + (1,) * (len(f.batch) - len(self.batch)) + self.batch
-        a, b = (np.reshape([c.value() for c in coeffs], shape)
+        a, b = (np.array([c.value() for c in coeffs]).reshape(shape)
                 for coeffs in (self.frame.a, self.frame.b))
         return a * f.partial(1, 0) + b * f.partial(0, 1)
 
@@ -266,7 +281,7 @@ class PointGeometry:
     # e_B>, i = 1, 2; antisymmetric in (A, B) by metric compatibility.
 
     def _omega(self, A: int, B: int) -> tuple[float, float]:
-        d = np.moveaxis(self.along(self.frame.e[A - 1]), 0, 1)
+        d = self.along(self.frame.e[A - 1]).swapaxes(0, 1)
         w = la.minkowski_inner(d, self.frame_values[B - 1][:, None])
         return w[0], w[1]
 
@@ -402,7 +417,7 @@ class PointGeometry:
         """Euclidean size of the normal part of the ambient derivative of H,
         summed over both tangent directions; zero iff DH = 0."""
         # the derivatives along e_1 and e_2 on the axis after the components
-        w = np.moveaxis(self.along(self.H_jets), 0, 1)
+        w = self.along(self.H_jets).swapaxes(0, 1)
         e1v, e2v = (e[:, None] for e in self.frame_values[:2])
         tang1 = la.minkowski_inner(w, e1v)
         tang2 = la.minkowski_inner(w, e2v)
@@ -415,9 +430,8 @@ class PointGeometry:
         # h^beta_{jk,i} as an array indexed [beta, i, j, k, *batch]: the flat
         # derivative along e_i of the coefficient, a normal-connection
         # rotation, and two Levi-Civita correction terms.
-        sym = [[0, 1], [1, 2]]  # h_jk in the (11, 12, 22) stack
-        h = self._h.value()[:, sym]
-        flat = np.moveaxis(self.along(self._h)[:, :, sym], 0, 1)
+        h = self._h.value()[:, _SYM]
+        flat = self.along(self._h)[:, :, _SYM].swapaxes(0, 1)
         # sum_gamma eps_gamma h^gamma_jk omega_{gamma beta}(e_i); the
         # gamma = beta term vanishes, and both cross terms reduce to
         # +h^other omega_34 since eps_4 omega_43 = +omega_34.
@@ -425,14 +439,15 @@ class PointGeometry:
         # omega in the tangent indices, [i, p, q]: omega_12(e_i) = w12,
         # omega_21 = -w12, and 0.0 on the diagonal
         w12 = np.array(self.omega12) + omega12_shift
-        zero = np.zeros_like(w12)
-        w = np.moveaxis(np.array([[zero, w12], [-w12, zero]]), 2, 0)
+        w = np.zeros(w12.shape[:1] + (2, 2) + w12.shape[1:])
+        w[:, 0, 1], w[:, 1, 0] = w12, -w12
         levi = sum(w[None, :, :, None, ell] * h[:, None, None, ell]
                    + w[None, :, None, :, ell] * h[:, None, :, None, ell]
                    for ell in (0, 1))
         cov = flat + rot - levi
         # h^beta_{jk,i} against h^beta_{ij,k}, which sits at [beta, k, i, j]
-        return np.max(abs(np.moveaxis(cov, 1, 3) - cov), axis=(0, 1, 2, 3))
+        moved = cov.transpose((0, 2, 3, 1) + tuple(range(4, cov.ndim)))
+        return abs(moved - cov).max(axis=(0, 1, 2, 3))
 
     @cached_property
     def residual_codazzi(self):
@@ -445,7 +460,7 @@ class PointGeometry:
         # (P, Q, Q, R) = (G, -F, -F, E) / W as one stack, and 1 / W
         W = jt.sqrt(self.metric_det_jet)
         invW = jt.reciprocal(W)
-        r = self._metric[[2, 1, 0]] * invW[None]
+        r = self._metric[::-1] * invW[None]
         return jt.stack([r[0], -r[1], -r[1], r[2]]), invW
 
     def laplacian(self, f: Jet) -> Jet:
@@ -507,7 +522,9 @@ class PointGeometry:
         hv = h[0] * e3 + -h[1] * e4
         p = la.minkowski_inner(hv, H[:, None])
         scale = tau * (1.0 + np.maximum.reduce(abs(p)))
-        defect = hv - np.stack([H, np.zeros_like(H), H], 1)
+        delta = np.zeros(hv.shape)  # delta_ij H
+        delta[:, 0] = delta[:, 2] = H
+        defect = hv - delta
         hn = tau * (1.0 + norm_H)
         x_causal = causal_character(self.x_values, CAUSAL_TOL)
         return {

@@ -25,7 +25,6 @@ float ``**`` does.
 from __future__ import annotations
 
 import math
-import numbers
 from functools import lru_cache
 from typing import Callable, Sequence, Union
 
@@ -47,9 +46,11 @@ SUPPORTED_ORDERS = (3, 4)
 
 Scalar = Union[int, float, np.ndarray]
 
-# Right operands that act on every point's value coefficient: numbers,
-# or arrays holding one number per point of the batch.
-_SCALARS = (numbers.Real, np.ndarray)
+# Operands that act on every point's value coefficient: Python and numpy
+# integers and floats (bool included), and arrays holding one number per
+# point of the batch.  Concrete types, since an ABC check such as
+# numbers.Real costs more than the arithmetic on a small batch.
+_SCALARS = (np.ndarray, float, int, np.floating, np.integer)
 
 
 class JetError(Exception):
@@ -180,8 +181,10 @@ class Jet:
     Operands of one operation have as many batch axes as each other and
     broadcast as numpy arrays do, so ``s[None] * v`` multiplies each
     component of the stack ``v`` by the jet ``s``, while a ``()`` and a
-    ``(2,)`` jet do not combine.  Numbers and arrays with one number per
-    point of the batch act on the value coefficient.
+    ``(2,)`` jet do not combine.  An ``int``, ``bool``, ``float``, numpy
+    integer or numpy float, or an array with one number per point of the
+    batch, acts on the value coefficient; any other operand type raises
+    TypeError.
     """
 
     __slots__ = ("order", "coeffs")
@@ -278,7 +281,7 @@ class Jet:
             return self * reciprocal(other)
         if isinstance(other, _SCALARS):
             bad = np.equal(other, 0.0)
-            if np.any(bad):
+            if bad.any():
                 raise DivisionByZeroValue("division by scalar zero", bad)
             return self * (1.0 / other)
         return NotImplemented
@@ -329,10 +332,12 @@ def _align(a: Jet, b: Jet) -> tuple[int, np.ndarray, np.ndarray]:
 
 def stack(jets: Sequence[Jet], axis: int = 0) -> Jet:
     """One jet whose batch has a new axis at ``axis`` along the given
-    jets, at the lowest of their orders."""
+    jets, at the lowest of their orders: ``np.stack`` of their
+    coefficients, as one concatenation of views with the new axis."""
     k = min(j.order for j in jets)
-    return Jet(k, np.stack([j.coeffs[:_size(k)] for j in jets],
-                           axis=axis + 1))
+    view = (slice(_size(k)),) + (slice(None),) * axis + (None,)
+    return Jet(k, np.concatenate([j.coeffs[view] for j in jets],
+                                 axis=axis + 1))
 
 
 def _overflows(fn: Callable[[float], float], t: float) -> bool:
@@ -346,12 +351,12 @@ def _overflows(fn: Callable[[float], float], t: float) -> bool:
 def _pointwise(fn: Callable[[float], float], x) -> np.ndarray:
     # a math function applied one point at a time, so that its result
     # does not depend on the batch; an OverflowError names its points
-    values = np.ravel(x).tolist()
+    values = x.ravel().tolist()
     try:
-        return np.reshape([fn(t) for t in values], np.shape(x))
+        return np.array([fn(t) for t in values]).reshape(x.shape)
     except OverflowError as err:
-        err.points = np.reshape([_overflows(fn, t) for t in values],
-                                np.shape(x))
+        err.points = np.array([_overflows(fn, t) for t in values]
+                              ).reshape(x.shape)
         raise
 
 
@@ -368,7 +373,7 @@ def _compose(series: Sequence, a: Jet) -> Jet:
 def reciprocal(a: Jet) -> Jet:
     x0 = a.value()
     bad = x0 == 0.0
-    if np.any(bad):
+    if bad.any():
         raise DivisionByZeroValue("reciprocal of a jet with zero value", bad)
     series = [(-1.0) ** m / np.float_power(x0, m + 1)
               for m in range(a.order + 1)]
@@ -378,7 +383,7 @@ def reciprocal(a: Jet) -> Jet:
 def sqrt(a: Jet) -> Jet:
     x0 = a.value()
     bad = x0 <= 0.0
-    if np.any(bad):
+    if bad.any():
         raise DomainError(
             f"sqrt requires a positive value, got {_first(x0, bad)!r}", bad)
     series = [np.sqrt(x0)]
@@ -390,7 +395,7 @@ def sqrt(a: Jet) -> Jet:
 def log(a: Jet) -> Jet:
     x0 = a.value()
     bad = x0 <= 0.0
-    if np.any(bad):
+    if bad.any():
         raise DomainError(
             f"log requires a positive value, got {_first(x0, bad)!r}", bad)
     series = [_pointwise(math.log, x0)]

@@ -51,8 +51,8 @@ class DegeneratePlane(Exception):
 def _signs(stack, *signs: float) -> np.ndarray:
     # one sign per component, shaped to multiply the stack; a factor
     # +-1.0 changes a float's sign and nothing else
-    ndim = len(stack.batch) if isinstance(stack, Jet) else np.ndim(stack)
-    return np.reshape(signs, (len(signs),) + (1,) * (ndim - 1))
+    ndim = len(stack.batch) if isinstance(stack, Jet) else stack.ndim
+    return np.array(signs).reshape((len(signs),) + (1,) * (ndim - 1))
 
 
 def minkowski_inner(a, b):
@@ -68,12 +68,14 @@ def euclid_sq(a):
     return p[0] + p[1] + p[2] + p[3]
 
 
-# wedge: component n is a_L[n] b_R[n] - a_R[n] b_L[n]
-_WEDGE_L, _WEDGE_R = [0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3]
+# wedge: component n is a_L[n] b_R[n] - a_R[n] b_L[n], with (L, R) the
+# pairs 12, 13, 14, 23, 24, 34, from the products a[_WEDGE_A] b[_WEDGE_B]
+_WEDGE_A = np.array([0, 0, 0, 1, 1, 2, 1, 2, 3, 2, 3, 3], dtype=np.intp)
+_WEDGE_B = np.array([1, 2, 3, 2, 3, 3, 0, 0, 0, 1, 1, 2], dtype=np.intp)
 
 
 def wedge(a, b):
-    p = a[_WEDGE_L + _WEDGE_R] * b[_WEDGE_R + _WEDGE_L]
+    p = a[_WEDGE_A] * b[_WEDGE_B]
     return p[:6] - p[6:]
 
 
@@ -102,7 +104,7 @@ def hodge_dual(b):
     component shuffle with signs, (p34, -p24, p23, -p14, p13, -p12), and
     star(star(b)) = -b.
     """
-    d = b[[5, 4, 3, 2, 1, 0]]
+    d = b[::-1]
     return d * _signs(d, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0)
 
 
@@ -121,8 +123,10 @@ def causal_character(v, tol: float):
         raise ValueError("tolerance must be nonnegative")
     e2 = euclid_sq(v)
     q = minkowski_inner(v, v)
-    which = np.select([np.sqrt(e2) <= tol, abs(q) <= tol * (1.0 + e2), q > 0],
-                      [0, 1, 2], 3)
+    # the first class whose condition holds, as np.select picks it
+    which = np.where(np.sqrt(e2) <= tol, 0,
+                     np.where(abs(q) <= tol * (1.0 + e2), 1,
+                              np.where(q > 0, 2, 3)))
     return _CAUSAL_CLASSES[which]
 
 
@@ -130,8 +134,8 @@ def causal_character(v, tol: float):
 
 # contract: the 12 products x[_CONTRACT_X] b[_CONTRACT_B], in blocks f, s,
 # t of four; component n adds f[n], s[n] and t[n] with the docstring's signs
-_CONTRACT_X = [1, 0, 0, 0, 2, 2, 1, 1, 3, 3, 3, 2]
-_CONTRACT_B = [0, 0, 1, 2, 1, 3, 3, 4, 2, 4, 5, 5]
+_CONTRACT_X = np.array([1, 0, 0, 0, 2, 2, 1, 1, 3, 3, 3, 2], dtype=np.intp)
+_CONTRACT_B = np.array([0, 0, 1, 2, 1, 3, 3, 4, 2, 4, 5, 5], dtype=np.intp)
 
 
 def contract(x, b):

@@ -21,6 +21,7 @@ read and dropped: a spec carries no catalog metadata.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -331,6 +332,20 @@ def catalog_entry(name: str) -> _CatalogEntry:
         ) from None
 
 
+@functools.cache
+def _entry_plans(name: str) -> tuple[Optional[Expr], ...]:
+    # The plan of each component of a catalog entry, parsed once per
+    # process, or None for a component that a splice replaces.  Keyed by
+    # the entry's name: a key made of plans would conflate ("const", -0.0)
+    # with ("const", 0.0), since tuples compare and hash by value.
+    entry = _CATALOG[name]
+    declared = (frozenset(p for p, _ in entry.float_params)
+                | frozenset(entry.expr_params))
+    return tuple(None if src in entry.expr_params
+                 else parse_expression(src, declared)
+                 for src in entry.components)
+
+
 def catalog_lookup(name: str,
                    params: Optional[Mapping[str, Union[float, str]]] = None,
                    ) -> SurfaceSpec:
@@ -365,9 +380,9 @@ def catalog_lookup(name: str,
         raise ValueError(
             f"surface {name!r} does not take parameter(s) {sorted(supplied)}")
 
-    declared = frozenset(bound) | frozenset(splices)
-    components = tuple(splices.get(src, parse_expression(src, declared))
-                       for src in entry.components)
+    components = tuple(splices[src] if plan is None else plan
+                       for src, plan in zip(entry.components,
+                                            _entry_plans(name)))
     return SurfaceSpec(name=name, components=components, params=bound,
                        domain=entry.domain)
 

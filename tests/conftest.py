@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +45,24 @@ WILD_TEXT = (
 # A surface whose grids mix both metric skip reasons, domain errors and
 # overflows in one block
 MIXED_FILE = Path(__file__).parent / "data" / "mixed_skips.surf"
+
+
+# Batch shapes of the byte checks between a lean numpy form and its
+# reference: one point, a batch of one, a 4x4 grid's block, and a stack
+# of four such blocks.
+BATCH_SHAPES = ((), (1,), (16,), (4, 16))
+
+# Signed zeros, infinities and NaN among ordinary numbers of several
+# scales; 1.0 and -1.0 make light-like vectors.
+SPECIAL_VALUES = (0.0, -0.0, math.inf, -math.inf, math.nan, 1.0, -1.0,
+                  1e-12, 1e8, -2.5)
+
+
+def special_values(shape: tuple[int, ...], seed: int = 0) -> np.ndarray:
+    """A float array of the given shape drawn from SPECIAL_VALUES."""
+    rng = np.random.default_rng(seed)
+    return np.array(SPECIAL_VALUES)[
+        rng.integers(len(SPECIAL_VALUES), size=shape)]
 
 
 def build(name: str, params: dict) -> sf.SurfaceSpec:

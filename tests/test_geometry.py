@@ -21,7 +21,8 @@ from minksurf import geometry as ge
 from minksurf import linalg as la
 from minksurf import surfaces as sf
 
-from conftest import CATALOG_CASES, CATALOG_IDS, build, grid_points, point_geometry
+from conftest import (BATCH_SHAPES, CATALOG_CASES, CATALOG_IDS, build,
+                      grid_points, point_geometry, special_values)
 
 PROBES = ((0.4, -0.3), (-0.6, 0.7), (0.1, 0.1))
 
@@ -358,3 +359,19 @@ def test_full_grid_invariants(name, params):
         Kg, Kf, Ki = ge.gaussian_curvature(pg)
         assert abs(Kg - Kf) <= 1e-8 * (1.0 + abs(Kg))
         assert abs(Kg - Ki) <= 1e-8 * (1.0 + abs(Kg))
+
+
+@pytest.mark.parametrize("batch", BATCH_SHAPES)
+@pytest.mark.parametrize("n", [2, 3])
+def test_matrices_equal_stacked_broadcast_reference(batch, n):
+    # per-point entries with signed zeros, infinities and NaN, and the
+    # numbers 0.0 and -0.0, which broadcast to every point
+    values = special_values((n, n) + batch, seed=n + len(batch))
+    rows = [[values[i, j] for j in range(n)] for i in range(n)]
+    rows[0][0], rows[n - 1][0] = 0.0, -0.0
+    got = ge._matrices(rows)
+    want = np.stack([np.stack(np.broadcast_arrays(*row), axis=-1)
+                     for row in rows], axis=-2)
+    assert got.shape == want.shape == batch + (n, n)
+    assert got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()

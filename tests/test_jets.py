@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from minksurf import jets as jt
 
+from conftest import BATCH_SHAPES, special_values
 from oracles import fd_partial
 
 
@@ -297,3 +298,72 @@ def series_argument(k: int) -> jt.Jet:
 def test_series_coefficient_bytes(name, k):
     got = getattr(jt, name)(series_argument(k)).coeffs.tobytes()
     assert hashlib.sha256(got).hexdigest() == SERIES_DIGESTS[name, k]
+
+
+# -- lean numpy forms and operand types ------------------------------------
+
+
+def special_jet(order: int, batch: tuple[int, ...], seed: int) -> jt.Jet:
+    """A jet whose coefficients hold signed zeros, infinities and NaN."""
+    return jt.Jet(order, special_values((jt._size(order),) + batch, seed))
+
+
+@pytest.mark.parametrize("batch", BATCH_SHAPES)
+def test_stack_equals_np_stack(batch):
+    # orders 4, 3 and 4: the stack is at order 3, as a coefficient prefix
+    parts = [special_jet(k, batch, seed) for seed, k in enumerate((4, 3, 4))]
+    m = jt._size(3)
+    for axis in range(len(batch) + 1):
+        got = jt.stack(parts, axis=axis)
+        want = np.stack([j.coeffs[:m] for j in parts], axis=axis + 1)
+        assert got.order == 3
+        assert got.coeffs.shape == want.shape
+        assert got.coeffs.flags.c_contiguous
+        assert got.coeffs.tobytes() == want.tobytes()
+
+
+# Each operand type that acts on the value coefficient, next to the
+# float it equals.
+OPERANDS = [(2, 2.0), (True, 1.0), (2.5, 2.5), (np.float64(-0.5), -0.5),
+            (np.int64(3), 3.0)]
+
+
+class TestOperandTypes:
+    def jet(self):
+        u, v = var_pair(np.array([0.3, -0.0, 1.5]), np.array([0.2, 0.7, -1.0]))
+        return u * v + u + 2.0
+
+    @pytest.mark.parametrize("x, value", OPERANDS)
+    def test_numbers_act_on_the_value(self, x, value):
+        j = self.jet()
+        shifted = j.coeffs.copy()
+        shifted[0] += value
+        assert (j + x).coeffs.tobytes() == shifted.tobytes()
+        assert (x + j).coeffs.tobytes() == shifted.tobytes()
+        for got, want in [(j - x, j - value), (x - j, value - j),
+                          (j * x, j.coeffs * value), (x * j, j.coeffs * value),
+                          (j / x, j / value), (x / j, value / j)]:
+            want = want if isinstance(want, np.ndarray) else want.coeffs
+            assert got.coeffs.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("op", [
+        lambda a, b: a + b, lambda a, b: b + a, lambda a, b: a - b,
+        lambda a, b: b - a, lambda a, b: a * b, lambda a, b: b * a,
+        lambda a, b: a / b, lambda a, b: b / a])
+    def test_per_point_array_acts_on_each_value(self, op):
+        # each point gets what the number at that point gives it alone
+        j = self.jet()
+        x = np.array([2.0, -0.5, 0.25])
+        got = op(j, x)
+        assert got.batch == j.batch
+        for k in range(3):
+            want = op(j[k], float(x[k]))
+            assert got[k].coeffs.tobytes() == want.coeffs.tobytes()
+
+    @pytest.mark.parametrize("op", [
+        lambda j: j + "1", lambda j: "1" + j, lambda j: j - "1",
+        lambda j: "1" - j, lambda j: j * "1", lambda j: "1" * j,
+        lambda j: j / "1", lambda j: "1" / j])
+    def test_str_operand_raises_type_error(self, op):
+        with pytest.raises(TypeError):
+            op(self.jet())

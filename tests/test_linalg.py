@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 from minksurf import linalg as la
 from minksurf.geometry import CAUSAL_TOL
 
+from conftest import BATCH_SHAPES, special_values
+
 BASIS = tuple(np.eye(4))
 
 
@@ -86,6 +88,24 @@ class TestCausalCharacter:
     def test_small_but_genuinely_spacelike(self):
         v = vec(0.0, 1e-3, 0.0, 0.0)
         assert la.causal_character(v, CAUSAL_TOL) == "SPACELIKE"
+
+    @pytest.mark.parametrize("batch", BATCH_SHAPES)
+    @pytest.mark.parametrize("tol", [CAUSAL_TOL, 1e-8, 0.0])
+    def test_equals_select_reference(self, batch, tol):
+        # the first class whose condition holds, written with np.select
+        v = special_values((4,) + batch, seed=len(batch))
+        with np.errstate(all="ignore"):
+            e2, q = la.euclid_sq(v), la.minkowski_inner(v, v)
+            which = np.select([np.sqrt(e2) <= tol, abs(q) <= tol * (1.0 + e2),
+                               q > 0], [0, 1, 2], 3)
+            got = la.causal_character(v, tol)
+        want = np.array(["ZERO", "LIGHTLIKE", "SPACELIKE", "TIMELIKE"],
+                        dtype=object)[which]
+        if batch:
+            assert got.dtype == object and got.shape == batch
+            assert got.tolist() == want.tolist()
+        else:
+            assert isinstance(got, str) and got == want
 
 
 class TestWedge:

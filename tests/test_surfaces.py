@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from minksurf import cli
 from minksurf import expr as ex
 from minksurf import linalg as la
 from minksurf import surfaces as sf
@@ -59,6 +64,71 @@ class TestCatalog:
         for u, v in [(-0.5, 0.3), (0.8, -0.8), (0.0, 1.0)]:
             p, t = ambient(ti, u, v), ambient(gr, u, v)
             assert abs(p[0] - t[0]) < 1e-15 and abs(p[3] - t[3]) < 1e-15
+
+
+class TestPlanReuse:
+    """Catalog plans are parsed once per process, by entry name; what a
+    call supplies (overrides, the graph height) is its own."""
+
+    @pytest.mark.parametrize("name,params", CATALOG_CASES, ids=CATALOG_IDS)
+    def test_repeated_lookup_gives_equal_plans(self, name, params):
+        first, again = build(name, params), build(name, params)
+        assert again == first
+        # repr tells ("const", -0.0) from ("const", 0.0), which == does not
+        assert repr(again.components) == repr(first.components)
+        # and each plan is the one a parse of the entry's text gives now
+        entry = sf.catalog_entry(name)
+        declared = frozenset(first.params) | frozenset(entry.expr_params)
+        for text, plan in zip(entry.components, again.components):
+            if text not in entry.expr_params:
+                fresh = ex.parse_expression(text, declared)
+                assert repr(plan) == repr(fresh)
+
+    def test_overrides_do_not_leak(self):
+        default = sf.catalog_lookup("product")
+        moved = sf.catalog_lookup("product", {"a": 2.0, "b": 3.0})
+        again = sf.catalog_lookup("product")
+        assert moved.params == {"a": 2.0, "b": 3.0}
+        assert again.params == default.params == {"a": 1.0, "b": 2.0}
+        assert repr(again.components) == repr(default.components)
+
+    def test_splice_does_not_leak(self):
+        plans = {}
+        for phi in ("u*v", 0.0, -0.0, "-0.0", "0", "u*v", -0.0, 0.0):
+            spec = sf.catalog_lookup("graph", {"phi": phi})
+            want = ex.parse_expression(phi if isinstance(phi, str)
+                                       else repr(phi))
+            assert repr(spec.components[0]) == repr(want)
+            assert repr(spec.components[3]) == repr(want)
+            plans[repr(phi)] = repr(want)
+        assert plans["0.0"] != plans["-0.0"]
+
+    def test_signed_zero_heights_in_one_process(self, tmp_path):
+        calls = {phi: ["verify", "T3.5", "--catalog", "graph", "--param",
+                       f"phi={phi}", "--grid", "4x4", "--out",
+                       str(tmp_path / "report")]
+                 for phi in ("0", "-0.0")}
+        src = Path(__file__).resolve().parents[1] / "src"
+        path = os.pathsep.join(filter(None, [str(src),
+                                             os.environ.get("PYTHONPATH")]))
+
+        def alone(argv):
+            done = subprocess.run(
+                [sys.executable, "-m", "minksurf.cli", *argv],
+                env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+                text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            return (tmp_path / "report").read_bytes()
+
+        def in_process(argv):
+            assert cli.main(argv) == 0
+            return (tmp_path / "report").read_bytes()
+
+        want = {phi: alone(argv) for phi, argv in calls.items()}
+        assert want["0"] != want["-0.0"]
+        for order in (("0", "-0.0"), ("-0.0", "0")):
+            for phi in order:
+                assert in_process(calls[phi]) == want[phi], (order, phi)
 
 
 class TestGraphHeightParameter:
