@@ -15,7 +15,6 @@ space-like, or an arithmetic failure such as log of a negative value).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import re
 import sys
@@ -120,7 +119,7 @@ def _config_from_args(args: argparse.Namespace) -> rp.RunConfig:
         raise ValueError(f"duplicate parameter {repeated[0]!r}")
     tol = DEFAULT_TOLERANCES
     if args.tol is not None:
-        tol = dataclasses.replace(tol, residual=args.tol)
+        tol = tol._replace(residual=args.tol)
     return rp.RunConfig(
         command=args.command,
         catalog=args.catalog,
@@ -140,14 +139,12 @@ def _config_from_args(args: argparse.Namespace) -> rp.RunConfig:
 # argparse reads a token that starts with "-" as an option unless it is
 # a plain negative number, so "--domain -1,1,0,1" would lack its value.
 # A bound list after --domain is joined to the flag; an option name after
-# it ("--domain --out x") is still a usage error.
-_BOUNDS = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
-
-
+# it ("--domain --out x") is still a usage error.  re caches the pattern.
 def _join_domain(argv: list[str]) -> list[str]:
     out: list[str] = []
     for token in argv:
-        if out and out[-1] == "--domain" and _BOUNDS.match(token):
+        if (out and out[-1] == "--domain"
+                and re.match(r"-(\.?\d|inf|nan)", token, re.IGNORECASE)):
             out[-1] = "--domain=" + token
         else:
             out.append(token)

@@ -32,8 +32,6 @@ steps, so none of them recurses.  Serialization is canonical:
 parse(serialize(plan)) == plan.
 """
 
-from __future__ import annotations
-
 import math
 import operator
 import re

@@ -31,8 +31,6 @@ computed in.  A block is one ``PointGeometry`` at the run's order; only
 Delta^2 x needs order 4, and every other field is the same at order 3.
 """
 
-from __future__ import annotations
-
 import math
 from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -76,7 +74,8 @@ class UnknownTheorem(Exception):
 TERM_NAMES = ("nu", "normal_curvature", "grad_trace3", "grad_trace4",
               "rotation")
 
-_QUADRIC = np.isin(LABELS, ("IN-S31", "IN-H3", "IN-LIGHTCONE"))
+_QUADRIC = np.array([label in ("IN-S31", "IN-H3", "IN-LIGHTCONE")
+                     for label in LABELS])
 
 
 class GaussLaplacianDecomposition(NamedTuple):
@@ -272,7 +271,7 @@ class Records:
         self.tol = tol
 
     @staticmethod
-    def of(rows: Sequence[PointRecord]) -> Records:
+    def of(rows: Sequence[PointRecord]) -> "Records":
         """The block holding ``rows``, in order, at the default
         tolerances."""
         n = len(rows)
@@ -302,13 +301,13 @@ class Records:
         return self.columns[name]
 
     @staticmethod
-    def join(blocks: Sequence[Records]) -> Records:
+    def join(blocks: "Sequence[Records]") -> "Records":
         """The rows of each block in turn, at the first block's ``tol``
         (``evaluate_grid`` evaluates every block at one)."""
         return Records({name: np.concatenate([b[name] for b in blocks])
                         for name in blocks[0].columns}, blocks[0].tol)
 
-    def select(self, rows) -> Records:
+    def select(self, rows) -> "Records":
         """The records at ``rows``: a slice, row indices or a row mask."""
         return Records({name: col[rows] for name, col in self.columns.items()},
                        self.tol)
@@ -344,7 +343,7 @@ class Records:
         return _names(everywhere), _names(somewhere)
 
     @cached_property
-    def live(self) -> Records:
+    def live(self) -> "Records":
         """The records of the evaluated points."""
         ok = self.columns["ok"]
         return self if ok.all() else self.select(ok)

@@ -21,10 +21,8 @@ Value-level results are floats for one point and per-point arrays for a
 batch; every value is bit-for-bit the one the point gets alone.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from typing import NamedTuple, Optional
 
@@ -68,19 +66,25 @@ CONSTANCY_REL = 1e-6
 DEGENERATE_TOL = 1e-12
 
 
-@dataclass(frozen=True, slots=True)
-class Tolerances:
+class Tolerances(namedtuple("Tolerances", "residual", defaults=(1e-8,))):
     """The settable tolerance: residual, the absolute cutoff on identity
     residuals and pointwise predicates, H's causal class included; it
     must be finite and positive.
     """
 
-    residual: float = 1e-8
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (math.isfinite(self.residual) and self.residual > 0):
             raise ValueError(f"tolerance residual must be finite and "
                              f"positive, got {self.residual!r}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make, and _replace through it, skip __new__
+        return cls(*iterable)
 
 
 DEFAULT_TOLERANCES = Tolerances()

@@ -22,15 +22,13 @@ Every report embeds the sign conventions; the numbers are meaningless
 without them.
 """
 
-from __future__ import annotations
-
 import csv
-import dataclasses
 import functools
 import io
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 from json.encoder import encode_basestring_ascii
+from types import MappingProxyType
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -38,7 +36,7 @@ import numpy as np
 from . import surfaces as sf
 from .gaussmap import (BLOCK_POINTS, PointRecord, Records, column_stats,
                        evaluate_grid, theorem_verdict_from_records)
-from .geometry import DEFAULT_TOLERANCES, Tolerances
+from .geometry import DEFAULT_TOLERANCES
 from .jets import SUPPORTED_ORDERS
 from .expr import serialize_expression
 from .surfaces import Domain, SurfaceSpec
@@ -72,24 +70,19 @@ CONVENTIONS = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run description shared by all CLI commands."""
+class RunConfig(namedtuple(
+        "RunConfig", ("command", "catalog", "surface_file", "params", "grid",
+                      "domain", "order", "tol", "fmt", "out", "jobs", "theorem"),
+        defaults=("analyze", None, None, MappingProxyType({}), (7, 7), None, 3,
+                  DEFAULT_TOLERANCES, "json", None, None, None))):
+    """Validated run description shared by all CLI commands.  The default
+    ``params`` is read-only, so one serves every config; ``jobs`` is
+    accepted for compatibility and has no effect."""
 
-    command: str = "analyze"
-    catalog: Optional[str] = None
-    surface_file: Optional[str] = None
-    params: dict = field(default_factory=dict)
-    grid: tuple[int, int] = (7, 7)
-    domain: Optional[tuple[float, float, float, float]] = None
-    order: int = 3
-    tol: Tolerances = DEFAULT_TOLERANCES
-    fmt: str = "json"
-    out: Optional[str] = None
-    jobs: Optional[int] = None  # accepted for compatibility; no effect
-    theorem: Optional[str] = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.command not in ("analyze", "classify", "verify", "catalog"):
             raise ValueError(f"unknown command {self.command!r}")
         if self.grid[0] < 2 or self.grid[1] < 2:
@@ -103,6 +96,12 @@ class RunConfig:
                              "supported")
         if self.command == "verify" and not self.theorem:
             raise ValueError("verify needs a theorem id")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make, and _replace through it, skip __new__
+        return cls(*iterable)
 
 
 class RunResult(NamedTuple):
@@ -125,13 +124,9 @@ def resolve_surface(cfg: RunConfig) -> SurfaceSpec:
                 raise ValueError(
                     f"parameters not declared by the surface file: "
                     f"{sorted(unknown)}")
-            merged = dict(spec.params)
-            for key, val in cfg.params.items():
-                merged[key] = float(val)
-            spec = dataclasses.replace(spec, params=merged)
+            spec = spec._replace(params={**spec.params, **cfg.params})
     if cfg.domain is not None:
-        a, b, c, d = cfg.domain
-        spec = dataclasses.replace(spec, domain=Domain(a, b, c, d))
+        spec = spec._replace(domain=Domain(*cfg.domain))
     return spec
 
 

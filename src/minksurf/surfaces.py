@@ -19,12 +19,10 @@ comment.  ``tags`` and ``notes`` (free text to the end of its line) are
 read and dropped: a spec carries no catalog metadata.
 """
 
-from __future__ import annotations
-
 import functools
 import math
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import Mapping, NamedTuple, Optional, Union
 
 from . import expr as ex
@@ -53,14 +51,11 @@ class MissingParameter(Exception):
     """A required surface parameter was not supplied."""
 
 
-@dataclass(frozen=True, slots=True)
-class Domain:
-    u_min: float
-    u_max: float
-    v_min: float
-    v_max: float
+class Domain(namedtuple("Domain", "u_min u_max v_min v_max")):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         # a width is finite only if both of its bounds are
         widths = (self.u_max - self.u_min, self.v_max - self.v_min)
         if not all(map(math.isfinite, widths)):
@@ -68,58 +63,67 @@ class Domain:
                              f"got {self.as_tuple()}")
         if not (self.u_min < self.u_max and self.v_min < self.v_max):
             raise ValueError(f"empty domain {self!r}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make, and _replace through it, skip __new__
+        return cls(*iterable)
 
     def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.u_min, self.u_max, self.v_min, self.v_max)
+        return tuple(self)
 
 
 DEFAULT_DOMAIN = Domain(-1.0, 1.0, -1.0, 1.0)
 
 
-@dataclass(frozen=True)
-class SurfaceSpec:
+class SurfaceSpec(namedtuple("SurfaceSpec", "name components params domain",
+                             defaults=({}, DEFAULT_DOMAIN))):
     """Four component expressions plus parameters and a sample domain.
 
     Components are expression plans (see ``expr``) over the coordinates
-    u, v and the keys of ``params``.
+    u, v and the keys of ``params``.  A spec holds its own dict of the
+    parameters, each converted to a finite float.
     """
 
-    name: str
-    components: tuple[Expr, Expr, Expr, Expr]
-    params: Mapping[str, float] = field(default_factory=dict)
-    domain: Domain = DEFAULT_DOMAIN
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.components) != 4:
+    def __new__(cls, *args, **kwargs):
+        name, components, params, domain = super().__new__(cls, *args, **kwargs)
+        if len(components) != 4:
             raise ValueError("an immersion needs exactly 4 components")
-        allowed = {"u", "v", *self.params}
-        for pname, value in self.params.items():
-            if pname in ("u", "v") or pname in ex.FUNCTION_NAMES:
-                raise ValueError(f"reserved parameter name {pname!r}")
-            _require_finite(pname, value)
-        for k, comp in enumerate(self.components, start=1):
+        numbers = {pname: _parameter(pname, value)
+                   for pname, value in params.items()}
+        allowed = {"u", "v", *numbers}
+        for k, comp in enumerate(components, start=1):
             loose = ex.free_identifiers(comp) - allowed
             if loose:
                 raise ex.UnknownIdentifier(
                     f"x{k} references undeclared identifiers {sorted(loose)}", 0, 0)
+        return super().__new__(cls, name, components, numbers, domain)
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make, and _replace through it, skip __new__
+        return cls(*iterable)
 
 
-def _require_finite(pname: str, value: float) -> float:
-    if not math.isfinite(value):
+def _parameter(pname: str, value) -> float:
+    """The value of parameter ``pname`` as a finite float; u, v and the
+    function names are not parameter names."""
+    if pname in ("u", "v") or pname in ex.FUNCTION_NAMES:
+        raise ValueError(f"reserved parameter name {pname!r}")
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"parameter {pname!r} must be a number, "
+                         f"got {value!r}") from None
+    if not math.isfinite(number):
         raise ValueError(f"parameter {pname!r} must be finite, got {value!r}")
-    return value
+    return number
 
 
-# -- text format ----------------------------------------------------------
-
-# a line's statements: each starts at a character that is neither ';'
-# nor a blank and runs to the next ';', or on a notes line to the end
-_STATEMENT = re.compile(r"[^;\s][^;]*")
-_NOTES = re.compile(r"\S.*")
-
-_DOMAIN_RE = re.compile(
-    r"^\[\s*([^,\]]+)\s*,\s*([^,\]]+)\s*\]\s*x\s*\[\s*([^,\]]+)\s*,\s*([^,\]]+)\s*\]$")
-
+# -- text format (its patterns compile on first use, in re's cache) --------
 
 def _float_or_error(text: str, what: str, line: int, col: int) -> float:
     try:
@@ -137,9 +141,11 @@ def parse_surface(text: str) -> SurfaceSpec:
     # only '\n' ends a line, as in the expression scanner
     for line_no, raw in enumerate(text.split("\n"), start=1):
         body = raw.split("#", 1)[0]
-        # notes is free text; ';' inside it is content, not a separator
+        # a line's statements: each starts at a character that is neither
+        # ';' nor a blank and runs to the next ';', or on a notes line (free
+        # text, where ';' is content) to the end
         notes = body.split("=", 1)[0].strip() == "notes"
-        for m in (_NOTES if notes else _STATEMENT).finditer(body):
+        for m in re.finditer(r"\S.*" if notes else r"[^;\s][^;]*", body):
             statements.append((line_no, m.start() + 1, m.group().rstrip()))
 
     name = "user-surface"
@@ -173,7 +179,8 @@ def parse_surface(text: str) -> SurfaceSpec:
                 raise ParseError(f"duplicate parameter {pname!r}", line_no, col)
             params[pname] = _float_or_error(value, f"param {pname}", line_no, value_col)
         elif key == "domain":
-            m = _DOMAIN_RE.match(value)
+            m = re.match(r"^\[\s*([^,\]]+)\s*,\s*([^,\]]+)\s*\]\s*x"
+                         r"\s*\[\s*([^,\]]+)\s*,\s*([^,\]]+)\s*\]$", value)
             if not m:
                 raise ParseError(
                     f"domain must look like [a,b]x[c,d], found {value!r}",
@@ -369,13 +376,11 @@ def catalog_lookup(name: str,
         if not isinstance(raw, str):
             # every plan constant is a literal the parser made, so the
             # plan survives a round trip through its text
-            raw = repr(_require_finite(pname, float(raw)))
+            raw = repr(_parameter(pname, raw))
         splices[pname] = parse_expression(raw, frozenset())
 
-    bound: dict[str, float] = {}
-    for pname, default in entry.float_params:
-        bound[pname] = (float(supplied.pop(pname)) if pname in supplied
-                        else default)
+    bound = {pname: supplied.pop(pname, default)
+             for pname, default in entry.float_params}
     if supplied:
         raise ValueError(
             f"surface {name!r} does not take parameter(s) {sorted(supplied)}")

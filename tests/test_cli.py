@@ -472,6 +472,22 @@ class TestUsageErrors:
         assert out == ""
         assert err.startswith("error:") or "usage" in err
 
+    @pytest.mark.parametrize("argv,message", [
+        # a value that is no number names its parameter, in a catalog
+        # entry and in a surface file
+        (["analyze", "--catalog", "product", "--param", "a=u"],
+         "error: parameter 'a' must be a number, got 'u'\n"),
+        (["analyze", "--surface-file", str(DATA / "null-drift.surf"),
+          "--param", "K=abc", "--grid", "2x2"],
+         "error: parameter 'K' must be a number, got 'abc'\n"),
+        (["analyze", "--catalog", "plane", "--domain", "1,0,0,1",
+          "--grid", "2x2"],
+         "error: empty domain Domain(u_min=1.0, u_max=0.0, v_min=0.0, "
+         "v_max=1.0)\n"),
+    ], ids=["catalog-param", "file-param", "empty-domain"])
+    def test_exact_message(self, argv, message, capsys):
+        assert run(argv, capsys) == (2, "", message)
+
     def test_repeated_param_is_an_error(self, capsys):
         # as a surface file's repeated "param a" is; not last-wins
         code, out, err = run(["analyze", "--catalog", "product", "--param",

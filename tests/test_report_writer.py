@@ -13,7 +13,6 @@ put NaN and infinities into a report.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -145,8 +144,8 @@ def test_evaluated_block():
 
 
 def _log_graph():
-    return dataclasses.replace(sf.catalog_lookup("graph", {"phi": "log(u)"}),
-                               domain=sf.Domain(-1.0, 1.0, -1.0, 1.0))
+    return sf.catalog_lookup("graph", {"phi": "log(u)"})._replace(
+        domain=sf.Domain(-1.0, 1.0, -1.0, 1.0))
 
 
 @pytest.mark.parametrize("order", [3, 4])
